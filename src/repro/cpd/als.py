@@ -60,6 +60,14 @@ def cp_als(
 ) -> ALSResult:
     """Run CP-ALS; returns the fitted model and the per-iteration fits.
 
+    The per-sweep fit ``1 - ||X - M|| / ||X||`` never reads the nonzeros:
+    ``<X, M> = Σ_r λ_r Σ_i (M_N ⊙ A_N)_ir`` comes from the sweep's last
+    MTTKRP ``M_N`` (taken with every other mode's final factors) and the
+    last factor ``A_N``, ``||M||²`` from the factor Grams the solve already
+    keeps, and ``||X||`` from one ``tensor.norm()`` before the first sweep.
+    Each sweep therefore touches the tensor only through the MTTKRP
+    backend, which keeps an out-of-core run at its streamed residency.
+
     Parameters
     ----------
     mttkrp:
@@ -111,8 +119,14 @@ def cp_als(
             mats[mode] = normalized
             weights = lam
             grams[mode] = normalized.T @ normalized
-        model = KruskalTensor(weights, tuple(mats))
-        fit = model.fit_sparse(tensor, tensor_norm=xnorm)
+        # Fit from the last mode's MTTKRP and the Grams (see docstring),
+        # read before the next mttkrp call may reuse its output buffer.
+        inner = float(weights @ np.einsum("ir,ir->r", m_mat, mats[-1]))
+        model_sq = np.outer(weights, weights)
+        for g in grams:
+            model_sq *= g
+        residual_sq = max(xnorm * xnorm - 2.0 * inner + model_sq.sum(), 0.0)
+        fit = 1.0 - np.sqrt(residual_sq) / xnorm
         if not np.isfinite(fit):
             raise ConvergenceError(f"non-finite fit at iteration {it}")
         fits.append(float(fit))

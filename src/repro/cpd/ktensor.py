@@ -60,7 +60,11 @@ class KruskalTensor:
         return vec.reshape(self.shape, order="F")
 
     def values_at(self, indices: np.ndarray) -> np.ndarray:
-        """Model values at COO coordinates (vectorized)."""
+        """Model values at COO coordinates (vectorized).
+
+        A standalone/oracle path: ``cp_als`` never calls it, since it
+        allocates ``nnz × rank`` outside the streaming engine.
+        """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.ndim != 2 or indices.shape[1] != self.nmodes:
             raise TensorFormatError("indices shape inconsistent with model")
@@ -77,7 +81,11 @@ class KruskalTensor:
         return float(np.sqrt(max(gram.sum(), 0.0)))
 
     def innerprod_sparse(self, tensor: SparseTensorCOO) -> float:
-        """<X, M> for sparse X: sum over nonzeros of val * model value."""
+        """<X, M> for sparse X: sum over nonzeros of val * model value.
+
+        A standalone/oracle path: ``cp_als`` takes <X, M> from its last
+        MTTKRP instead of this second pass over every nonzero.
+        """
         if tensor.shape != self.shape:
             raise TensorFormatError(
                 f"tensor shape {tensor.shape} != model shape {self.shape}"
@@ -91,6 +99,8 @@ class KruskalTensor:
 
         Uses ``||X - M||² = ||X||² - 2<X, M> + ||M||²``. ``tensor_norm`` can
         be precomputed and passed to avoid re-reducing the values each call.
+        A standalone/oracle path: ``cp_als`` computes the same fit from its
+        sweep's last MTTKRP and Grams and never calls this.
         """
         xn = tensor.norm() if tensor_norm is None else float(tensor_norm)
         if xn == 0.0:

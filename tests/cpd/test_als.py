@@ -1,5 +1,7 @@
 """Tests for CP-ALS over multiple MTTKRP backends."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,10 @@ from repro.cpd.als import cp_als
 from repro.cpd.norms import factor_match_score
 from repro.errors import ConvergenceError, ReproError
 from repro.tensor.coo import SparseTensorCOO
-from repro.tensor.generate import lowrank_coo
+from repro.tensor.generate import lowrank_coo, random_coo, zipf_coo
+from repro.tensor.io import write_shard_cache
+from repro.tensor.io_v2 import write_shard_cache_v2
+from repro.tensor.kernelreg import available_kernels
 
 
 class TestConvergence:
@@ -92,6 +97,85 @@ class TestBackends:
         init = make_factors(fitted_tensor.shape, rank=3, seed=8)
         res = cp_als(fitted_tensor, rank=3, n_iters=3, factors=init, tol=0.0)
         assert res.n_iters == 3
+
+
+def _with_duplicates(tensor: SparseTensorCOO) -> SparseTensorCOO:
+    """``tensor`` plus a second copy of every third element (new values)."""
+    dup = np.arange(0, tensor.nnz, 3)
+    return SparseTensorCOO(
+        np.concatenate([tensor.indices, tensor.indices[dup]]),
+        np.concatenate([tensor.values, 0.5 - tensor.values[dup]]),
+        tensor.shape,
+    )
+
+
+class TestFitFromLastMTTKRP:
+    """The per-sweep fit comes from the last mode's MTTKRP and the Grams;
+    the nonzero-pass ``fit_sparse`` is its oracle."""
+
+    @pytest.fixture(params=["distinct", "duplicates"])
+    def tensor(self, request):
+        t = zipf_coo((30, 20, 25), 900, exponents=(1.1, 0.7, 0.9), seed=13)
+        return t if request.param == "distinct" else _with_duplicates(t)
+
+    @pytest.fixture(params=["reference", "amped-numpy", "amped-cc"])
+    def mttkrp(self, request, tensor):
+        if request.param == "reference":
+            yield None
+            return
+        kernel = request.param.split("-")[1]
+        if kernel not in available_kernels():
+            pytest.skip(f"{kernel} kernel tier unavailable on this host")
+        config = AmpedConfig(n_gpus=2, rank=3, shards_per_gpu=2, kernel=kernel)
+        with AmpedMTTKRP(tensor, config) as ex:
+            yield ex.mttkrp
+
+    @pytest.mark.parametrize("n_iters", [1, 2, 3])
+    def test_final_fit_matches_nonzero_pass(self, tensor, mttkrp, n_iters):
+        res = cp_als(
+            tensor, rank=3, n_iters=n_iters, tol=0.0, seed=2, mttkrp=mttkrp
+        )
+        assert res.n_iters == n_iters
+        assert res.final_fit == pytest.approx(
+            res.model.fit_sparse(tensor), rel=0, abs=1e-12
+        )
+
+
+class TestOutOfCoreResidency:
+    """An out-of-core CP-ALS never allocates O(nnz · rank) host memory: the
+    fit no longer reads the cache's nonzeros outside the streaming engine."""
+
+    NNZ = 50_000
+    RANK = 8
+
+    @pytest.fixture(scope="class")
+    def tensor(self):
+        return random_coo((400, 300, 200), self.NNZ, seed=17)
+
+    @pytest.mark.parametrize("fmt", ["v1-mmap", "v2-zlib"])
+    def test_peak_stays_below_the_old_fit_accumulator(
+        self, tensor, tmp_path, fmt
+    ):
+        path = tmp_path / "cache.npz"
+        if fmt == "v1-mmap":
+            write_shard_cache(tensor, path)
+        else:
+            write_shard_cache_v2(tensor, path, codec="zlib", chunk_nnz=4096)
+        config = AmpedConfig(
+            rank=self.RANK, out_of_core=True, shard_cache=str(path)
+        )
+        with AmpedMTTKRP.from_shard_cache(path, config) as ex:
+            tracemalloc.start()
+            try:
+                res = cp_als(
+                    ex.tensor, self.RANK, mttkrp=ex.mttkrp,
+                    n_iters=2, tol=0.0, seed=3,
+                )
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert res.n_iters == 2 and np.isfinite(res.final_fit)
+        assert peak < tensor.nnz * self.RANK * 8, peak
 
 
 class TestErrors:

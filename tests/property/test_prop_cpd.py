@@ -4,8 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cpd.als import cp_als
 from repro.cpd.ktensor import KruskalTensor
 from repro.cpd.norms import factor_match_score, normalize_columns
+from repro.tensor.coo import SparseTensorCOO
 
 
 @st.composite
@@ -47,6 +49,48 @@ class TestKruskalProperties:
     def test_arrange_preserves_model(self, model):
         """Component reordering must not change the represented tensor."""
         assert np.allclose(model.arrange().full(), model.full(), atol=1e-9)
+
+
+@st.composite
+def sparse_tensors(draw):
+    """Small COO tensors; coordinates may repeat (duplicates are kept)."""
+    nmodes = draw(st.integers(2, 4))
+    shape = tuple(draw(st.integers(1, 8)) for _ in range(nmodes))
+    nnz = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    indices = np.stack([rng.integers(0, s, nnz) for s in shape], axis=1)
+    values = rng.standard_normal(nnz)
+    values[0] = 1.0 + abs(values[0])  # never the all-zero tensor
+    return SparseTensorCOO(indices, values, shape)
+
+
+class TestALSFitProperties:
+    @given(
+        sparse_tensors(),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.sampled_from(["random", "nvecs"]),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_fit_matches_nonzero_pass(
+        self, tensor, rank, n_iters, init, seed
+    ):
+        """The fit cp_als derives from the last MTTKRP and the Grams equals
+        the nonzero-pass fit of the model it returns.
+
+        Compared as the relative squared residual ``(1 - fit)² =
+        ||X - M||² / ||X||²`` that both formulas compute before the square
+        root: near an exact fit (tiny shapes, rank ≥ nnz) the root turns
+        1e-16 of round-off into ~1e-8 of fit for either formula alike.
+        """
+        res = cp_als(
+            tensor, rank, n_iters=n_iters, tol=0.0, init=init, seed=seed
+        )
+        oracle = res.model.fit_sparse(tensor)
+        assert np.isclose(
+            (1.0 - res.final_fit) ** 2, (1.0 - oracle) ** 2, rtol=0, atol=1e-12
+        )
 
 
 class TestNormalizationProperties:
