@@ -186,7 +186,7 @@ def _best_wall_time(fn, repeats: int = 5) -> float:
     return best
 
 
-def run_smoke(batch_size: int = 4096, workers: int = 1) -> int:
+def run_smoke(batch_size: int = 4096) -> int:
     """Correctness + perf gate for the streaming engine.
 
     Returns a process exit code: 0 when the batched path is bit-identical to
@@ -198,7 +198,7 @@ def run_smoke(batch_size: int = 4096, workers: int = 1) -> int:
     plan = build_partition_plan(tensor, 4, shards_per_gpu=8)
 
     eager = StreamingExecutor(plan)
-    batched = StreamingExecutor(plan, batch_size=batch_size, workers=workers)
+    batched = StreamingExecutor(plan, batch_size=batch_size)
     # Build batch plans (cached) before timing, as a warm production run would.
     for m in range(tensor.nmodes):
         eager.batch_plan(m), batched.batch_plan(m)
@@ -216,7 +216,7 @@ def run_smoke(batch_size: int = 4096, workers: int = 1) -> int:
     n_batches = sum(batched.n_batches(m) for m in range(tensor.nmodes))
     print(
         f"engine smoke: eager {t_eager * 1e3:.1f} ms, "
-        f"batched(batch_size={batch_size}, workers={workers}, "
+        f"batched(batch_size={batch_size}, "
         f"{n_batches} batches) {t_batched * 1e3:.1f} ms, ratio {ratio:.3f}x"
     )
     if ratio > SMOKE_RATIO_LIMIT:
@@ -494,8 +494,7 @@ if __name__ == "__main__":
         "--smoke", action="store_true", help="run the quick CI engine check"
     )
     parser.add_argument("--batch-size", type=int, default=4096)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
     if not args.smoke:
         parser.error("use --smoke (pytest runs the benchmark suite)")
-    raise SystemExit(run_smoke(args.batch_size, args.workers))
+    raise SystemExit(run_smoke(args.batch_size))

@@ -6,6 +6,7 @@ experiments   regenerate the paper's tables/figures (model scale)
 datasets      list the Table 3 dataset profiles
 simulate      simulate one dataset x method at paper scale
 decompose     CP-ALS on a FROSTT .tns file (or a synthetic dataset instance)
+plan          resolve and price a decompose without running it
 cache         build an out-of-core shard cache (.npz) from a tensor
 profile       calibrate this host (microbenchmarks -> JSON host profile)
 trace         export a simulated AMPED run as Chrome trace JSON
@@ -60,6 +61,113 @@ def _batch_size_arg(text: str):
         raise argparse.ArgumentTypeError(
             f"expected an integer, 'auto', or 'none'; got {text!r}"
         ) from None
+
+
+def _add_engine_args(parser: argparse.ArgumentParser) -> None:
+    """The flags ``decompose`` and ``plan`` share, declared once.
+
+    Both commands turn them into an :class:`AmpedConfig` through
+    :func:`_engine_config`, so for the same flags ``repro plan`` prints the
+    plan fingerprint ``repro decompose`` then executes under.
+    """
+    # Not required: an existing --shard-cache is a tensor source by itself.
+    src = parser.add_mutually_exclusive_group(required=False)
+    src.add_argument("--tns", help="FROSTT .tns file")
+    src.add_argument(
+        "--dataset",
+        choices=["amazon", "patents", "reddit", "twitch"],
+        help="scaled synthetic instance of a Table 3 dataset",
+    )
+    parser.add_argument("--nnz", type=int, default=100_000, help="scaled nnz")
+    parser.add_argument("--rank", type=int, default=16)
+    parser.add_argument("--gpus", type=int, default=4)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--batch-size",
+        type=_batch_size_arg,
+        default="auto",
+        help="streaming batch granularity in nonzeros: an int, 'auto' "
+        "(default: eager in memory, cache-model batches out of core), or "
+        "'none' (whole shards)",
+    )
+    parser.add_argument(
+        "--backend",
+        default="serial",
+        help="execution backend for batch reductions: serial (default), "
+        "thread (persistent GIL-releasing thread pool), process "
+        "(process pool attaching to the shard cache / shared memory), "
+        "cluster (N node processes over sockets, each running its own "
+        "local pipeline — see --nodes/--cluster-nodes), or "
+        "auto (pick the backend the host cost model predicts fastest for "
+        "this workload, using --host-profile when given); results are "
+        "bit-identical across backends",
+    )
+    parser.add_argument(
+        "--nodes",
+        type=int,
+        default=None,
+        help="node-process count for --backend cluster (default 2; "
+        "loopback processes are spawned locally); with --backend auto a "
+        "pinned count >1 also ranks the cluster backend against the "
+        "single-host backends",
+    )
+    parser.add_argument(
+        "--cluster-nodes",
+        default=None,
+        metavar="HOST:PORT,...",
+        help="comma-separated addresses of already running `repro cluster "
+        "node` servers to use instead of spawning loopback processes "
+        "(implies the node count; requires --backend cluster)",
+    )
+    parser.add_argument(
+        "--kernel",
+        default="numpy",
+        choices=["auto", "numpy", "numba", "cc"],
+        help="MTTKRP kernel tier for batch reductions: numpy (default; the "
+        "bit-exact reference), numba / cc (fused compiled tiers — "
+        "deterministic, within ~1e-12 of numpy, falling back to numpy "
+        "when unavailable on this host), or auto (pick the tier the host "
+        "cost model predicts fastest, alongside --backend auto)",
+    )
+    parser.add_argument(
+        "--host-profile",
+        default=None,
+        metavar="PATH",
+        help="measured host profile JSON (written by `repro profile`) "
+        "consumed by --backend/--kernel auto, batch autotuning, and the "
+        "host pipeline prediction; default: the REPRO_HOST_PROFILE env var",
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker count of the selected backend (the serial backend "
+        "takes only 1: pass --backend thread or process for a pool)",
+    )
+    parser.add_argument(
+        "--prefetch",
+        action="store_true",
+        help="double-buffer batch delivery: stage the next element batch "
+        "on a background thread (async page read-ahead for --out-of-core)",
+    )
+    parser.add_argument(
+        "--shard-cache",
+        help="shard cache .npz path (required by --out-of-core); "
+        "`decompose` builds it from the input tensor if missing, `plan` "
+        "reads only an existing cache's metadata",
+    )
+    parser.add_argument(
+        "--out-of-core",
+        action="store_true",
+        help="stream element batches from the shard cache instead of "
+        "holding the partition plan in RAM",
+    )
+    parser.add_argument(
+        "--max-nnz",
+        type=int,
+        default=None,
+        help="refuse to materialize a .tns with more nonzeros than this",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,104 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_dec = sub.add_parser("decompose", help="CP-ALS on a tensor")
-    # Not required: an existing --shard-cache is a tensor source by itself.
-    src = p_dec.add_mutually_exclusive_group(required=False)
-    src.add_argument("--tns", help="FROSTT .tns file")
-    src.add_argument(
-        "--dataset",
-        choices=["amazon", "patents", "reddit", "twitch"],
-        help="scaled synthetic instance of a Table 3 dataset",
-    )
-    p_dec.add_argument("--nnz", type=int, default=100_000, help="scaled nnz")
-    p_dec.add_argument("--rank", type=int, default=16)
+    _add_engine_args(p_dec)
     p_dec.add_argument("--iters", type=int, default=20)
-    p_dec.add_argument("--gpus", type=int, default=4)
-    p_dec.add_argument("--seed", type=int, default=0)
-    p_dec.add_argument(
-        "--batch-size",
-        type=_batch_size_arg,
-        default="auto",
-        help="streaming batch granularity in nonzeros: an int, 'auto' "
-        "(default: eager in memory, cache-model batches out of core), or "
-        "'none' (whole shards)",
-    )
-    p_dec.add_argument(
-        "--backend",
-        default="serial",
-        help="execution backend for batch reductions: serial (default), "
-        "thread (persistent GIL-releasing thread pool), process "
-        "(process pool attaching to the shard cache / shared memory), "
-        "cluster (N node processes over sockets, each running its own "
-        "local pipeline — see --nodes/--cluster-nodes), or "
-        "auto (pick the backend the host cost model predicts fastest for "
-        "this workload, using --host-profile when given); results are "
-        "bit-identical across backends",
-    )
-    p_dec.add_argument(
-        "--nodes",
-        type=int,
-        default=None,
-        help="node-process count for --backend cluster (default 2; "
-        "loopback processes are spawned locally); with --backend auto a "
-        "pinned count >1 also ranks the cluster backend against the "
-        "single-host backends",
-    )
-    p_dec.add_argument(
-        "--cluster-nodes",
-        default=None,
-        metavar="HOST:PORT,...",
-        help="comma-separated addresses of already running `repro cluster "
-        "node` servers to use instead of spawning loopback processes "
-        "(implies the node count; requires --backend cluster)",
-    )
-    p_dec.add_argument(
-        "--kernel",
-        default="numpy",
-        choices=["auto", "numpy", "numba", "cc"],
-        help="MTTKRP kernel tier for batch reductions: numpy (default; the "
-        "bit-exact reference), numba / cc (fused compiled tiers — "
-        "deterministic, within ~1e-12 of numpy, falling back to numpy "
-        "when unavailable on this host), or auto (pick the tier the host "
-        "cost model predicts fastest, alongside --backend auto)",
-    )
-    p_dec.add_argument(
-        "--host-profile",
-        default=None,
-        metavar="PATH",
-        help="measured host profile JSON (written by `repro profile`) "
-        "consumed by --backend/--kernel auto, batch autotuning, and the "
-        "host pipeline prediction; default: the REPRO_HOST_PROFILE env var",
-    )
-    p_dec.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker count for the selected backend (with the default "
-        "serial backend, >1 is the deprecated alias for --backend thread)",
-    )
-    p_dec.add_argument(
-        "--prefetch",
-        action="store_true",
-        help="double-buffer batch delivery: stage the next element batch "
-        "on a background thread (async page read-ahead for --out-of-core)",
-    )
-    p_dec.add_argument(
-        "--shard-cache",
-        help="shard cache .npz path; built from the input tensor if missing "
-        "(required by --out-of-core)",
-    )
-    p_dec.add_argument(
-        "--out-of-core",
-        action="store_true",
-        help="stream element batches from the memory-mapped shard cache "
-        "instead of holding the partition plan in RAM",
-    )
-    p_dec.add_argument(
-        "--max-nnz",
-        type=int,
-        default=None,
-        help="refuse to materialize a .tns with more nonzeros than this",
-    )
 
     p_plan = sub.add_parser(
         "plan",
@@ -223,60 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         "execution plan, print the per-phase pricing, and the plan "
         "fingerprint `repro decompose` would report for the same flags",
     )
-    psrc = p_plan.add_mutually_exclusive_group(required=False)
-    psrc.add_argument("--tns", help="FROSTT .tns file")
-    psrc.add_argument(
-        "--dataset",
-        choices=["amazon", "patents", "reddit", "twitch"],
-        help="scaled synthetic instance of a Table 3 dataset",
-    )
-    p_plan.add_argument("--nnz", type=int, default=100_000, help="scaled nnz")
-    p_plan.add_argument("--rank", type=int, default=16)
-    p_plan.add_argument("--gpus", type=int, default=4)
-    p_plan.add_argument("--shards-per-gpu", type=int, default=16)
-    p_plan.add_argument("--seed", type=int, default=0)
-    p_plan.add_argument(
-        "--batch-size", type=_batch_size_arg, default="auto",
-        help="streaming batch granularity: int, 'auto', or 'none'",
-    )
-    p_plan.add_argument(
-        "--backend", default="serial",
-        help="serial/thread/process/cluster/auto (same semantics as "
-        "`repro decompose --backend`)",
-    )
-    p_plan.add_argument("--workers", type=int, default=1)
-    p_plan.add_argument(
-        "--kernel", default="numpy",
-        choices=["auto", "numpy", "numba", "cc"],
-    )
-    p_plan.add_argument("--prefetch", action="store_true")
-    p_plan.add_argument(
-        "--nodes", type=int, default=None,
-        help="node-process count for --backend cluster",
-    )
-    p_plan.add_argument(
-        "--cluster-nodes", default=None, metavar="HOST:PORT,...",
-        help="addresses of running `repro cluster node` servers "
-        "(requires --backend cluster)",
-    )
-    p_plan.add_argument(
-        "--shard-cache",
-        help="existing shard cache to plan against (metadata only is read)",
-    )
-    p_plan.add_argument(
-        "--out-of-core", action="store_true",
-        help="plan the streaming out-of-core execution of --shard-cache",
-    )
-    p_plan.add_argument(
-        "--host-profile", default=None, metavar="PATH",
-        help="measured host profile JSON the pricing calibrates against; "
-        "default: the REPRO_HOST_PROFILE env var, else the committed "
-        "synthetic calibration",
-    )
-    p_plan.add_argument(
-        "--max-nnz", type=int, default=None,
-        help="refuse to materialize a .tns with more nonzeros than this",
-    )
+    _add_engine_args(p_plan)
     p_plan.add_argument(
         "--json", action="store_true",
         help="print the serialized ExecutionPlan JSON instead of the "
@@ -635,39 +594,47 @@ def _load_cli_tensor(args):
     return tensor, f"{args.dataset} (scaled to {tensor.nnz} nnz)"
 
 
-def _cmd_decompose(args) -> int:
-    from repro.core.amped import AmpedMTTKRP
-    from repro.core.config import AmpedConfig
-    from repro.cpd.als import cp_als
-    from repro.tensor.io import shard_cache_path, write_shard_cache
-    from repro.util.humanize import format_seconds
+class _UsageError(Exception):
+    """Contradictory command-line flags: the command prints it, exits 2."""
+
+
+def _engine_cache(args):
+    """``(shard cache path or None, whether it exists)`` from the flags of
+    :func:`_add_engine_args`, after rejecting the combinations neither
+    ``decompose`` nor ``plan`` can run (:class:`_UsageError`)."""
+    from repro.tensor.io import shard_cache_path
 
     if args.out_of_core and not args.shard_cache:
-        print(
+        raise _UsageError(
             "--out-of-core requires --shard-cache PATH: build one with "
-            "`repro cache` (or pass --shard-cache here and it is built from "
-            "the input tensor first)"
+            "`repro cache` (or pass --shard-cache to `repro decompose` and "
+            "it is built from the input tensor first)"
         )
-        return 2
+    if args.cluster_nodes and args.backend != "cluster":
+        raise _UsageError("--cluster-nodes requires --backend cluster")
     # Resolve suffix-less paths the way the writer will (np.savez appends
     # .npz), so the existence check, the build, and the open all agree.
     cache = shard_cache_path(args.shard_cache) if args.shard_cache else None
     cache_exists = cache is not None and cache.is_file()
     if not (args.tns or args.dataset or cache_exists):
-        print(
+        raise _UsageError(
             "no tensor source: pass --tns/--dataset, or point --shard-cache "
             "at an existing cache"
         )
-        return 2
+    return cache, cache_exists
+
+
+def _engine_config(args, cache):
+    """The one :class:`AmpedConfig` builder behind ``decompose`` and
+    ``plan`` (so equal flags give equal plan fingerprints)."""
+    from repro.core.config import AmpedConfig
+
     cluster_addresses = None
     if args.cluster_nodes:
-        if args.backend != "cluster":
-            print("--cluster-nodes requires --backend cluster")
-            return 2
         cluster_addresses = tuple(
             a.strip() for a in args.cluster_nodes.split(",") if a.strip()
         )
-    config = AmpedConfig(
+    return AmpedConfig(
         n_gpus=args.gpus,
         rank=args.rank,
         batch_size=args.batch_size,
@@ -681,6 +648,32 @@ def _cmd_decompose(args) -> int:
         nodes=args.nodes,
         cluster_addresses=cluster_addresses,
     )
+
+
+def _resident_tensor(args, cache):
+    """(tensor, label) for an in-memory run: ``--tns``/``--dataset``, else
+    the existing shard cache loaded into memory."""
+    if args.tns or args.dataset:
+        return _load_cli_tensor(args)
+    from repro.engine.source import open_shard_source
+
+    source = open_shard_source(cache, n_gpus=args.gpus)
+    return source.tensor_view().as_coo(), f"{cache} (loaded into memory)"
+
+
+def _cmd_decompose(args) -> int:
+    from repro.core.amped import AmpedMTTKRP
+    from repro.cpd.als import cp_als
+    from repro.errors import ConfigConflictError
+    from repro.tensor.io import write_shard_cache
+    from repro.util.humanize import format_seconds
+
+    try:
+        cache, cache_exists = _engine_cache(args)
+        config = _engine_config(args, cache)
+    except (_UsageError, ConfigConflictError) as exc:
+        print(exc)
+        return 2
     tensor = name = None
     if cache is not None and not cache_exists:
         tensor, name = _load_cli_tensor(args)
@@ -697,14 +690,7 @@ def _cmd_decompose(args) -> int:
         )
     else:
         if tensor is None:
-            if args.tns or args.dataset:
-                tensor, name = _load_cli_tensor(args)
-            else:  # an existing cache is the only tensor source given
-                from repro.engine.source import open_shard_source
-
-                cache_src = open_shard_source(cache, n_gpus=args.gpus)
-                tensor = cache_src.tensor_view().as_coo()
-                name = f"{cache} (loaded into memory)"
+            tensor, name = _resident_tensor(args, cache)
         ex = AmpedMTTKRP(tensor, config, name="cli")
     print(f"tensor: {name}, shape={tensor.shape}, nnz={tensor.nnz}")
     # The executor's ExecutionPlan carries the concrete backend even when
@@ -773,66 +759,30 @@ def _cmd_decompose(args) -> int:
 def _cmd_plan(args) -> int:
     """Explain-style planning: resolve + price, print, never execute.
 
-    Builds the exact config ``repro decompose`` would from the same flags
-    and resolves it through the plan layer — so the printed fingerprint is
-    the one a subsequent ``repro decompose`` reports. No engine, backend
-    pool, or cluster node process is constructed; a shard cache is opened
-    for metadata only.
+    Builds its config with the same :func:`_engine_config` as ``repro
+    decompose`` and resolves it through the plan layer — so the printed
+    fingerprint is the one a subsequent ``repro decompose`` with the same
+    flags reports. No engine, backend pool, or cluster node process is
+    constructed; a shard cache is opened for metadata only.
     """
-    from repro.core.config import AmpedConfig
     from repro.engine.plan import plan_shard_cache, plan_tensor
-    from repro.errors import ReproError
-    from repro.tensor.io import shard_cache_path
+    from repro.errors import ConfigConflictError, ReproError
     from repro.util.humanize import format_bytes, format_seconds
 
-    if args.out_of_core and not args.shard_cache:
-        print("--out-of-core requires --shard-cache PATH")
+    try:
+        cache, cache_exists = _engine_cache(args)
+        config = _engine_config(args, cache)
+    except (_UsageError, ConfigConflictError) as exc:
+        print(exc)
         return 2
-    cache = shard_cache_path(args.shard_cache) if args.shard_cache else None
-    cache_exists = cache is not None and cache.is_file()
     if args.out_of_core and not cache_exists:
         print(f"--shard-cache {cache} does not exist; build it with `repro cache`")
         return 2
-    if not (args.tns or args.dataset or cache_exists):
-        print(
-            "no tensor source: pass --tns/--dataset, or point --shard-cache "
-            "at an existing cache"
-        )
-        return 2
-    cluster_addresses = None
-    if args.cluster_nodes:
-        if args.backend != "cluster":
-            print("--cluster-nodes requires --backend cluster")
-            return 2
-        cluster_addresses = tuple(
-            a.strip() for a in args.cluster_nodes.split(",") if a.strip()
-        )
-    config = AmpedConfig(
-        n_gpus=args.gpus,
-        rank=args.rank,
-        shards_per_gpu=args.shards_per_gpu,
-        batch_size=args.batch_size,
-        backend=args.backend,
-        workers=args.workers,
-        kernel=args.kernel,
-        prefetch=args.prefetch,
-        out_of_core=args.out_of_core,
-        shard_cache=None if cache is None else str(cache),
-        host_profile=args.host_profile,
-        nodes=args.nodes,
-        cluster_addresses=cluster_addresses,
-    )
     try:
         if args.out_of_core:
             plan = plan_shard_cache(cache, config, name="cli")
         else:
-            if args.tns or args.dataset:
-                tensor, _ = _load_cli_tensor(args)
-            else:  # an existing cache is the only tensor source given
-                from repro.engine.source import open_shard_source
-
-                cache_src = open_shard_source(cache, n_gpus=args.gpus)
-                tensor = cache_src.tensor_view().as_coo()
+            tensor, _ = _resident_tensor(args, cache)
             plan = plan_tensor(tensor, config, name="cli")
     except ReproError as exc:
         print(f"planning failed: {exc}")

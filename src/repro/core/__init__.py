@@ -2,7 +2,6 @@
 
 * :mod:`config` — :class:`AmpedConfig`, the R / P(θ) / GPU-count knobs of §5.1.5;
 * :mod:`elementwise` — the threadblock elementwise computation (Algorithm 2);
-* :mod:`grid` — shard (GPU grid) execution over inter-shard partitions;
 * :mod:`workload` — scale-free workload descriptors shared by the functional
   executor and the billion-scale model mode;
 * :mod:`simulate` — Algorithm 1 charged against the simulated platform;
@@ -16,7 +15,6 @@ from repro.core.config import AmpedConfig
 from repro.core.results import ModeTiming, RunResult
 from repro.core.workload import ModeWorkload, TensorWorkload
 from repro.core.elementwise import threadblock_ec
-from repro.core.grid import execute_shard, execute_source_shard
 from repro.core.simulate import amped_memory_plan, host_memory_plan, simulate_amped
 from repro.core.amped import AmpedMTTKRP
 from repro.core.preprocess import preprocessing_time
@@ -29,8 +27,6 @@ __all__ = [
     "ModeWorkload",
     "TensorWorkload",
     "threadblock_ec",
-    "execute_shard",
-    "execute_source_shard",
     "simulate_amped",
     "amped_memory_plan",
     "host_memory_plan",

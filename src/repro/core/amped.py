@@ -10,9 +10,10 @@
   streaming batched engine (:class:`repro.engine.StreamingExecutor`),
   driving shard element batches through the segmented kernels (used by
   CP-ALS);
-* a :meth:`simulate` that times one iteration on the simulated platform;
-* :meth:`run_iteration`, the full Algorithm 1 — per-GPU outputs assembled
-  through a real ring all-gather, checked against the direct result.
+* a :meth:`simulate` that times one iteration on the simulated platform.
+
+The ring all-gather of Algorithm 1 runs for real only across processes, in
+the cluster backend (:class:`repro.engine.cluster.ClusterBackend`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.comm.allgather import ring_allgather
 from repro.core.config import AmpedConfig
 from repro.core.results import RunResult
 from repro.core.simulate import simulate_amped
@@ -38,7 +38,6 @@ from repro.simgpu.kernel import KernelCostModel
 from repro.simgpu.platform import MultiGPUPlatform
 from repro.simgpu.presets import paper_platform
 from repro.tensor.coo import SparseTensorCOO
-from repro.tensor.reference import check_factors
 
 __all__ = ["AmpedMTTKRP"]
 
@@ -68,12 +67,6 @@ class AmpedMTTKRP:
         match the config. For out-of-core sources the config is normalized
         to ``out_of_core=True`` so batch autotuning and the simulator's
         host staging accounting see the streaming residency.
-    functional_isps:
-        ISP (threadblock) count per shard modeled by the legacy
-        :func:`repro.core.grid.execute_shard` path. The functional MTTKRP now
-        runs through the streaming engine (whose granularity is the resolved
-        ``config.batch_size``); this knob is kept for grid-level experiments
-        and API compatibility. The numerical result is independent of it.
     """
 
     def __init__(
@@ -85,7 +78,6 @@ class AmpedMTTKRP:
         cost: KernelCostModel | None = None,
         name: str = "tensor",
         source: ShardSource | None = None,
-        functional_isps: int = 2,
     ) -> None:
         self.config = config or AmpedConfig()
         self.platform = platform or paper_platform(self.config.n_gpus)
@@ -96,9 +88,6 @@ class AmpedMTTKRP:
             )
         self.cost = cost or KernelCostModel()
         self.name = name
-        if functional_isps <= 0:
-            raise ReproError("functional_isps must be positive")
-        self.functional_isps = functional_isps
 
         if source is None:
             if tensor is None:
@@ -259,10 +248,6 @@ class AmpedMTTKRP:
         but agree with it only to the documented ~1e-12 tolerance
         (``docs/kernels.md``).
         """
-        # One pass over all shards: the per-GPU grouping is irrelevant to the
-        # functional result (shards own disjoint output rows and batch order
-        # within a shard is fixed), so this is bit-identical to the per-GPU
-        # accumulation run_iteration performs.
         return self.engine.mttkrp(factors, mode)
 
     def mttkrp_all_modes(self, factors: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -272,40 +257,6 @@ class AmpedMTTKRP:
         ALS updates each factor before moving on (see :mod:`repro.cpd.als`).
         """
         return [self.mttkrp(factors, m) for m in range(self.tensor.nmodes)]
-
-    def run_iteration(
-        self, factors: Sequence[np.ndarray]
-    ) -> tuple[list[np.ndarray], RunResult]:
-        """Full Algorithm 1: per-GPU partial outputs + real ring all-gather.
-
-        Each GPU's contribution is materialized separately and exchanged
-        with :func:`ring_allgather`; the assembled matrices are verified to
-        match the direct computation before being returned, so the
-        communication schedule is genuinely exercised.
-        """
-        mats = check_factors(self.tensor.shape, factors)
-        rank = mats[0].shape[1]
-        outputs: list[np.ndarray] = []
-        for mode in range(self.tensor.nmodes):
-            per_gpu = []
-            for g in range(self.config.n_gpus):
-                local = np.zeros(
-                    (self.tensor.shape[mode], rank), dtype=np.float64
-                )
-                self.engine.mttkrp_into(
-                    mats, mode, local,
-                    shard_ids=self.source.shards_for_gpu(mode, g),
-                )
-                per_gpu.append(local)
-            views = ring_allgather(per_gpu)
-            # Shards own disjoint rows, so summing the gathered chunks
-            # reassembles the full output on every rank.
-            assembled = [sum(chunks) for chunks in views]
-            for a in assembled[1:]:
-                if not np.allclose(a, assembled[0]):
-                    raise ReproError("ranks disagree after all-gather")
-            outputs.append(assembled[0])
-        return outputs, self.simulate()
 
     # ------------------------------------------------------------------
     # Timing simulation

@@ -15,7 +15,7 @@ from repro.engine.backend import (
     validate_workers,
 )
 from repro.engine.costmodel.hostprofile import HostProfile, resolve_host_profile
-from repro.errors import ReproError
+from repro.errors import ConfigConflictError, ReproError
 from repro.tensor.kernelreg import (
     AUTO_KERNEL,
     resolve_kernel_name,
@@ -72,9 +72,8 @@ class AmpedConfig:
         :class:`~repro.core.amped.AmpedMTTKRP` construction, preferring the
         measured ``host_profile``). Results are bit-identical across
         backends, so the choice only moves wall time.
-    workers: worker count of the selected backend. With the default
-        ``backend="serial"``, ``workers > 1`` is the deprecated PR 1 alias
-        and maps onto the thread backend (see :meth:`resolved_backend`).
+    workers: worker count of the selected backend. ``"serial"`` takes only
+        1; name ``backend="thread"`` (or ``"process"``) for a pool.
     kernel: MTTKRP kernel tier of the streaming engine
         (:mod:`repro.tensor.kernelreg`) — ``"numpy"`` (the bit-exact
         reference, the default: results stay bit-identical to every
@@ -192,6 +191,12 @@ class AmpedConfig:
         if self.backend != AUTO_BACKEND:
             validate_backend_name(self.backend)
         validate_workers(self.workers)
+        if self.backend == "serial" and self.workers > 1:
+            raise ConfigConflictError(
+                f"workers={self.workers} needs a pool backend: the serial "
+                f"backend runs in the calling thread; pass "
+                f"backend=\"thread\" (or \"process\")"
+            )
         # Kernel names live in the registry layer ("auto" included): the
         # domain check here, resolution (availability + cost model) at
         # AmpedMTTKRP construction.
@@ -284,11 +289,8 @@ class AmpedConfig:
         return self.host_profile
 
     def resolved_backend(self) -> tuple[str, int]:
-        """The effective ``(backend name, workers)`` pair.
+        """The concrete ``(backend name, workers)`` pair.
 
-        ``workers > 1`` with the default ``backend="serial"`` is the
-        deprecated PR 1 spelling of "use a thread pool", so it maps onto
-        the thread backend; everything else passes through unchanged.
         ``backend="auto"`` has no answer without a workload — resolve it
         first (:func:`repro.engine.costmodel.resolve_auto_backend`, done
         automatically by :class:`~repro.core.amped.AmpedMTTKRP`).
@@ -299,8 +301,6 @@ class AmpedConfig:
                 "executor (AmpedMTTKRP pins the choice) or call "
                 "repro.engine.costmodel.resolve_auto_backend first"
             )
-        if self.backend == "serial" and self.workers > 1:
-            return "thread", self.workers
         return self.backend, self.workers
 
     def resolved_kernel(self) -> str:

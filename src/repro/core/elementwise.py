@@ -7,10 +7,10 @@ Hadamard product scaled by the value, and atomically adds the result into
 the output factor row.
 
 :func:`threadblock_ec` reproduces this batching exactly (P elements per
-step) so that tests can assert batch-size independence; the production ISP
-path (:mod:`repro.core.grid`) uses the whole-slice vectorized kernels, which
-are numerically identical because summation order within a segment is
-preserved.
+step) so that tests can assert batch-size independence; the production
+path (:class:`repro.engine.StreamingExecutor`) uses the whole-batch
+segmented kernels, which are numerically identical because summation order
+within a segment is preserved.
 """
 
 from __future__ import annotations

@@ -99,11 +99,9 @@ def validate_backend_name(name) -> str:
 def create_backend(spec, workers: int = 1) -> "ExecutionBackend":
     """Resolve a backend spec (name, ``None``, or instance) to an instance.
 
-    ``None`` applies the deprecated ``workers`` alias: ``workers > 1`` means
-    the pre-backend thread pool, so it maps onto :class:`ThreadBackend`;
-    ``workers == 1`` is :class:`SerialBackend`. Passing an instance returns
-    it unchanged (``workers`` must then be left at its default — the
-    instance already owns its worker count).
+    ``None`` means ``"serial"``, which takes only ``workers == 1``. Passing
+    an instance returns it unchanged (``workers`` must then be left at its
+    default — the instance already owns its worker count).
     """
     if isinstance(spec, ExecutionBackend):
         if workers != 1:
@@ -115,7 +113,7 @@ def create_backend(spec, workers: int = 1) -> "ExecutionBackend":
         return spec
     workers = validate_workers(workers)
     if spec is None:
-        spec = "thread" if workers > 1 else "serial"
+        spec = "serial"
     validate_backend_name(spec)
     if spec == "serial":
         return SerialBackend(workers)
@@ -189,10 +187,10 @@ def _item_bounds(item) -> tuple[int, int]:
 class ExecutionBackend(ABC):
     """Where batch reductions run; see the module docstring for the contract.
 
-    Lifecycle: backends are created once and reused across ``mttkrp`` /
-    ``run_iteration`` calls — :meth:`start` is idempotent (and called
-    lazily by :meth:`map_batches`), :meth:`close` releases pools and shared
-    memory deterministically. Both are safe to call repeatedly; backends are
+    Lifecycle: backends are created once and reused across ``mttkrp``
+    calls — :meth:`start` is idempotent (and called lazily by
+    :meth:`map_batches`), :meth:`close` releases pools and shared memory
+    deterministically. Both are safe to call repeatedly; backends are
     context managers.
     """
 
@@ -277,7 +275,8 @@ class SerialBackend(ExecutionBackend):
         if self.workers != 1:
             raise ReproError(
                 f"SerialBackend runs in the calling thread; workers must "
-                f"be 1, got {self.workers}"
+                f"be 1, got {self.workers} (name backend=\"thread\" or "
+                f"\"process\" for a worker pool)"
             )
 
     def map_batches(self, part, factors, mode, items, *, attach=None, kernel=None):

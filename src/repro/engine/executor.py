@@ -46,9 +46,8 @@ Backends
 | ``"process"``, or an :class:`~repro.engine.backend.ExecutionBackend`
 instance). Backends persist across ``mttkrp`` calls — pools are created
 once and closed deterministically (the executor is a context manager; see
-:meth:`StreamingExecutor.close`). ``workers`` without an explicit backend
-is the deprecated PR 1 alias: ``workers > 1`` maps onto the thread backend.
-Every batch is computed into private buffers and scatter-added by the
+:meth:`StreamingExecutor.close`); ``workers`` sizes a backend named by
+string. Every batch is computed into private buffers and scatter-added by the
 coordinating thread in deterministic (shard, position) order, so the result
 is identical to the serial path regardless of scheduling.
 """
@@ -91,8 +90,7 @@ class StreamingExecutor:
         Where the element batches come from: any
         :class:`repro.engine.source.ShardSource`, or a bare
         :class:`repro.partition.plan.PartitionPlan` which is wrapped in an
-        :class:`repro.engine.source.InMemorySource` (the PR 1 calling
-        convention, unchanged). Passing a
+        :class:`repro.engine.source.InMemorySource`. Passing a
         :class:`repro.engine.prefetch.PrefetchingSource` turns prefetch on.
     batch_size:
         Target nonzeros per batch (``None``: one batch per shard). Must be
@@ -101,12 +99,12 @@ class StreamingExecutor:
     backend:
         ``"serial"`` | ``"thread"`` | ``"process"``, or an
         :class:`~repro.engine.backend.ExecutionBackend` instance. A string
-        (or ``None``) creates a backend the executor owns and closes; an
-        instance is shared — the caller keeps ownership.
+        (or ``None``, meaning ``"serial"``) creates a backend the executor
+        owns and closes; an instance is shared — the caller keeps
+        ownership.
     workers:
-        Worker count for a string-specified backend. Without ``backend``
-        this is the deprecated PR 1 alias: ``workers > 1`` selects the
-        thread backend (``workers == 1``: serial).
+        Worker count for a string-specified backend (``"serial"`` takes
+        only 1).
     prefetch:
         Stage the next batch on a background thread (double buffering; see
         :mod:`repro.engine.prefetch`). Equivalent to wrapping ``source`` in
@@ -175,17 +173,6 @@ class StreamingExecutor:
         self._closed = False
         self._batch_plans: dict[int, BatchPlan] = {}
 
-    @property
-    def workers(self) -> int:
-        """The backend's worker count (back-compat accessor)."""
-        return self.backend.workers
-
-    @property
-    def plan(self) -> PartitionPlan:
-        """A :class:`PartitionPlan` view of the source (back-compat; for
-        :class:`SyntheticSource` this materializes every mode at once)."""
-        return self.source.partition_plan()
-
     # ------------------------------------------------------------------
     # Lifecycle: the backend persists across calls, so close it once
     # ------------------------------------------------------------------
@@ -229,18 +216,15 @@ class StreamingExecutor:
         factors: Sequence[np.ndarray],
         mode: int,
         out: np.ndarray,
-        *,
-        shard_ids: Sequence[int] | None = None,
     ) -> np.ndarray:
-        """Stream the (optionally shard-restricted) batches of ``mode`` into
-        ``out``.
+        """Stream the batches of ``mode`` into ``out``.
 
         The scatter-add is applied in deterministic (shard, position) order;
         parallel backends *compute* batches concurrently but the partial
         results are still *applied* by this thread in batch order, so
         results never depend on scheduling.
         """
-        batches = self.batch_plan(mode).batches_for_shards(shard_ids)
+        batches = self.batch_plan(mode).batches
         if not batches:
             return out
         part = self.source.partition(mode)

@@ -15,6 +15,12 @@ class TensorFormatError(ReproError):
     """A sparse tensor (or derived format) violates a structural invariant."""
 
 
+class ConfigConflictError(ReproError):
+    """Two configuration values contradict each other (the serial backend
+    asked for a worker pool). Command-line front ends report it as a usage
+    error."""
+
+
 class PartitionError(ReproError):
     """A partitioning plan is inconsistent with the tensor it partitions."""
 

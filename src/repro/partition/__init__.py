@@ -1,4 +1,4 @@
-"""Tensor partitioning (paper §3): sharding, ISPs, balancing, plans.
+"""Tensor partitioning (paper §3): sharding, balancing, plans.
 
 The scheme has two levels:
 
@@ -7,7 +7,9 @@ The scheme has two levels:
   (task independence). One shard executes on one GPU grid.
 * **Inter-shard partitions (ISP)** — §3.1.2: equal-sized element chunks of a
   shard, one per streaming multiprocessor/threadblock, balancing work inside
-  a GPU; atomics protect intra-GPU row updates.
+  a GPU. There is no separate ISP step here: a shard streams as the
+  engine's segment-aligned batches (:mod:`repro.engine.batch`), which never
+  split an output row.
 
 :mod:`repro.partition.balance` assigns shards to GPUs (static LPT by nnz or
 dynamic work-queue order), and :mod:`repro.partition.equal_nnz` implements
@@ -15,7 +17,6 @@ the strawman equal-nonzero split of Figure 6.
 """
 
 from repro.partition.sharding import Shard, ModePartition, shard_mode
-from repro.partition.isp import split_isp, isp_slices_for_shard
 from repro.partition.balance import (
     assign_lpt,
     assign_round_robin,
@@ -28,8 +29,6 @@ __all__ = [
     "Shard",
     "ModePartition",
     "shard_mode",
-    "split_isp",
-    "isp_slices_for_shard",
     "assign_lpt",
     "assign_round_robin",
     "load_imbalance",

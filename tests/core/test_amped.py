@@ -40,27 +40,6 @@ class TestFunctional:
         out = executor.mttkrp(factors, 0)
         assert out.shape == (skewed_tensor.shape[0], 3)
 
-    def test_isp_count_does_not_change_result(self, skewed_tensor, make_factors):
-        factors = make_factors(skewed_tensor.shape)
-        outs = []
-        for isps in (1, 4):
-            ex = AmpedMTTKRP(
-                skewed_tensor,
-                AmpedConfig(n_gpus=2, rank=6, shards_per_gpu=2),
-                functional_isps=isps,
-            )
-            outs.append(ex.mttkrp(factors, 2))
-        assert np.allclose(outs[0], outs[1])
-
-    def test_run_iteration_exchanges_and_verifies(self, executor, skewed_tensor, make_factors):
-        factors = make_factors(skewed_tensor.shape)
-        outputs, result = executor.run_iteration(factors)
-        assert result.ok
-        for mode, out in enumerate(outputs):
-            assert np.allclose(
-                out, mttkrp_coo_reference(skewed_tensor, factors, mode)
-            )
-
 
 class TestConstruction:
     def test_platform_mismatch_rejected(self, small_tensor):
@@ -70,10 +49,6 @@ class TestConstruction:
                 AmpedConfig(n_gpus=4),
                 platform=paper_platform(2),
             )
-
-    def test_invalid_isps(self, small_tensor):
-        with pytest.raises(ReproError):
-            AmpedMTTKRP(small_tensor, functional_isps=0)
 
     def test_workload_derived(self, executor, skewed_tensor):
         assert executor.workload.nnz == skewed_tensor.nnz

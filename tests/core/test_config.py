@@ -100,7 +100,7 @@ class TestAmpedConfig:
         assert cfg.shard_cache is None
 
     def test_engine_knobs_accepted(self):
-        cfg = AmpedConfig(batch_size=4096, workers=8)
+        cfg = AmpedConfig(batch_size=4096, backend="thread", workers=8)
         assert cfg.batch_size == 4096
         assert cfg.workers == 8
         assert AmpedConfig(batch_size=None).batch_size is None
@@ -122,13 +122,18 @@ class TestAmpedConfig:
 
 
 class TestResolvedBackend:
-    """`workers` is the deprecated alias: it maps onto the thread backend."""
+    """`backend` names the backend; `workers` only sizes it."""
 
     def test_default_is_serial(self):
         assert AmpedConfig().resolved_backend() == ("serial", 1)
 
-    def test_workers_alias_upgrades_to_thread(self):
-        assert AmpedConfig(workers=4).resolved_backend() == ("thread", 4)
+    def test_serial_with_workers_rejected(self):
+        """The serial backend runs in the calling thread: asking it for a
+        pool is a named error that says which backend to name instead."""
+        with pytest.raises(ReproError, match='backend="thread"'):
+            AmpedConfig(workers=2)
+        with pytest.raises(ReproError, match='backend="thread"'):
+            AmpedConfig(backend="serial", workers=4)
 
     def test_explicit_backend_passes_through(self):
         assert AmpedConfig(backend="thread", workers=2).resolved_backend() == (
@@ -140,7 +145,7 @@ class TestResolvedBackend:
 
     def test_stream_lanes_counts_workers_and_prefetch(self):
         assert AmpedConfig().stream_lanes() == 1
-        assert AmpedConfig(workers=4).stream_lanes() == 4
+        assert AmpedConfig(backend="thread", workers=4).stream_lanes() == 4
         assert AmpedConfig(backend="process", workers=2, prefetch=True
                            ).stream_lanes() == 3
 
@@ -158,7 +163,7 @@ class TestResolvedBackend:
         )
         with AmpedMTTKRP(tensor, cfg) as ex:
             assert ex.engine.backend.name == "thread"
-            assert ex.engine.workers == 2
+            assert ex.engine.backend.workers == 2
             assert ex.engine.prefetch is True
             rng = np.random.default_rng(0)
             factors = [rng.random((s, 4)) for s in tensor.shape]

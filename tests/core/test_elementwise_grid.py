@@ -1,15 +1,10 @@
-"""Tests for the threadblock EC and shard/grid execution."""
+"""Tests for the threadblock elementwise computation (Algorithm 2)."""
 
 import numpy as np
 import pytest
 
 from repro.core.elementwise import threadblock_ec
-from repro.core.grid import execute_shard, execute_source_shard
-from repro.engine.source import MmapNpzSource
 from repro.errors import ReproError
-from repro.partition.plan import build_partition_plan
-from repro.partition.sharding import shard_mode
-from repro.tensor.io import write_shard_cache
 from repro.tensor.reference import mttkrp_coo_reference
 
 
@@ -39,73 +34,4 @@ class TestThreadblockEC:
                 0,
                 np.zeros((small_tensor.shape[0], 6)),
                 threadblock_cols=0,
-            )
-
-
-class TestExecuteShard:
-    @pytest.mark.parametrize("n_sms", [1, 2, 7, 142])
-    def test_sm_count_independence(self, skewed_tensor, make_factors, n_sms):
-        """§4.2: output must not depend on the SM/threadblock schedule."""
-        factors = make_factors(skewed_tensor.shape)
-        part = shard_mode(skewed_tensor, 1, 4)
-        out = np.zeros((skewed_tensor.shape[1], 6))
-        for shard in part.shards:
-            execute_shard(part, shard, factors, out, n_sms=n_sms)
-        ref = mttkrp_coo_reference(skewed_tensor, factors, 1)
-        assert np.allclose(out, ref)
-
-    def test_single_shard_partial_result(self, small_tensor, make_factors):
-        """One shard only contributes rows in its output-index range."""
-        factors = make_factors(small_tensor.shape)
-        part = shard_mode(small_tensor, 0, 3)
-        shard = part.shards[1]
-        out = np.zeros((small_tensor.shape[0], 6))
-        execute_shard(part, shard, factors, out)
-        lo, hi = shard.index_range
-        assert np.all(out[:lo] == 0)
-        assert np.all(out[hi:] == 0)
-
-    def test_shards_compose_to_full_result(self, small_tensor, make_factors):
-        factors = make_factors(small_tensor.shape)
-        for mode in range(3):
-            part = shard_mode(small_tensor, mode, 5)
-            out = np.zeros((small_tensor.shape[mode], 6))
-            for shard in part.shards:
-                execute_shard(part, shard, factors, out, n_sms=3)
-            ref = mttkrp_coo_reference(small_tensor, factors, mode)
-            assert np.allclose(out, ref)
-
-
-class TestExecuteSourceShard:
-    @pytest.mark.parametrize("batch_size", [None, 16])
-    def test_mmap_source_grids_compose_bitwise(
-        self, small_tensor, make_factors, tmp_path, batch_size
-    ):
-        """Grid execution straight off a memory-mapped source matches the
-        resident path bit for bit, shard by shard."""
-        factors = make_factors(small_tensor.shape)
-        cache = write_shard_cache(small_tensor, tmp_path / "t.npz")
-        source = MmapNpzSource(cache, n_gpus=2, shards_per_gpu=2)
-        plan = build_partition_plan(small_tensor, 2, shards_per_gpu=2)
-        for mode in range(small_tensor.nmodes):
-            part = plan.modes[mode]
-            want = np.zeros((small_tensor.shape[mode], 6))
-            got = np.zeros_like(want)
-            for shard in part.shards:
-                execute_shard(
-                    part, shard, factors, want, batch_size=batch_size
-                )
-                execute_source_shard(
-                    source, mode, shard.shard_id, factors, got,
-                    batch_size=batch_size,
-                )
-            assert np.array_equal(got, want)
-
-    def test_shard_id_range_checked(self, small_tensor, make_factors, tmp_path):
-        cache = write_shard_cache(small_tensor, tmp_path / "t.npz")
-        source = MmapNpzSource(cache, n_gpus=2, shards_per_gpu=2)
-        with pytest.raises(ReproError, match="out of range"):
-            execute_source_shard(
-                source, 0, 99, make_factors(small_tensor.shape),
-                np.zeros((small_tensor.shape[0], 6)),
             )

@@ -189,7 +189,7 @@ class TestHostMemoryPlan:
             (base.replace(double_buffer=False), 1),
             (base.replace(backend="process", workers=4), 5),
             (base.replace(backend="thread", workers=2, prefetch=True), 4),
-            (base.replace(workers=3, double_buffer=False), 3),  # alias
+            (base.replace(backend="thread", workers=3, double_buffer=False), 3),
         ]
         for cfg, windows in cases:
             plan = host_memory_plan(amazon_wl, cfg, cost)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.grid import execute_source_shard
 from repro.engine import (
     BACKEND_NAMES,
     MAX_WORKERS,
@@ -111,10 +110,12 @@ class TestCreateBackend:
         assert isinstance(create_backend("thread", 3), ThreadBackend)
         assert isinstance(create_backend("process", 2), ProcessBackend)
 
-    def test_deprecated_workers_alias(self):
-        """No backend + workers>1 is the PR 1 spelling of a thread pool."""
+    def test_no_backend_means_serial(self):
+        """``None`` is the serial backend; a pool must be named."""
         assert isinstance(create_backend(None, 1), SerialBackend)
-        b = create_backend(None, 4)
+        with pytest.raises(ReproError, match='backend="thread"'):
+            create_backend(None, 4)
+        b = create_backend("thread", 4)
         assert isinstance(b, ThreadBackend) and b.workers == 4
 
     def test_instance_passes_through(self):
@@ -352,32 +353,34 @@ class TestPrefetchingSource:
             assert np.array_equal(engine.mttkrp(factors, 0), eager[0])
 
 
-class TestGridBackends:
-    """grid.execute_source_shard routes through the backend interface."""
+class TestShardSubsetBackends:
+    """One shard's batches reduce to the same bits on every backend."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_source_shard_matches_plain_grid(
-        self, tensor, plan, factors, backend
+    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 2)])
+    def test_source_shard_matches_serial(
+        self, tensor, plan, factors, backend, workers, run_shards
     ):
         source = InMemorySource(plan)
         mode = 1
         rank = factors[0].shape[1]
-        for shard_id in range(len(source.shards(mode))):
-            want = np.zeros((tensor.shape[mode], rank))
-            execute_source_shard(
-                source, mode, shard_id, factors, want, batch_size=11
-            )
-            got = np.zeros_like(want)
-            execute_source_shard(
-                source, mode, shard_id, factors, got,
-                batch_size=11, backend=backend,
-            )
-            assert np.array_equal(got, want)
+        with StreamingExecutor(source, batch_size=11) as reference, \
+                StreamingExecutor(
+                    source, batch_size=11, backend=backend, workers=workers
+                ) as engine:
+            for shard_id in range(len(source.shards(mode))):
+                want = run_shards(
+                    reference, factors, mode, [shard_id],
+                    np.zeros((tensor.shape[mode], rank)),
+                )
+                got = run_shards(
+                    engine, factors, mode, [shard_id], np.zeros_like(want)
+                )
+                assert np.array_equal(got, want)
 
     def test_source_shard_process_backend_instance(
-        self, tensor, cache_path, factors
+        self, tensor, cache_path, factors, run_shards
     ):
-        """A shared ProcessBackend reduces grid shards off the mmap cache."""
+        """A shared ProcessBackend reduces single shards off the mmap cache."""
         source = MmapNpzSource(
             cache_path, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
         )
@@ -386,14 +389,13 @@ class TestGridBackends:
         want = np.zeros((tensor.shape[mode], rank))
         got = np.zeros_like(want)
         with ProcessBackend(2) as backend:
+            reference = StreamingExecutor(source, batch_size=11)
+            engine = StreamingExecutor(
+                source, batch_size=11, backend=backend
+            )
             for shard_id in range(len(source.shards(mode))):
-                execute_source_shard(
-                    source, mode, shard_id, factors, want, batch_size=11
-                )
-                execute_source_shard(
-                    source, mode, shard_id, factors, got,
-                    batch_size=11, backend=backend,
-                )
+                run_shards(reference, factors, mode, [shard_id], want)
+                run_shards(engine, factors, mode, [shard_id], got)
             assert backend.published_modes == 0  # attached, not copied
         assert np.array_equal(got, want)
 

@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine import StreamingExecutor
 from repro.engine.batch import build_batch_plan, slice_segments
 from repro.errors import ReproError
+from repro.partition.plan import build_partition_plan
 from repro.partition.sharding import shard_mode
 from repro.tensor.kernels import segment_starts
+from repro.tensor.reference import mttkrp_coo_reference
 
 
 class TestSliceSegments:
@@ -84,3 +87,44 @@ class TestBuildBatchPlan:
         assert plan.n_batches == len(nonempty)
         for batch, shard in zip(plan.batches, nonempty):
             assert batch.elements == shard.elements
+
+
+class TestShardExecution:
+    """A shard's batches (``batches_for_shards``) run through the executor's
+    backend on their own — the per-GPU unit of work."""
+
+    def test_single_shard_partial_result(
+        self, small_tensor, make_factors, run_shards
+    ):
+        """One shard only contributes rows in its output-index range."""
+        factors = make_factors(small_tensor.shape)
+        plan = build_partition_plan(small_tensor, 3, shards_per_gpu=1)
+        shard = plan.modes[0].shards[1]
+        out = run_shards(
+            StreamingExecutor(plan), factors, 0, [shard.shard_id],
+            np.zeros((small_tensor.shape[0], 6)),
+        )
+        lo, hi = shard.index_range
+        assert out[lo:hi].any()
+        assert np.all(out[:lo] == 0)
+        assert np.all(out[hi:] == 0)
+
+    def test_shards_compose_to_full_result(
+        self, small_tensor, make_factors, run_shards
+    ):
+        factors = make_factors(small_tensor.shape)
+        plan = build_partition_plan(small_tensor, 5, shards_per_gpu=1)
+        engine = StreamingExecutor(plan, batch_size=3)
+        for mode in range(small_tensor.nmodes):
+            out = np.zeros((small_tensor.shape[mode], 6))
+            for shard in plan.modes[mode].shards:
+                run_shards(engine, factors, mode, [shard.shard_id], out)
+            assert np.array_equal(out, engine.mttkrp(factors, mode))
+            assert np.allclose(
+                out, mttkrp_coo_reference(small_tensor, factors, mode)
+            )
+
+    def test_unknown_shard_has_no_batches(self, small_tensor):
+        plan = build_partition_plan(small_tensor, 2, shards_per_gpu=2)
+        batch_plan = StreamingExecutor(plan).batch_plan(0)
+        assert batch_plan.batches_for_shards([99]) == []

@@ -171,18 +171,19 @@ class TestSourceEquivalenceMatrix:
             )
 
     @pytest.mark.parametrize("kind", SOURCE_KINDS)
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_deprecated_workers_alias_still_bit_identical(
+    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 4)])
+    def test_backend_named_by_string_bit_identical(
         self, tensor, factors, plan, cache_path, cache_v2_path,
-        eager_outputs, kind, workers
+        eager_outputs, kind, backend, workers
     ):
-        """The PR 1 spelling (`workers=N`) keeps working: it maps onto the
-        thread backend and reproduces the same bits."""
+        """A backend the executor creates from its name and worker count
+        (and so owns and closes) reproduces the same bits."""
         source = make_source(kind, plan, cache_path, cache_v2_path)
         with StreamingExecutor(
-            source, batch_size=7, workers=workers
+            source, batch_size=7, backend=backend, workers=workers
         ) as engine:
-            assert engine.backend.name == ("thread" if workers > 1 else "serial")
+            assert engine.backend.name == backend
+            assert engine.backend.workers == workers
             for mode in range(tensor.nmodes):
                 assert np.array_equal(
                     engine.mttkrp(factors, mode), eager_outputs[mode]
@@ -214,15 +215,16 @@ class TestSourceEquivalenceMatrix:
 
     @pytest.mark.parametrize("kind", SOURCE_KINDS)
     def test_per_gpu_restriction_partitions_output(
-        self, tensor, factors, plan, cache_path, cache_v2_path, kind
+        self, tensor, factors, plan, cache_path, cache_v2_path, kind,
+        run_shards,
     ):
         source = make_source(kind, plan, cache_path, cache_v2_path)
         engine = StreamingExecutor(source, batch_size=64)
         mode = 1
         total = np.zeros((tensor.shape[mode], 6))
         for g in range(N_GPUS):
-            engine.mttkrp_into(
-                factors, mode, total, shard_ids=source.shards_for_gpu(mode, g)
+            run_shards(
+                engine, factors, mode, source.shards_for_gpu(mode, g), total
             )
         assert np.array_equal(total, engine.mttkrp(factors, mode))
 
@@ -839,24 +841,6 @@ class TestAmpedIntegration:
                 assert np.array_equal(
                     ex.mttkrp(factors, mode), baseline.mttkrp(factors, mode)
                 )
-
-    def test_run_iteration_out_of_core(self, tensor, factors, cache_path):
-        from repro.core.amped import AmpedMTTKRP
-        from repro.core.config import AmpedConfig
-
-        cfg = AmpedConfig(
-            n_gpus=N_GPUS, rank=6, shards_per_gpu=SHARDS_PER_GPU, workers=2
-        )
-        ex = AmpedMTTKRP.from_shard_cache(cache_path, cfg)
-        outputs, result = ex.run_iteration(factors)
-        assert result.ok
-        for mode, out in enumerate(outputs):
-            assert np.allclose(
-                out,
-                mttkrp_coo_reference(tensor, factors, mode),
-                rtol=REF_RTOL,
-                atol=REF_ATOL,
-            )
 
     def test_tensor_and_source_mutually_exclusive(self, tensor, plan):
         from repro.core.amped import AmpedMTTKRP

@@ -1,7 +1,8 @@
 """Equivalence matrix + behavior tests for the streaming executor.
 
 The matrix required by the engine's contract: for every
-``batch_size in {1, 7, nnz}`` x ``workers in {1, 4}`` x every mode,
+``batch_size in {1, 7, nnz}`` x ``(backend, workers) in {(serial, 1),
+(thread, 4)}`` x every mode,
 ``StreamingExecutor`` equals ``mttkrp_coo_reference``. Within the engine
 family the outputs are additionally **bit-identical** (segment-aligned
 batches never re-associate a row's reduction); against the COO reference —
@@ -47,24 +48,30 @@ def eager_outputs(skewed_case):
 
 class TestEquivalenceMatrix:
     @pytest.mark.parametrize("batch_size", ["one", "seven", "nnz"])
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 4)])
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_matches_reference_and_eager_bits(
-        self, skewed_case, eager_outputs, batch_size, workers, mode
+        self, skewed_case, eager_outputs, batch_size, backend, workers, mode
     ):
         tensor, factors, plan = skewed_case
         b = {"one": 1, "seven": 7, "nnz": tensor.nnz}[batch_size]
-        engine = StreamingExecutor(plan, batch_size=b, workers=workers)
+        engine = StreamingExecutor(
+            plan, batch_size=b, backend=backend, workers=workers
+        )
         got = engine.mttkrp(factors, mode)
         want = mttkrp_coo_reference(tensor, factors, mode)
         assert np.allclose(got, want, rtol=REF_RTOL, atol=REF_ATOL)
         assert np.array_equal(got, eager_outputs[mode])
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_four_mode_tensor(self, four_mode_tensor, make_factors, workers):
+    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 4)])
+    def test_four_mode_tensor(
+        self, four_mode_tensor, make_factors, backend, workers
+    ):
         factors = make_factors(four_mode_tensor.shape, rank=3)
         plan = build_partition_plan(four_mode_tensor, 2, shards_per_gpu=2)
-        engine = StreamingExecutor(plan, batch_size=5, workers=workers)
+        engine = StreamingExecutor(
+            plan, batch_size=5, backend=backend, workers=workers
+        )
         for mode in range(four_mode_tensor.nmodes):
             assert np.allclose(
                 engine.mttkrp(factors, mode),
@@ -75,17 +82,22 @@ class TestEquivalenceMatrix:
 
 
 class TestAmpedIntegration:
-    @pytest.mark.parametrize("batch_size,workers", [(None, 1), (16, 1), (16, 3)])
+    @pytest.mark.parametrize(
+        "batch_size,backend,workers",
+        [(None, "serial", 1), (16, "serial", 1), (16, "thread", 3)],
+    )
     def test_amped_config_routes_through_engine(
-        self, skewed_tensor, make_factors, batch_size, workers
+        self, skewed_tensor, make_factors, batch_size, backend, workers
     ):
         factors = make_factors(skewed_tensor.shape)
         cfg = AmpedConfig(
-            n_gpus=2, rank=6, shards_per_gpu=3, batch_size=batch_size, workers=workers
+            n_gpus=2, rank=6, shards_per_gpu=3, batch_size=batch_size,
+            backend=backend, workers=workers,
         )
         ex = AmpedMTTKRP(skewed_tensor, cfg)
         assert ex.engine.batch_size == batch_size
-        assert ex.engine.workers == workers
+        assert ex.engine.backend.name == backend
+        assert ex.engine.backend.workers == workers
         baseline = AmpedMTTKRP(
             skewed_tensor, AmpedConfig(n_gpus=2, rank=6, shards_per_gpu=3)
         )
@@ -94,38 +106,26 @@ class TestAmpedIntegration:
                 ex.mttkrp(factors, mode), baseline.mttkrp(factors, mode)
             )
 
-    def test_run_iteration_batched(self, skewed_tensor, make_factors):
-        factors = make_factors(skewed_tensor.shape)
-        cfg = AmpedConfig(n_gpus=2, rank=6, shards_per_gpu=3, batch_size=32, workers=2)
-        outputs, result = AmpedMTTKRP(skewed_tensor, cfg).run_iteration(factors)
-        assert result.ok
-        for mode, out in enumerate(outputs):
-            assert np.allclose(
-                out,
-                mttkrp_coo_reference(skewed_tensor, factors, mode),
-                rtol=REF_RTOL,
-                atol=REF_ATOL,
-            )
-
 
 class TestExecutorBehavior:
-    def test_shard_restriction_partitions_output(self, skewed_case):
+    def test_shard_restriction_partitions_output(self, skewed_case, run_shards):
         """Per-GPU shard subsets sum to the full result (all-gather premise)."""
         tensor, factors, plan = skewed_case
         engine = StreamingExecutor(plan, batch_size=64)
         mode = 1
         total = np.zeros((tensor.shape[mode], 6))
         for g in range(plan.n_gpus):
-            engine.mttkrp_into(
-                factors, mode, total, shard_ids=plan.shards_for_gpu(mode, g)
+            run_shards(
+                engine, factors, mode, plan.shards_for_gpu(mode, g), total
             )
         assert np.array_equal(total, engine.mttkrp(factors, mode))
 
-    def test_empty_shard_subset(self, skewed_case):
+    def test_empty_shard_subset(self, skewed_case, run_shards):
         tensor, factors, plan = skewed_case
         engine = StreamingExecutor(plan)
+        assert engine.batch_plan(0).batches_for_shards([]) == []
         out = np.zeros((tensor.shape[0], 6))
-        engine.mttkrp_into(factors, 0, out, shard_ids=[])
+        run_shards(engine, factors, 0, [], out)
         assert not out.any()
 
     def test_batch_plans_cached(self, skewed_case):

@@ -153,14 +153,16 @@ class TestEngineBitExact:
             assert np.array_equal(ex.mttkrp(factors, m), _expected(data, m))
 
     @pytest.mark.parametrize("batch_size", [1, 17, None])
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_streaming_engine(self, case, batch_size, workers):
+    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 3)])
+    def test_streaming_engine(self, case, batch_size, backend, workers):
         """Every engine granularity reproduces the golden bits exactly."""
         _, tensor, factors, _, config, data = case
         plan = build_partition_plan(
             tensor, config.n_gpus, shards_per_gpu=config.shards_per_gpu
         )
-        engine = StreamingExecutor(plan, batch_size=batch_size, workers=workers)
+        engine = StreamingExecutor(
+            plan, batch_size=batch_size, backend=backend, workers=workers
+        )
         for m in range(tensor.nmodes):
             assert np.array_equal(engine.mttkrp(factors, m), _expected(data, m))
 
@@ -276,7 +278,10 @@ class TestEngineBitExact:
         als_kw = dict(
             rank=rank, n_iters=int(data["cpals_iters"]), tol=0.0, seed=42
         )
-        cfg = config.replace(backend=backend, workers=2, prefetch=prefetch)
+        cfg = config.replace(
+            backend=backend, workers=1 if backend == "serial" else 2,
+            prefetch=prefetch,
+        )
         with AmpedMTTKRP.from_shard_cache(case_cache, cfg) as v1:
             want = cp_als(tensor, mttkrp=v1.mttkrp, **als_kw).final_fit
         with AmpedMTTKRP.from_shard_cache(case_cache_v2, cfg) as v2:

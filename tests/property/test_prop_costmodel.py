@@ -170,7 +170,7 @@ def test_auto_backend_picks_the_ranked_minimum(nnz, workers, reduce_bw, task_s):
     profile = DEFAULT_HOST_PROFILE.replace(
         reduce_bandwidth=reduce_bw, process_task_s=task_s
     )
-    config = AmpedConfig(rank=8, n_gpus=2, workers=workers)
+    config = AmpedConfig(rank=8, n_gpus=2, backend="auto", workers=workers)
     workload = make_workload(nnz)
     plans = rank_backends(workload, config, COST, profile)
     choice = resolve_auto_backend(workload, config, COST, profile)

@@ -199,7 +199,9 @@ class TestExecutorProperties:
         plan = build_partition_plan(t, n_gpus, shards_per_gpu=shards_per_gpu)
         eager = StreamingExecutor(plan).mttkrp(factors, mode)
         with StreamingExecutor(
-            plan, batch_size=batch_size, workers=workers, prefetch=prefetch
+            plan, batch_size=batch_size,
+            backend="thread" if workers > 1 else "serial", workers=workers,
+            prefetch=prefetch,
         ) as engine:
             streamed = engine.mttkrp(factors, mode)
         assert np.array_equal(eager, streamed)

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.partition.balance import assign_lpt, bin_loads
-from repro.partition.isp import split_isp
 from repro.partition.plan import build_partition_plan
 from repro.partition.sharding import shard_mode
 from repro.tensor.generate import zipf_coo
@@ -74,15 +73,3 @@ class TestBalanceProperties:
         if sizes.sum() > 0:
             bound = sizes.sum() / n_bins + (1 - 1 / n_bins) * sizes.max()
             assert loads.max() <= bound + 1e-9
-
-    @given(st.integers(0, 10_000), st.integers(1, 64))
-    @settings(max_examples=80, deadline=None)
-    def test_isp_split_exact_cover(self, nnz, n_parts):
-        slices = split_isp(nnz, n_parts)
-        assert len(slices) == n_parts
-        assert slices[0].start == 0
-        assert slices[-1].stop == nnz
-        for a, b in zip(slices, slices[1:]):
-            assert a.stop == b.start
-        sizes = [s.stop - s.start for s in slices]
-        assert max(sizes) - min(sizes) <= 1

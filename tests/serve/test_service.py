@@ -414,6 +414,25 @@ class TestHTTPSurface:
         with pytest.raises(JobNotFoundError):
             client.job("nope")                                # 404
 
+    def test_http_serial_backend_with_workers_is_400(self, http_service):
+        """A job asking the serial backend for a pool is malformed input,
+        and the error names the backend to ask for instead."""
+        import json
+        import urllib.error
+        import urllib.request
+
+        _, client = http_service
+        req = urllib.request.Request(
+            client.base_url + "/jobs",
+            data=json.dumps({"config": {"workers": 2}}).encode(),
+            method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            urllib.request.urlopen(req, timeout=10)
+        assert exc.value.code == 400
+        assert 'backend="thread"' in json.loads(exc.value.read())["message"]
+
     def test_http_429_carries_retry_after(self, http_service):
         svc, client = http_service
         # saturate: 2 workers blocked + fill the depth-2 queue

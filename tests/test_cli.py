@@ -1,10 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _add_engine_args, build_parser, main
 from repro.tensor.generate import lowrank_coo
 from repro.tensor.io import write_tns
 
@@ -128,20 +129,16 @@ class TestCommands:
 
         assert fit(out) == fit(base_out)
 
-    def test_decompose_workers_alias_reports_thread_backend(self, capsys):
+    @pytest.mark.parametrize("command", ["decompose", "plan"])
+    def test_workers_without_pool_backend_exits_2(self, command, capsys):
+        """``--workers N`` sizes a named backend; the serial default takes
+        only 1, so asking it for a pool is a usage error naming the fix."""
         rc = main(
-            [
-                "decompose",
-                "--dataset", "twitch",
-                "--nnz", "1500",
-                "--rank", "3",
-                "--iters", "2",
-                "--gpus", "2",
-                "--workers", "2",
-            ]
+            [command, "--dataset", "twitch", "--nnz", "1500", "--gpus", "2",
+             "--workers", "2"]
         )
-        assert rc == 0
-        assert "engine backend: thread (workers=2" in capsys.readouterr().out
+        assert rc == 2
+        assert 'backend="thread"' in capsys.readouterr().out
 
     def test_decompose_rejects_unknown_backend(self):
         from repro.errors import ReproError
@@ -165,6 +162,111 @@ class TestCommands:
                 ]
             )
         assert "'auto', or 'none'" in capsys.readouterr().err
+
+
+def _engine_flags() -> list[argparse.Action]:
+    parser = argparse.ArgumentParser()
+    _add_engine_args(parser)
+    return [a for a in parser._actions if a.option_strings and a.dest != "help"]
+
+
+def _sample_argv(action: argparse.Action) -> list[str]:
+    """One explicit, non-default setting of an engine flag."""
+    flag = action.option_strings[0]
+    if action.nargs == 0:  # store_true
+        return [flag]
+    if action.choices:
+        return [flag, action.choices[-1]]
+    return [flag, "7" if action.type is not None else "x.npz"]
+
+
+class TestSharedEngineFlags:
+    """``decompose`` and ``plan`` take the same engine flags, with the same
+    defaults and the same parsing — both declare them via
+    ``_add_engine_args``."""
+
+    @pytest.mark.parametrize(
+        "action", _engine_flags(), ids=lambda a: a.option_strings[0]
+    )
+    def test_same_default_and_parse(self, action):
+        parser = build_parser()
+        for argv in ([], _sample_argv(action)):
+            planned = parser.parse_args(["plan", *argv])
+            executed = parser.parse_args(["decompose", *argv])
+            assert getattr(planned, action.dest) == getattr(
+                executed, action.dest
+            )
+        assert getattr(planned, action.dest) != action.default
+
+    def test_plan_adds_only_json_and_decompose_only_iters(self):
+        parser = build_parser()
+        shared = {a.dest for a in _engine_flags()}
+        planned = set(vars(parser.parse_args(["plan"])))
+        executed = set(vars(parser.parse_args(["decompose"])))
+        assert planned - shared == {"command", "json"}
+        assert executed - shared == {"command", "iters"}
+
+
+class TestPlanDecomposeParity:
+    """``repro plan`` prints the plan fingerprint ``repro decompose`` then
+    executes under, for the same flags (both build one config)."""
+
+    FLAGS = ["--dataset", "twitch", "--nnz", "3000", "--rank", "4", "--gpus", "2"]
+
+    @staticmethod
+    def _fingerprints(args, capsys) -> tuple[str, str]:
+        def run(argv):
+            assert main(argv) == 0
+            lines = [
+                l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("plan fingerprint:")
+            ]
+            assert len(lines) == 1
+            return lines[0].split()[-1]
+
+        return run(["plan", *args]), run(["decompose", *args, "--iters", "1"])
+
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--backend", "thread", "--workers", "2", "--prefetch"]],
+        ids=["resident-default", "thread2-prefetch"],
+    )
+    def test_resident(self, extra, capsys):
+        planned, executed = self._fingerprints(self.FLAGS + extra, capsys)
+        assert planned == executed
+
+    def test_out_of_core_v2_zlib_cache(self, tmp_path, capsys):
+        cache = tmp_path / "v2.npz"
+        assert main(
+            ["cache", "--dataset", "twitch", "--nnz", "3000", "--codec",
+             "zlib", "--chunk-nnz", "1024", str(cache)]
+        ) == 0
+        capsys.readouterr()
+        planned, executed = self._fingerprints(
+            ["--shard-cache", str(cache), "--out-of-core", "--rank", "4",
+             "--gpus", "2"],
+            capsys,
+        )
+        assert planned == executed
+
+    def test_cc_kernel(self, capsys):
+        from repro.tensor.kernelreg import available_kernels
+
+        if "cc" not in available_kernels():
+            pytest.skip("cc kernel tier unavailable on this host")
+        planned, executed = self._fingerprints(
+            self.FLAGS + ["--kernel", "cc"], capsys
+        )
+        assert planned == executed
+
+    def test_plan_has_no_flag_decompose_lacks(self, capsys):
+        """A plan no decompose can execute is unprintable: ``plan`` takes
+        no ``--shards-per-gpu``, exactly like ``decompose``."""
+        for command in ("plan", "decompose"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, *self.FLAGS, "--shards-per-gpu", "8"])
+            assert exc.value.code == 2
+            assert "--shards-per-gpu" in capsys.readouterr().err
 
 
 class TestOutOfCoreCommands:
