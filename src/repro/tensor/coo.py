@@ -15,7 +15,33 @@ import numpy as np
 
 from repro.errors import TensorFormatError
 
-__all__ = ["SparseTensorCOO"]
+__all__ = ["SparseTensorCOO", "stable_key_order"]
+
+#: one radix digit: numpy's stable argsort of a uint16 array is an LSD
+#: radix sort, O(n) instead of the O(n log n) merge sort int64 keys get
+_DIGIT_BITS = 16
+
+
+def stable_key_order(keys: np.ndarray, extent: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, extent)``.
+
+    A stable LSD radix sort over 16-bit digits: one pass when
+    ``extent <= 2**16``, else ``ceil(bits / 16)`` passes, each a stable argsort of one uint16 digit
+    in the order the lower digits left. Stable passes keep equal keys in
+    input order, so the permutation is exactly the stable argsort's, which
+    keeps the mode-sorted caches byte-identical. Keys outside
+    ``[0, extent)`` are not checked (callers hold validated indices).
+    """
+    keys = np.asarray(keys)
+    bits = max(1, (int(extent) - 1).bit_length())
+    order = None
+    for shift in range(0, bits, _DIGIT_BITS):
+        digit = (keys >> shift if shift else keys).astype(np.uint16)
+        if order is None:
+            order = np.argsort(digit, kind="stable")
+        else:
+            order = order[np.argsort(digit[order], kind="stable")]
+    return order
 
 
 @dataclass(frozen=True)
@@ -113,15 +139,19 @@ class SparseTensorCOO:
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
-    def sorted_by_mode(self, mode: int, *, kind: str = "stable") -> "SparseTensorCOO":
-        """Return a copy with elements ordered by their ``mode`` index.
+    def sorted_by_mode(self, mode: int) -> "SparseTensorCOO":
+        """Return a copy with elements stably ordered by their ``mode`` index.
 
         The AMPED sharding scheme (§3.1.1) relies on this: after sorting by
         the output-mode index, every tensor shard is a contiguous slice.
         """
-        self._check_mode(mode)
-        order = np.argsort(self.indices[:, mode], kind=kind)
-        return SparseTensorCOO(self.indices[order], self.values[order], self.shape)
+        order = self.mode_order(mode)
+        return self._trusted(self.indices[order], self.values[order])
+
+    def mode_order(self, mode: int) -> np.ndarray:
+        """Permutation stably sorting elements by their ``mode`` index."""
+        mode = self._check_mode(mode)
+        return stable_key_order(self.indices[:, mode], self.shape[mode])
 
     def sorted_lexicographic(self, mode_order: Sequence[int]) -> "SparseTensorCOO":
         """Sort elements lexicographically by ``mode_order`` (CSF build order)."""
@@ -232,6 +262,19 @@ class SparseTensorCOO:
         )
 
     # ------------------------------------------------------------------
+    def _trusted(self, indices: np.ndarray, values: np.ndarray) -> "SparseTensorCOO":
+        """Same-shape tensor from a row permutation of this one's arrays.
+
+        Skips ``__post_init__``: permuted rows of a validated tensor are
+        valid by construction, and re-checking every index costs a full
+        min/max pass per mode copy.
+        """
+        out = object.__new__(SparseTensorCOO)
+        object.__setattr__(out, "indices", indices)
+        object.__setattr__(out, "values", values)
+        object.__setattr__(out, "shape", self.shape)
+        return out
+
     def _check_mode(self, mode: int) -> int:
         mode = int(mode)
         if not 0 <= mode < self.nmodes:

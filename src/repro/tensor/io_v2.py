@@ -66,10 +66,13 @@ Manifest schema (canonical ``json.dumps(..., sort_keys=True)``)::
 
 from __future__ import annotations
 
+import ctypes
 import json
+import os
 import threading
 import zlib
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -77,7 +80,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.errors import TensorFormatError
-from repro.tensor.coo import SparseTensorCOO
+from repro.tensor.coo import SparseTensorCOO, stable_key_order
 
 __all__ = [
     "SHARD_CACHE_V2_VERSION",
@@ -110,6 +113,11 @@ DEFAULT_CHUNK_NNZ = 65536
 #: chunks kept decompressed per array (2 == classic double buffering:
 #: the chunk being reduced plus the one the next batch is pulling in)
 DEFAULT_CHUNK_CACHE = 2
+
+#: upper bound on frame-compression threads per writer (zlib, lzma and
+#: zstd release the GIL, so frames compress in parallel; more threads than
+#: this buy little at the default chunk size and cost resident frames)
+_MAX_COMPRESS_WORKERS = 4
 
 
 # ----------------------------------------------------------------------
@@ -252,6 +260,39 @@ def shard_cache_codec_ratio(path) -> float | None:
 # ----------------------------------------------------------------------
 # Writer
 # ----------------------------------------------------------------------
+def _compress_workers(codec: _Codec) -> int:
+    """Frame-compression threads for ``codec``: 1 means compress inline."""
+    if codec.name == "none":
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _MAX_COMPRESS_WORKERS))
+
+
+def _compress_frame(codec: _Codec, level: int, raw: bytes) -> tuple[bytes, int]:
+    frame = codec.compress(raw, level)
+    return frame, zlib.crc32(frame) & 0xFFFFFFFF
+
+
+def _trim_heap() -> None:
+    """Hand freed heap pages back to the OS (glibc ``malloc_trim``).
+
+    Frames compressed on pool threads are freed into those threads'
+    malloc arenas, which glibc keeps mapped; without a trim a process that
+    builds caches repeatedly holds tens of MiB more resident than it uses.
+    A no-op where ``malloc_trim`` does not exist.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    trim(0)
+
+
 class _V2Writer:
     """Streams mode-sorted element blocks into chunk frames + manifest.
 
@@ -259,6 +300,10 @@ class _V2Writer:
     sorted order and are re-chunked at exactly ``chunk_nnz`` rows, so the
     produced bytes depend only on the logical element stream — the
     in-memory and external-sort builders therefore emit identical files.
+
+    Frames compress on a small thread pool (see :func:`_compress_workers`)
+    and are written in submission order, so the file does not depend on
+    the pool size; at most ``2 * workers`` raw frames are in flight.
     """
 
     def __init__(
@@ -293,22 +338,52 @@ class _V2Writer:
         self._buffered = 0
         self._mode_rows = 0
         self._closed = False
+        workers = _compress_workers(self.codec)
+        self._pool = (
+            ThreadPoolExecutor(workers, thread_name_prefix="repro-v2-compress")
+            if workers > 1
+            else None
+        )
+        self._max_in_flight = 2 * workers
+        self._in_flight: deque = deque()
 
     # -- frame plumbing -------------------------------------------------
     def _emit_frame(self, name: str, lo: int, hi: int, raw: bytes) -> None:
-        frame = self.codec.compress(raw, self.level)
+        if self._pool is None:
+            frame, crc = _compress_frame(self.codec, self.level, raw)
+            self._write_frame(name, lo, hi, len(raw), frame, crc)
+            return
+        future = self._pool.submit(_compress_frame, self.codec, self.level, raw)
+        self._in_flight.append((name, lo, hi, len(raw), future))
+        while len(self._in_flight) >= self._max_in_flight:
+            self._write_oldest()
+
+    def _write_oldest(self) -> None:
+        name, lo, hi, raw_nbytes, future = self._in_flight.popleft()
+        self._write_frame(name, lo, hi, raw_nbytes, *future.result())
+
+    def _write_frame(
+        self, name: str, lo: int, hi: int, raw_nbytes: int, frame: bytes, crc: int
+    ) -> None:
         self._arrays[name]["chunks"].append(
             {
                 "lo": lo,
                 "hi": hi,
                 "offset": self._offset,
                 "nbytes": len(frame),
-                "raw_nbytes": len(raw),
-                "crc32": zlib.crc32(frame) & 0xFFFFFFFF,
+                "raw_nbytes": raw_nbytes,
+                "crc32": crc,
             }
         )
         self._file.write(frame)
         self._offset += len(frame)
+
+    def _join_pool(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
+            self._in_flight.clear()
+            _trim_heap()
 
     def _flush_chunk(self, rows: int) -> None:
         """Emit one chunk of exactly ``rows`` rows from the buffers."""
@@ -390,6 +465,9 @@ class _V2Writer:
 
     def finish(self) -> Path:
         self._finish_mode()
+        while self._in_flight:
+            self._write_oldest()
+        self._join_pool()
         if self._mode != self.nmodes - 1:
             raise TensorFormatError(
                 f"{self.path}: only modes 0..{self._mode} written, expected "
@@ -417,6 +495,7 @@ class _V2Writer:
         return self.path
 
     def abort(self) -> None:
+        self._join_pool()
         if not self._closed:
             self._file.close()
             self._closed = True
@@ -451,8 +530,13 @@ def write_shard_cache_v2(
     try:
         for m in range(tensor.nmodes):
             writer.begin_mode(m)
-            sorted_t = tensor.sorted_by_mode(m)
-            writer.append(sorted_t.indices, sorted_t.values)
+            # one permutation per mode, gathered a chunk at a time: the
+            # writer re-chunks the element stream anyway, so this writes the
+            # bytes a whole sorted copy would without holding one
+            order = tensor.mode_order(m)
+            for lo in range(0, tensor.nnz, writer.chunk_nnz):
+                rows = order[lo : lo + writer.chunk_nnz]
+                writer.append(tensor.indices[rows], tensor.values[rows])
         return writer.finish()
     except BaseException:
         writer.abort()
@@ -603,7 +687,7 @@ def _spill_input_segments(source, shape, max_nnz, run_nnz, tmp, track):
     return segments, shape, nnz
 
 
-def _merge_sorted_runs(runs, mode, block, emit, track):
+def _merge_sorted_runs(runs, mode, extent, block, emit, track):
     """Stable k-way merge of mode-sorted runs, in bounded blocks.
 
     Each run is a pair of ``.npy`` paths holding a stably mode-sorted
@@ -663,7 +747,7 @@ def _merge_sorted_runs(runs, mode, block, emit, track):
             idx = np.concatenate(collect_i)
             val = np.concatenate(collect_v)
             track.see(2 * idx.shape[0])
-            order = np.argsort(idx[:, mode], kind="stable")
+            order = stable_key_order(idx[:, mode], extent)
             emit(idx[order], val[order])
         # Now stream every element equal to the frontier key, run by run
         # (run order == input order == stable order for equal keys).
@@ -765,7 +849,7 @@ def write_shard_cache_streaming(
                 idx = np.load(ip)
                 val = np.load(vp)
                 track.see(2 * idx.shape[0])  # segment + sort permutation
-                order = np.argsort(idx[:, mode], kind="stable")
+                order = stable_key_order(idx[:, mode], out_shape[mode])
                 rip = tmp / f"run{mode}_{s}_idx.npy"
                 rvp = tmp / f"run{mode}_{s}_val.npy"
                 np.save(rip, idx[order])
@@ -779,7 +863,7 @@ def write_shard_cache_streaming(
             elif runs:
                 block = max(1, run_nnz // len(runs))
                 _merge_sorted_runs(
-                    runs, mode, block, writer.append, track
+                    runs, mode, out_shape[mode], block, writer.append, track
                 )
             for rip, rvp in runs:
                 rip.unlink()

@@ -1,11 +1,12 @@
 """Property-based tests (hypothesis) for the tensor substrate."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.tensor.coo import SparseTensorCOO
+from repro.tensor.coo import SparseTensorCOO, stable_key_order
 from repro.tensor.formats.blco import BLCOTensor
 from repro.tensor.formats.csf import CSFTensor
 from repro.tensor.formats.hicoo import HiCOOTensor
@@ -63,6 +64,86 @@ class TestCooProperties:
         assert np.isclose(
             canonical.norm(), np.linalg.norm(canonical.to_dense().ravel())
         )
+
+
+#: mode extents around the radix digit boundaries (one 16-bit pass up to
+#: 2**16, then one pass more per started 16 bits)
+RADIX_EXTENTS = (1, 2, 255, 2**16, 2**16 + 1, 2**20, 2**33)
+
+
+@st.composite
+def bounded_keys(draw, extent):
+    """Keys in ``[0, extent)``: free draws, or a few values heavily repeated."""
+    nnz = draw(st.integers(0, 300))
+    if draw(st.booleans()):
+        return draw(arrays(np.int64, (nnz,), elements=st.integers(0, extent - 1)))
+    pool = draw(
+        arrays(np.int64, (draw(st.integers(1, 4)),),
+               elements=st.integers(0, extent - 1))
+    )
+    picks = draw(
+        arrays(np.int64, (nnz,), elements=st.integers(0, pool.shape[0] - 1))
+    )
+    return pool[picks]
+
+
+@st.composite
+def wide_coo_tensors(draw):
+    """COO tensors whose mode extents straddle the radix digit boundaries."""
+    shape = tuple(draw(st.sampled_from(RADIX_EXTENTS)) for _ in range(3))
+    cols = [draw(bounded_keys(s)) for s in shape]
+    nnz = min(c.shape[0] for c in cols)
+    indices = np.column_stack([c[:nnz] for c in cols]).reshape(nnz, 3)
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    values = np.arange(nnz, dtype=dtype)
+    return SparseTensorCOO(indices, values, shape)
+
+
+class TestStableKeyOrder:
+    """The radix sort behind ``sorted_by_mode`` is the stable argsort."""
+
+    @given(st.sampled_from(RADIX_EXTENTS).flatmap(
+        lambda e: st.tuples(st.just(e), bounded_keys(e))
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_stable_argsort(self, case):
+        extent, keys = case
+        want = np.argsort(keys, kind="stable")
+        got = stable_key_order(keys, extent)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("extent", RADIX_EXTENTS)
+    @pytest.mark.parametrize("nnz", [0, 1])
+    def test_tiny_inputs(self, extent, nnz):
+        keys = np.full(nnz, extent - 1, dtype=np.int64)
+        got = stable_key_order(keys, extent)
+        assert got.dtype == np.argsort(keys).dtype
+        assert np.array_equal(got, np.arange(nnz))
+
+    @pytest.mark.parametrize("extent", RADIX_EXTENTS)
+    def test_strided_column_with_duplicates(self, extent):
+        rng = np.random.default_rng(extent % 1000)
+        pool = rng.integers(0, extent, 5)
+        indices = np.column_stack(
+            [pool[rng.integers(0, 5, 2000)], rng.integers(0, extent, 2000)]
+        )
+        for col in (indices[:, 0], indices[:, 1]):
+            assert np.array_equal(
+                stable_key_order(col, extent), np.argsort(col, kind="stable")
+            )
+
+    @given(wide_coo_tensors(), st.integers(0, 2))
+    @settings(max_examples=80, deadline=None)
+    def test_sorted_by_mode_equals_validated_construction(self, t, mode):
+        order = np.argsort(t.indices[:, mode], kind="stable")
+        want = SparseTensorCOO(t.indices[order], t.values[order], t.shape)
+        got = t.sorted_by_mode(mode)
+        assert got.shape == want.shape
+        for name in ("indices", "values"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
 
 
 class TestFormatRoundTrips:

@@ -1,6 +1,10 @@
 """Tests for FROSTT .tns reading/writing and both shard-cache formats
 (v1 mmap .npz, v2 chunked/compressed + external-sort streaming builder)."""
 
+import dataclasses
+import itertools
+import threading
+
 import numpy as np
 import pytest
 
@@ -19,6 +23,7 @@ from repro.tensor.io import (
     write_shard_cache_v2,
     write_tns,
 )
+from repro.tensor import io_v2
 from repro.tensor.io_v2 import SHARD_CACHE_V2_MAGIC, _HEADER_BYTES
 
 
@@ -540,3 +545,102 @@ class TestStreamingCacheBuilder:
             tns, tmp_path / "e2.npz", memory_budget=1 << 20, shape=(3, 3)
         )
         assert res.nnz == 0 and res.shape == (3, 3)
+
+
+def _force_cpus(monkeypatch, n):
+    """Pretend this host has ``n`` usable CPUs, so the pool size is host-free."""
+    monkeypatch.setattr(
+        io_v2.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False
+    )
+
+
+def _build_both(tensor, out_dir, codec):
+    """Build one cache with each writer; returns their bytes."""
+    out_dir.mkdir()
+    mem = write_shard_cache_v2(
+        tensor, out_dir / "mem.npz", codec=codec, chunk_nnz=16
+    )
+    ext = write_shard_cache_streaming(
+        tensor,
+        out_dir / "ext.npz",
+        memory_budget=100 * (tensor.nmodes + 3) * 8,
+        codec=codec,
+        chunk_nnz=16,
+    )
+    assert ext.n_runs > 1
+    return mem.read_bytes(), ext.path.read_bytes()
+
+
+class TestPooledFrameCompression:
+    """Frames compress on a thread pool, written in submission order: the
+    file must not depend on the pool size."""
+
+    @pytest.mark.parametrize("codec", available_codecs())
+    def test_bytes_independent_of_pool_size(
+        self, tmp_path, monkeypatch, small_tensor, codec
+    ):
+        default = _build_both(small_tensor, tmp_path / "default", codec)
+
+        workers = []
+        compress = io_v2._compress_frame
+
+        def traced(*args):
+            workers.append(threading.current_thread() is threading.main_thread())
+            return compress(*args)
+
+        monkeypatch.setattr(io_v2, "_compress_frame", traced)
+        _force_cpus(monkeypatch, 8)
+        pooled = _build_both(small_tensor, tmp_path / "pooled", codec)
+        frames = -(-small_tensor.nnz // 16) * 3 * small_tensor.nmodes
+        assert frames > 200  # dozens of frames per array
+        assert len(workers) == 2 * frames
+        assert all(workers) == (codec == "none")
+
+        monkeypatch.setattr(io_v2, "_MAX_COMPRESS_WORKERS", 1)
+        serial = _build_both(small_tensor, tmp_path / "serial", codec)
+        assert default == pooled == serial
+        assert default[0] == default[1]
+
+    @pytest.mark.parametrize("fail_at", [0, 37, 200])
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_codec_failure_aborts_cleanly(
+        self, tmp_path, monkeypatch, small_tensor, fail_at, streaming
+    ):
+        class FrameError(RuntimeError):
+            pass
+
+        make_codecs = io_v2._make_codecs
+
+        def failing_codecs():
+            codecs = make_codecs()
+            real = codecs["zlib"].compress
+            calls = itertools.count()
+
+            def compress(data, level):
+                if next(calls) == fail_at:
+                    raise FrameError(f"frame {fail_at}")
+                return real(data, level)
+
+            codecs["zlib"] = dataclasses.replace(codecs["zlib"], compress=compress)
+            return codecs
+
+        monkeypatch.setattr(io_v2, "_make_codecs", failing_codecs)
+        _force_cpus(monkeypatch, 8)
+        baseline = threading.active_count()
+        out = tmp_path / "partial.npz"
+        sort_dir = tmp_path / "sort"
+        sort_dir.mkdir()
+        with pytest.raises(FrameError, match=f"frame {fail_at}"):
+            if streaming:
+                write_shard_cache_streaming(
+                    small_tensor, out, memory_budget=100 * 6 * 8,
+                    chunk_nnz=16, tmp_dir=sort_dir,
+                )
+            else:
+                write_shard_cache_v2(small_tensor, out, chunk_nnz=16)
+        assert not out.exists()
+        assert not any(sort_dir.iterdir())
+        assert threading.active_count() == baseline
+
+    def test_heap_trim_is_safe_to_call(self):
+        io_v2._trim_heap()
