@@ -147,8 +147,10 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--prefetch",
         action="store_true",
-        help="double-buffer batch delivery: stage the next element batch "
-        "on a background thread (async page read-ahead for --out-of-core)",
+        help="overlap element staging with compute: stage the next "
+        "element batch on a background thread (async page read-ahead for "
+        "a v1 --out-of-core cache), or decode the next v2 cache chunks on "
+        "a small decode pool",
     )
     parser.add_argument(
         "--shard-cache",

@@ -104,10 +104,11 @@ def host_memory_plan(
 
     A **v2 chunked/compressed cache** (``config.cache_codec`` set to a
     real codec) additionally charges *decompression staging*: every stream
-    lane double-buffers two decompressed chunks per array stream —
-    ``2 * cache_chunk_nnz`` elements per lane
-    (:class:`repro.engine.CompressedChunkSource` keeps exactly that LRU) —
-    still O(chunk), never O(nnz). The raw v1 mmap format (and
+    lane double-buffers two decompressed chunks of its mode's indices and
+    values — ``2 * cache_chunk_nnz`` elements per lane — still O(chunk),
+    never O(nnz). :class:`repro.engine.CompressedChunkSource` caps its
+    reader-wide chunk cache inside that: 2 chunk pairs, plus 2 read-ahead
+    pairs when prefetch runs in the coordinator. The raw v1 mmap format (and
     ``codec="none"`` frames, which decompress in place as views) charge
     nothing here.
 

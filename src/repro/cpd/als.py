@@ -63,8 +63,13 @@ def cp_als(
     The per-sweep fit ``1 - ||X - M|| / ||X||`` never reads the nonzeros:
     ``<X, M> = Σ_r λ_r Σ_i (M_N ⊙ A_N)_ir`` comes from the sweep's last
     MTTKRP ``M_N`` (taken with every other mode's final factors) and the
-    last factor ``A_N``, ``||M||²`` from the factor Grams the solve already
-    keeps, and ``||X||`` from one ``tensor.norm()`` before the first sweep.
+    last factor ``A_N``, ``||M||`` from :meth:`KruskalTensor.norm` of the
+    sweep's model, and ``||X||`` from one ``tensor.norm()`` before the first
+    sweep. ``||M||`` is summed over the very arrays and in the very order
+    that :meth:`KruskalTensor.fit_sparse` sums the returned model's norm,
+    so the reported fit is that of the returned model even when degenerate
+    components with large, cancelling weights leave ``||M||²`` with
+    round-off far above machine precision.
     Each sweep therefore touches the tensor only through the MTTKRP
     backend, which keeps an out-of-core run at its streamed residency.
 
@@ -119,13 +124,15 @@ def cp_als(
             mats[mode] = normalized
             weights = lam
             grams[mode] = normalized.T @ normalized
-        # Fit from the last mode's MTTKRP and the Grams (see docstring),
-        # read before the next mttkrp call may reuse its output buffer.
+        # Fit from the last mode's MTTKRP and the model norm (see
+        # docstring), read before the next mttkrp call may reuse its output
+        # buffer.
         inner = float(weights @ np.einsum("ir,ir->r", m_mat, mats[-1]))
-        model_sq = np.outer(weights, weights)
-        for g in grams:
-            model_sq *= g
-        residual_sq = max(xnorm * xnorm - 2.0 * inner + model_sq.sum(), 0.0)
+        model = KruskalTensor(weights, tuple(mats)).arrange()
+        model_norm = model.norm()
+        residual_sq = max(
+            xnorm * xnorm - 2.0 * inner + model_norm * model_norm, 0.0
+        )
         fit = 1.0 - np.sqrt(residual_sq) / xnorm
         if not np.isfinite(fit):
             raise ConvergenceError(f"non-finite fit at iteration {it}")
@@ -137,7 +144,7 @@ def cp_als(
             break
     wall = time.perf_counter() - t0
     return ALSResult(
-        model=KruskalTensor(weights, tuple(mats)).arrange(),
+        model=model,
         fits=fits,
         n_iters=len(fits),
         converged=converged,

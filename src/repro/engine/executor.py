@@ -19,7 +19,8 @@ instead of materializing whole shards, which
 * optionally double-buffers batch delivery
   (:class:`repro.engine.prefetch.PrefetchingSource`): a background thread
   stages the next batch's element arrays — for a memory-mapped source this
-  is async page read-ahead overlapping disk with compute;
+  is async page read-ahead overlapping disk with compute — or, for a v2
+  chunked source, the source's own read-ahead decodes the next chunks;
 * keeps the result **bit-identical** to the eager whole-shard reduction for
   every ``(source, batch_size, backend, prefetch)`` combination — each
   output row is produced by one segmented reduction over the same elements
@@ -107,8 +108,10 @@ class StreamingExecutor:
         only 1).
     prefetch:
         Stage the next batch on a background thread (double buffering; see
-        :mod:`repro.engine.prefetch`). Equivalent to wrapping ``source`` in
-        a :class:`PrefetchingSource`.
+        :mod:`repro.engine.prefetch`), or let a source that reads ahead on
+        its own (a v2 chunked cache) decode the next chunks in the
+        background. Equivalent to wrapping ``source`` in a
+        :class:`PrefetchingSource`.
     kernel:
         Name of the :mod:`repro.tensor.kernelreg` tier every batch
         reduction dispatches to. ``None`` (the default) keeps the bit-exact
@@ -229,16 +232,20 @@ class StreamingExecutor:
             return out
         part = self.source.partition(mode)
         attach = self.source.process_attach_spec(mode)
-        # A process backend re-reads elements through its attachment, so
-        # staged LoadedBatch copies only help when staging performs real
-        # read-ahead (an out-of-core attachment warming the page cache);
-        # for resident sources they would be pure copy overhead.
-        stage = isinstance(self.source, PrefetchingSource) and not (
-            self.backend.crosses_processes and attach is None
-        )
-        items = (
-            self.source.iter_batches(mode, batches) if stage else batches
-        )
+        items = batches
+        if isinstance(self.source, PrefetchingSource):
+            ahead = self.source.read_ahead_partition(mode)
+            if ahead is None:
+                # A process backend re-reads elements through its
+                # attachment, so staged LoadedBatch copies only help when
+                # staging warms what the workers read (an mmap attachment's
+                # page cache); for resident sources they are pure copies.
+                if not (self.backend.crosses_processes and attach is None):
+                    items = self.source.iter_batches(mode, batches)
+            elif not self.backend.crosses_processes:
+                part = ahead
+            # else: process workers attach to the chunked cache and decode
+            # their own chunks; the coordinator reads none
         for rows, partial in self.backend.map_batches(
             part, factors, mode, items, attach=attach, kernel=self.kernel
         ):

@@ -6,7 +6,10 @@ the current batch is being reduced — the host-side mirror of the
 simulator's H2D/compute double-buffering (``AmpedConfig.double_buffer``).
 For a memory-mapped source the staging read is what faults the next batch's
 pages in, so disk latency overlaps compute (async page read-ahead); for
-resident sources it prepays the slice/copy.
+resident sources it prepays the slice/copy. A v2 chunked source reads
+ahead on its own, per chunk rather than per batch
+(:meth:`repro.engine.source.ShardSource.read_ahead_partition`), so the
+executor runs no loader thread over it.
 
 Semantics are intentionally boring: :meth:`PrefetchingSource.iter_batches`
 yields exactly the wrapped source's batches, in order, with byte-identical
@@ -141,11 +144,14 @@ class PrefetchingSource(ShardSource):
     """A :class:`ShardSource` whose batches are staged ahead on a thread.
 
     Every structural accessor (``partition``/``assignment``/``shards``/
-    ``mode_keys``/``process_attach_spec``…) delegates to the wrapped source,
-    so shard tables, batch plans, and process-worker attachment are those of
-    the inner source; only batch *delivery* changes. The executor detects
-    this wrapper and consumes :meth:`iter_batches` instead of slicing
-    batches itself.
+    ``mode_keys``/``process_attach_spec``/``read_ahead_partition``…)
+    delegates to the wrapped source, so shard tables, batch plans, and
+    process-worker attachment are those of the inner source; only batch
+    *delivery* changes. The executor detects this wrapper and consumes
+    :meth:`iter_batches` instead of slicing batches itself — unless the
+    wrapped source reads ahead on its own (a v2 chunked cache), in which
+    case it reduces the source's read-ahead partition and no loader
+    thread runs.
     """
 
     def __init__(
@@ -203,6 +209,9 @@ class PrefetchingSource(ShardSource):
 
     def process_attach_spec(self, mode: int):
         return self.source.process_attach_spec(mode)
+
+    def read_ahead_partition(self, mode: int):
+        return self.source.read_ahead_partition(mode)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PrefetchingSource({self.source!r}, depth={self.depth})"

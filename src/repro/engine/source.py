@@ -19,8 +19,8 @@ behind the batches so the same executor can stream from
   (:func:`repro.tensor.io.write_shard_cache_v2`) for cold-storage tensors:
   instead of mmap's page faulting, batches are served by explicit
   double-buffered chunk reads + decompression — wrap it in a
-  :class:`repro.engine.prefetch.PrefetchingSource` and the next batch's
-  chunks decompress on the loader thread while the current batch reduces.
+  :class:`repro.engine.prefetch.PrefetchingSource` and the next chunks
+  decompress on the reader's decode pool while the current batch reduces.
 
 :func:`open_shard_source` sniffs a cache file's format (v1 mmap ``.npz``
 vs v2 chunked) and opens the matching source.
@@ -47,6 +47,7 @@ from repro.tensor.coo import SparseTensorCOO
 from repro.tensor.io import load_shard_cache, shard_cache_path
 from repro.tensor.io_v2 import (
     DEFAULT_CHUNK_CACHE,
+    READ_AHEAD_CHUNKS,
     detect_shard_cache_version,
     load_shard_cache_v2,
 )
@@ -184,6 +185,18 @@ class ShardSource(ABC):
         instead. :class:`MmapNpzSource` overrides this with its cache path
         so workers re-open the ``.npz`` read-only — zero tensor bytes are
         copied anywhere (the OS page cache is shared across processes).
+        """
+        return None
+
+    def read_ahead_partition(self, mode: int) -> ModePartition | None:
+        """:meth:`partition` with element arrays that decode ahead of a
+        sequential in-process consumer, for sources that read ahead
+        themselves.
+
+        ``None`` (the default) means the source has no read-ahead of its
+        own: a prefetching executor stages its batches on the
+        :class:`repro.engine.prefetch.PrefetchingSource` loader thread
+        instead.
         """
         return None
 
@@ -409,16 +422,19 @@ class CompressedChunkSource(ShardSource):
     mode-sorted array lives as independently compressed chunk frames
     (:mod:`repro.tensor.io_v2`), and slicing a batch reads, CRC-checks, and
     decompresses only the chunks the batch overlaps, keeping
-    ``cache_chunks`` (default 2 — classic double buffering) decompressed
-    per array. That is the right trade for cold storage, where bytes
-    moved dominate and mmap would fault far more than a batch needs.
+    ``cache_chunks`` (default 2 — classic double buffering) decoded chunks
+    of a mode's indices and values in one reader-wide cache. That is the
+    right trade for cold storage, where bytes moved dominate and mmap
+    would fault far more than a batch needs.
 
-    Delivery composes with :class:`repro.engine.prefetch.PrefetchingSource`
-    exactly like the mmap source: the loader thread's staging slice is what
-    triggers the chunk read + decompression, so decompression overlaps the
-    current batch's reduction. Shard tables, batch boundaries, and results
-    are bit-identical to every other source (the cache stores the same
-    stable mode-sorted copies), which the source/equivalence matrix pins.
+    With prefetch on, the source reads ahead itself
+    (:meth:`read_ahead_partition`): a chunk the consumer reaches starts
+    the next :data:`repro.tensor.io_v2.READ_AHEAD_CHUNKS` chunks of its
+    array decoding on the reader's decode pool, so decompression overlaps
+    the current batch's reduction without a batch loader thread. Shard
+    tables, batch boundaries, and results are bit-identical to every other
+    source (the cache stores the same stable mode-sorted copies), which
+    the source/equivalence matrix pins.
     """
 
     is_out_of_core = True
@@ -519,11 +535,19 @@ class CompressedChunkSource(ShardSource):
         return keys
 
     def partition(self, mode: int) -> ModePartition:
+        return self._partition(mode, 0)
+
+    def read_ahead_partition(self, mode: int) -> ModePartition:
+        """The partition whose chunk reads decode the next
+        :data:`~repro.tensor.io_v2.READ_AHEAD_CHUNKS` chunks ahead."""
+        return self._partition(mode, READ_AHEAD_CHUNKS)
+
+    def _partition(self, mode: int, read_ahead: int) -> ModePartition:
         mode = self._check_mode(mode)
         reader = self._checked_reader()
         view = COOView(
-            reader.array(f"mode{mode}_indices"),
-            reader.array(f"mode{mode}_values"),
+            reader.array(f"mode{mode}_indices", read_ahead=read_ahead),
+            reader.array(f"mode{mode}_values", read_ahead=read_ahead),
             self._shape,
         )
         return ModePartition(mode=mode, tensor=view, shards=self._shards[mode])

@@ -17,8 +17,10 @@ targets that regime:
   byte offsets, and **per-chunk CRC-32 checksums** — corruption is caught
   and named before wrong numbers can propagate;
 * readers hand back :class:`ChunkedArray` views that materialize only the
-  chunks a slice covers, through a small per-array LRU (double buffer by
-  default) — the explicit-read analogue of v1's faulted pages.
+  chunks a slice covers, through a small reader-wide LRU (double buffer by
+  default) — the explicit-read analogue of v1's faulted pages; a
+  read-ahead view also decodes the next chunks on a small thread pool
+  while the consumer works on the current one.
 
 Construction no longer needs the tensor resident either:
 :func:`write_shard_cache_streaming` is an **external-sort builder** — it
@@ -72,7 +74,7 @@ import os
 import threading
 import zlib
 from collections import OrderedDict, deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -87,6 +89,7 @@ __all__ = [
     "SHARD_CACHE_V2_MAGIC",
     "DEFAULT_CHUNK_NNZ",
     "DEFAULT_CHUNK_CACHE",
+    "READ_AHEAD_CHUNKS",
     "CODEC_NAMES",
     "available_codecs",
     "codec_available",
@@ -110,14 +113,24 @@ _HEADER_BYTES = len(SHARD_CACHE_V2_MAGIC) + 8
 #: cache-model auto batch size, so one staged batch touches 1-2 frames
 DEFAULT_CHUNK_NNZ = 65536
 
-#: chunks kept decompressed per array (2 == classic double buffering:
-#: the chunk being reduced plus the one the next batch is pulling in)
+#: decoded chunks kept per element array (2 == classic double buffering:
+#: the chunk being reduced plus the one the next batch is pulling in); the
+#: reader-wide cap is this many chunks of a mode's indices *and* values
 DEFAULT_CHUNK_CACHE = 2
+
+#: chunks a read-ahead view decodes ahead of its consumer, counted inside
+#: the reader-wide cap (2 + 2 chunk pairs is what ``host_memory_plan``
+#: prices for the serial lane plus the prefetch lane)
+READ_AHEAD_CHUNKS = 2
 
 #: upper bound on frame-compression threads per writer (zlib, lzma and
 #: zstd release the GIL, so frames compress in parallel; more threads than
 #: this buy little at the default chunk size and cost resident frames)
 _MAX_COMPRESS_WORKERS = 4
+
+#: upper bound on read-ahead decode threads per reader (the consumer runs
+#: one MTTKRP at a time, so two decoders keep READ_AHEAD_CHUNKS in flight)
+_MAX_DECODE_WORKERS = 2
 
 
 # ----------------------------------------------------------------------
@@ -260,15 +273,21 @@ def shard_cache_codec_ratio(path) -> float | None:
 # ----------------------------------------------------------------------
 # Writer
 # ----------------------------------------------------------------------
-def _compress_workers(codec: _Codec) -> int:
-    """Frame-compression threads for ``codec``: 1 means compress inline."""
+def _codec_workers(codec: _Codec, limit: int) -> int:
+    """Threads that (de)compress ``codec`` frames: 1 means work inline."""
     if codec.name == "none":
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on Linux
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, _MAX_COMPRESS_WORKERS))
+    return max(1, min(cpus, limit))
+
+
+def _row_nbytes(meta: dict) -> int:
+    """Bytes of one row of a manifest array."""
+    width = int(np.prod(meta["shape"][1:], dtype=np.int64))
+    return np.dtype(meta["dtype"]).itemsize * width
 
 
 def _compress_frame(codec: _Codec, level: int, raw: bytes) -> tuple[bytes, int]:
@@ -301,7 +320,7 @@ class _V2Writer:
     produced bytes depend only on the logical element stream — the
     in-memory and external-sort builders therefore emit identical files.
 
-    Frames compress on a small thread pool (see :func:`_compress_workers`)
+    Frames compress on a small thread pool (see :func:`_codec_workers`)
     and are written in submission order, so the file does not depend on
     the pool size; at most ``2 * workers`` raw frames are in flight.
     """
@@ -338,7 +357,7 @@ class _V2Writer:
         self._buffered = 0
         self._mode_rows = 0
         self._closed = False
-        workers = _compress_workers(self.codec)
+        workers = _codec_workers(self.codec, _MAX_COMPRESS_WORKERS)
         self._pool = (
             ThreadPoolExecutor(workers, thread_name_prefix="repro-v2-compress")
             if workers > 1
@@ -893,14 +912,24 @@ class ChunkedArray:
     """Lazy array view over one manifest entry's compressed chunks.
 
     Slicing materializes only the chunks the row range covers (through the
-    reader's per-array LRU — double-buffered by default), so a streamed
-    batch decompresses O(batch) bytes. ``np.asarray`` materializes the
-    whole array (planning-time key columns use this once per mode).
+    reader's LRU — double-buffered by default), so a streamed batch
+    decompresses O(batch) bytes. With ``read_ahead`` set, a chunk that is
+    not yet decoded also starts the next ``read_ahead`` chunks decoding in
+    the background (see :meth:`ChunkedCacheReader.array`). ``np.asarray``
+    materializes the whole array (planning-time key columns use this once
+    per mode).
     """
 
-    def __init__(self, reader: "ChunkedCacheReader", name: str, meta: dict):
+    def __init__(
+        self,
+        reader: "ChunkedCacheReader",
+        name: str,
+        meta: dict,
+        read_ahead: int = 0,
+    ):
         self._reader = reader
         self.name = name
+        self.read_ahead = read_ahead
         self.dtype = np.dtype(meta["dtype"])
         self.shape = tuple(int(s) for s in meta["shape"])
         self._chunks = meta["chunks"]
@@ -928,7 +957,8 @@ class ChunkedArray:
         first = int(np.searchsorted(self._his, lo, side="right"))
         last = int(np.searchsorted(self._his, hi - 1, side="right"))
         parts = [
-            self._reader._chunk(self.name, i) for i in range(first, last + 1)
+            self._reader._chunk(self.name, i, self.read_ahead)
+            for i in range(first, last + 1)
         ]
         block = parts[0] if len(parts) == 1 else np.concatenate(parts)
         base = int(self._chunks[first]["lo"])
@@ -972,11 +1002,17 @@ class ChunkedCacheReader:
     """Open v2 cache: manifest + checksum-verified lazy chunk access.
 
     Opening reads only the header and the JSON manifest; chunk frames are
-    read, CRC-checked, and decompressed on demand, with
-    ``cache_chunks`` decompressed chunks kept per array (2 == the chunk
-    being reduced plus the next one staging — explicit double buffering,
-    the cold-storage analogue of v1's page cache). Thread-safe: the
-    prefetch loader and the compute thread may pull chunks concurrently.
+    read, CRC-checked, and decompressed on demand. Decoded chunks live in
+    one reader-wide LRU capped at ``cache_chunks`` chunks of a mode's
+    indices and values (2 == the chunk being reduced plus the next one —
+    explicit double buffering, the cold-storage analogue of v1's page
+    cache). A read-ahead view (:meth:`array` with ``read_ahead``) decodes
+    the next chunks of its array on a decode pool of at most
+    :data:`_MAX_DECODE_WORKERS` threads, created on first use; those
+    chunks count inside the cap, which grows by ``read_ahead`` chunks for
+    that view's reads. Thread-safe: backend worker threads and the decode
+    pool pull chunks concurrently. :meth:`close` cancels pending decodes
+    and joins the pool.
     """
 
     def __init__(self, path, *, cache_chunks: int = DEFAULT_CHUNK_CACHE):
@@ -1038,8 +1074,20 @@ class ChunkedCacheReader:
                 f"{self.path}: v2 manifest is missing arrays {missing}; "
                 f"rebuild the cache"
             )
-        # per-array LRU of decompressed chunks
-        self._cache: dict[str, OrderedDict[int, np.ndarray]] = {}
+        # reader-wide LRU of decoded chunks, (array, chunk) -> array, or a
+        # Future while a read-ahead decode is in flight; both count their
+        # manifest raw size in _cached_nbytes
+        self._cache: OrderedDict[tuple[str, int], np.ndarray | Future] = (
+            OrderedDict()
+        )
+        self._cached_nbytes = 0
+        # bytes of chunk_nnz elements: one chunk of indices plus one of values
+        self._chunk_pair_nbytes = self.chunk_nnz * sum(
+            _row_nbytes(self._meta[f"mode0_{part}"])
+            for part in ("indices", "values")
+        )
+        self._decode_workers = _codec_workers(self._codec, _MAX_DECODE_WORKERS)
+        self._pool: ThreadPoolExecutor | None = None
 
     @property
     def nmodes(self) -> int:
@@ -1068,32 +1116,117 @@ class ChunkedCacheReader:
     def array_names(self) -> tuple[str, ...]:
         return tuple(self._meta)
 
-    def array(self, name: str) -> ChunkedArray:
+    def array(self, name: str, *, read_ahead: int = 0) -> ChunkedArray:
+        """A lazy view of array ``name``.
+
+        ``read_ahead`` > 0 makes every chunk the view reaches that is not
+        decoded yet start the next ``read_ahead`` chunks of the array
+        decoding on the reader's pool, so a sequential consumer finds them
+        ready (or in flight) instead of decoding inline. Bytes are the same
+        either way. On one CPU, or for ``codec="none"``, there is no pool
+        and every chunk decodes inline.
+        """
         if name not in self._meta:
             raise TensorFormatError(
                 f"{self.path}: no array {name!r} in this cache "
                 f"(has {sorted(self._meta)})"
             )
-        return ChunkedArray(self, name, self._meta[name])
+        return ChunkedArray(self, name, self._meta[name], int(read_ahead))
 
-    def _chunk(self, name: str, i: int) -> np.ndarray:
-        # The lock covers only the cache lookup and the seek+read (the file
-        # offset is shared state); CRC and decompression run outside it so
-        # thread-backend workers and the prefetch loader genuinely overlap.
-        # Two threads may decompress the same chunk concurrently; both
-        # produce identical bytes and the second insert just wins the LRU.
+    @property
+    def cached_nbytes(self) -> int:
+        """Decoded bytes held: cached chunks plus read-ahead in flight."""
         with self._lock:
-            if self._file is None:
-                raise TensorFormatError(
-                    f"{self.path}: cache reader is closed; reopen with "
-                    f"load_shard_cache_v2()"
-                )
-            lru = self._cache.setdefault(name, OrderedDict())
-            if i in lru:
-                lru.move_to_end(i)
-                return lru[i]
-            meta = self._meta[name]
-            chunk = meta["chunks"][i]
+            return self._cached_nbytes
+
+    def _chunk(self, name: str, i: int, read_ahead: int = 0) -> np.ndarray:
+        # The lock covers the cache and the file offset (shared state); CRC
+        # and decompression run outside it so backend worker threads and
+        # the decode pool genuinely overlap. Two threads may decode the
+        # same chunk concurrently; both produce identical bytes and the
+        # second store replaces the first.
+        key = (name, i)
+        with self._lock:
+            self._check_open()
+            entry = self._cache.get(key)
+            if isinstance(entry, np.ndarray):
+                self._cache.move_to_end(key)
+                return entry
+            if read_ahead and self._decode_workers > 1:
+                self._submit_ahead(name, i, read_ahead)
+        if entry is None:
+            arr = self._load(name, i)
+        else:
+            try:
+                arr = entry.result()
+            except CancelledError:  # evicted or closed before it ran
+                arr = self._load(name, i)
+            except BaseException:
+                with self._lock:
+                    if self._cache.get(key) is entry:
+                        self._drop(key)
+                raise
+        with self._lock:
+            if self._file is not None:
+                self._store(key, arr, self.cache_chunks + read_ahead)
+        return arr
+
+    def _check_open(self) -> None:
+        if self._file is None:
+            raise TensorFormatError(
+                f"{self.path}: cache reader is closed; reopen with "
+                f"load_shard_cache_v2()"
+            )
+
+    def _raw_nbytes(self, key: tuple[str, int]) -> int:
+        name, i = key
+        return int(self._meta[name]["chunks"][i]["raw_nbytes"])
+
+    def _submit_ahead(self, name: str, i: int, depth: int) -> None:
+        """Queue chunks ``i+1 .. i+depth`` of ``name`` (lock held)."""
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                self._decode_workers, thread_name_prefix="repro-v2-decode"
+            )
+        n_chunks = len(self._meta[name]["chunks"])
+        for j in range(i + 1, min(i + 1 + depth, n_chunks)):
+            key = (name, j)
+            if key not in self._cache:
+                self._cache[key] = self._pool.submit(self._load, name, j)
+                self._cached_nbytes += self._raw_nbytes(key)
+
+    def _drop(self, key: tuple[str, int]) -> None:
+        """Forget one cache entry, cancelling it if still queued (lock held)."""
+        entry = self._cache.pop(key)
+        self._cached_nbytes -= self._raw_nbytes(key)
+        if isinstance(entry, Future):
+            entry.cancel()
+
+    def _store(self, key: tuple[str, int], arr: np.ndarray, chunks: int) -> None:
+        """Cache a decoded chunk, then evict until the cache fits ``chunks``
+        chunk pairs (lock held): decoded chunks go first, least recently
+        used first, and read-ahead not yet consumed only after them."""
+        if key in self._cache:
+            self._drop(key)
+        self._cache[key] = arr
+        self._cached_nbytes += self._raw_nbytes(key)
+        cap = chunks * self._chunk_pair_nbytes
+        for kind in (np.ndarray, Future):
+            victims = [
+                k for k, v in self._cache.items()
+                if isinstance(v, kind) and k != key
+            ]
+            for k in victims:
+                if self._cached_nbytes <= cap:
+                    return
+                self._drop(k)
+
+    def _load(self, name: str, i: int) -> np.ndarray:
+        """Read, verify and decode one chunk frame."""
+        meta = self._meta[name]
+        chunk = meta["chunks"][i]
+        with self._lock:
+            self._check_open()
             self._file.seek(int(chunk["offset"]))
             frame = self._file.read(int(chunk["nbytes"]))
         where = f"{self.path}: array {name!r} chunk {i} (rows " \
@@ -1124,21 +1257,22 @@ class ChunkedCacheReader:
             )
         rows = int(chunk["hi"]) - int(chunk["lo"])
         arr_shape = (rows,) + tuple(int(s) for s in meta["shape"][1:])
-        arr = np.frombuffer(raw, dtype=np.dtype(meta["dtype"])).reshape(
+        return np.frombuffer(raw, dtype=np.dtype(meta["dtype"])).reshape(
             arr_shape
         )
-        with self._lock:
-            lru[i] = arr
-            while len(lru) > self.cache_chunks:
-                lru.popitem(last=False)
-        return arr
 
     def close(self) -> None:
+        """Close the file, drop cached chunks, cancel pending read-ahead and
+        join the decode pool. Idempotent."""
         with self._lock:
             if self._file is not None:
                 self._file.close()
                 self._file = None
             self._cache.clear()
+            self._cached_nbytes = 0
+            pool, self._pool = self._pool, None
+        if pool is not None:  # joined outside the lock its decodes take
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "ChunkedCacheReader":
         return self

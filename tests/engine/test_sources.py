@@ -12,14 +12,18 @@ data instead of receiving it.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
+from helpers import force_cpus
 
 from repro.engine import (
     ClusterBackend,
     CompressedChunkSource,
     InMemorySource,
     MmapNpzSource,
+    PrefetchingSource,
     ProcessBackend,
     SerialBackend,
     StreamingExecutor,
@@ -37,7 +41,12 @@ from repro.errors import ReproError, TensorFormatError
 from repro.partition.plan import build_partition_plan
 from repro.simgpu.kernel import KernelCostModel
 from repro.tensor.generate import zipf_coo
-from repro.tensor.io import write_shard_cache, write_shard_cache_v2
+from repro.tensor import io_v2
+from repro.tensor.io import (
+    available_codecs,
+    write_shard_cache,
+    write_shard_cache_v2,
+)
 from repro.tensor.kernelreg import (
     KERNEL_DISABLE_ENV,
     KERNEL_NAMES,
@@ -572,6 +581,141 @@ class TestCompressedChunkSource:
         finally:
             v1.close()
             v2.close()
+
+
+def _no_batch_loader(*args, **kw):
+    raise AssertionError("batch loader ran over a chunked source")
+
+
+@pytest.fixture(scope="module", params=available_codecs())
+def codec_cache(request, tensor, tmp_path_factory):
+    """``(codec, path)``: the module tensor in a v2 cache with 128-row
+    chunks, once per available codec."""
+    path = write_shard_cache_v2(
+        tensor,
+        tmp_path_factory.mktemp(f"v2_{request.param}") / "t.npz",
+        codec=request.param,
+        chunk_nnz=128,
+    )
+    return request.param, path
+
+
+class TestChunkReadAhead:
+    """Prefetch over a v2 cache reads chunks ahead on the reader's decode
+    pool: same bytes in every cell, no batch loader thread, nothing
+    decoded by a process-backend coordinator, and residency inside
+    ``host_memory_plan``'s ``decompress_staging``."""
+
+    @pytest.mark.parametrize("cache_chunks", [1, 2])
+    @pytest.mark.parametrize("backend", BACKEND_KINDS)
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_bit_identical_to_eager(
+        self, monkeypatch, tensor, factors, eager_outputs, shared_backends,
+        codec_cache, cache_chunks, backend, prefetch,
+    ):
+        force_cpus(monkeypatch, 4)
+        _, path = codec_cache
+        with CompressedChunkSource(
+            path, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU,
+            cache_chunks=cache_chunks,
+        ) as source:
+            # 100-element batches against 128-row chunks: many span two
+            with StreamingExecutor(
+                source, batch_size=100, backend=shared_backends[backend],
+                prefetch=prefetch,
+            ) as engine:
+                for _ in range(2):
+                    for mode in range(tensor.nmodes):
+                        got = engine.mttkrp(factors, mode)
+                        assert np.array_equal(got, eager_outputs[mode])
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_in_process_prefetch_decodes_on_the_pool_not_a_loader(
+        self, monkeypatch, tensor, factors, eager_outputs, shared_backends,
+        cache_v2_path, backend,
+    ):
+        decoders = []
+        load = io_v2.ChunkedCacheReader._load
+
+        def traced(self, name, i):
+            decoders.append(threading.current_thread().name)
+            return load(self, name, i)
+
+        force_cpus(monkeypatch, 4)
+        monkeypatch.setattr(PrefetchingSource, "iter_batches", _no_batch_loader)
+        monkeypatch.setattr(io_v2.ChunkedCacheReader, "_load", traced)
+        with CompressedChunkSource(
+            cache_v2_path, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
+        ) as source:
+            with StreamingExecutor(
+                source, batch_size=100, backend=shared_backends[backend],
+                prefetch=True,
+            ) as engine:
+                for mode in range(tensor.nmodes):
+                    got = engine.mttkrp(factors, mode)
+                    assert np.array_equal(got, eager_outputs[mode])
+        assert any(name.startswith("repro-v2-decode") for name in decoders)
+
+    def test_process_coordinator_decodes_nothing(
+        self, monkeypatch, tensor, factors, eager_outputs, shared_backends,
+        cache_v2_path,
+    ):
+        """Process workers attach to the cache and decode their own chunks,
+        so a prefetching coordinator stages no batch and reads no element
+        chunk at all."""
+        calls = []
+        chunk = io_v2.ChunkedCacheReader._chunk
+
+        def counted(self, name, i, read_ahead=0):
+            if not name.endswith("_keys"):
+                calls.append((name, i))
+            return chunk(self, name, i, read_ahead)
+
+        monkeypatch.setattr(PrefetchingSource, "iter_batches", _no_batch_loader)
+        with CompressedChunkSource(
+            cache_v2_path, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
+        ) as source:
+            engine = StreamingExecutor(
+                source, batch_size=100, backend=shared_backends["process"],
+                prefetch=True,
+            )
+            monkeypatch.setattr(io_v2.ChunkedCacheReader, "_chunk", counted)
+            for mode in range(tensor.nmodes):
+                got = engine.mttkrp(factors, mode)
+                assert np.array_equal(got, eager_outputs[mode])
+            assert calls == []
+
+    @pytest.mark.parametrize("codec", [c for c in available_codecs() if c != "none"])
+    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 2)])
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_decoded_bytes_within_planned_staging(
+        self, monkeypatch, tmp_path, codec, backend, workers, prefetch
+    ):
+        """After full sweeps the reader holds no more decoded bytes than
+        ``host_memory_plan`` prices as ``decompress_staging``, and closing
+        the executor leaves no decode (or backend) thread running."""
+        from repro.core.amped import AmpedMTTKRP
+        from repro.core.config import AmpedConfig
+
+        force_cpus(monkeypatch, 4)
+        big = zipf_coo((300, 200, 250), 20_000, exponents=1.0, seed=5)
+        path = write_shard_cache_v2(
+            big, tmp_path / "big.npz", codec=codec, chunk_nnz=1024
+        )
+        rng = np.random.default_rng(3)
+        mats = [rng.random((s, 4)) for s in big.shape]
+        cfg = AmpedConfig(
+            rank=4, batch_size=700, backend=backend, workers=workers,
+            prefetch=prefetch,
+        )
+        baseline = threading.active_count()
+        with AmpedMTTKRP.from_shard_cache(path, cfg) as ex:
+            staging = ex.plan.memory_plan["decompress_staging"]
+            for _ in range(2):
+                for mode in range(big.nmodes):
+                    ex.mttkrp(mats, mode)
+                    assert 0 < ex.source._reader.cached_nbytes <= staging
+        assert threading.active_count() == baseline
 
 
 class TestSyntheticSource:

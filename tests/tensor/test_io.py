@@ -7,6 +7,7 @@ import threading
 
 import numpy as np
 import pytest
+from helpers import force_cpus
 
 from repro.errors import ReproError, TensorFormatError
 from repro.tensor.coo import SparseTensorCOO
@@ -547,13 +548,6 @@ class TestStreamingCacheBuilder:
         assert res.nnz == 0 and res.shape == (3, 3)
 
 
-def _force_cpus(monkeypatch, n):
-    """Pretend this host has ``n`` usable CPUs, so the pool size is host-free."""
-    monkeypatch.setattr(
-        io_v2.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False
-    )
-
-
 def _build_both(tensor, out_dir, codec):
     """Build one cache with each writer; returns their bytes."""
     out_dir.mkdir()
@@ -589,7 +583,7 @@ class TestPooledFrameCompression:
             return compress(*args)
 
         monkeypatch.setattr(io_v2, "_compress_frame", traced)
-        _force_cpus(monkeypatch, 8)
+        force_cpus(monkeypatch, 8)
         pooled = _build_both(small_tensor, tmp_path / "pooled", codec)
         frames = -(-small_tensor.nnz // 16) * 3 * small_tensor.nmodes
         assert frames > 200  # dozens of frames per array
@@ -625,7 +619,7 @@ class TestPooledFrameCompression:
             return codecs
 
         monkeypatch.setattr(io_v2, "_make_codecs", failing_codecs)
-        _force_cpus(monkeypatch, 8)
+        force_cpus(monkeypatch, 8)
         baseline = threading.active_count()
         out = tmp_path / "partial.npz"
         sort_dir = tmp_path / "sort"
@@ -644,3 +638,140 @@ class TestPooledFrameCompression:
 
     def test_heap_trim_is_safe_to_call(self):
         io_v2._trim_heap()
+
+
+def _frame_offset(reader, name, i):
+    return reader.manifest["arrays"][name]["chunks"][i]["offset"]
+
+
+def _chunk_rows(reader, name, i):
+    chunk = reader.manifest["arrays"][name]["chunks"][i]
+    return chunk["lo"], chunk["hi"]
+
+
+def _settle(reader, name, i):
+    """Wait for the read-ahead decode of chunk ``i`` to finish."""
+    entry = reader._cache[(name, i)]
+    entry.exception(timeout=10)
+    return entry
+
+
+class TestChunkReadAhead:
+    """A read-ahead view decodes the next chunks of its array on the
+    reader's decode pool: same bytes, errors raised where the consumer
+    reaches them, the pool joined by close(), and residency capped
+    reader-wide."""
+
+    @pytest.mark.parametrize("codec", available_codecs())
+    @pytest.mark.parametrize("cache_chunks", [1, 2])
+    def test_sequential_batches_same_bytes_each_chunk_decoded_once(
+        self, tmp_path, monkeypatch, small_tensor, codec, cache_chunks
+    ):
+        force_cpus(monkeypatch, 4)
+        path = write_shard_cache_v2(
+            small_tensor, tmp_path / "c.npz", codec=codec, chunk_nnz=32
+        )
+        loads = []
+        load = io_v2.ChunkedCacheReader._load
+
+        def traced(self, name, i):
+            loads.append((name, i, threading.current_thread().name))
+            return load(self, name, i)
+
+        monkeypatch.setattr(io_v2.ChunkedCacheReader, "_load", traced)
+        with load_shard_cache_v2(path, cache_chunks=cache_chunks) as reader:
+            for m in range(small_tensor.nmodes):
+                want = small_tensor.sorted_by_mode(m)
+                idx = reader.array(f"mode{m}_indices", read_ahead=2)
+                val = reader.array(f"mode{m}_values", read_ahead=2)
+                for lo in range(0, small_tensor.nnz, 20):  # spans chunks
+                    hi = lo + 20
+                    assert np.array_equal(idx[lo:hi], want.indices[lo:hi])
+                    assert np.array_equal(val[lo:hi], want.values[lo:hi])
+        decoded = [(name, i) for name, i, _ in loads]
+        if cache_chunks == 2:
+            assert len(decoded) == len(set(decoded))
+        pooled = {t for _, _, t in loads if t.startswith("repro-v2-decode")}
+        assert bool(pooled) == (codec != "none")
+
+    @pytest.mark.parametrize("codec", [c for c in available_codecs() if c != "none"])
+    @pytest.mark.parametrize("read_ahead", [0, 2])
+    def test_decoded_bytes_capped_reader_wide(
+        self, tmp_path, monkeypatch, small_tensor, codec, read_ahead
+    ):
+        force_cpus(monkeypatch, 4)
+        path = write_shard_cache_v2(
+            small_tensor, tmp_path / "c.npz", codec=codec, chunk_nnz=32
+        )
+        pair = 32 * (small_tensor.nmodes + 1) * 8
+        with load_shard_cache_v2(path) as reader:
+            for m in range(small_tensor.nmodes):
+                for part in ("indices", "values"):
+                    arr = reader.array(f"mode{m}_{part}", read_ahead=read_ahead)
+                    for lo in range(0, small_tensor.nnz, 20):
+                        arr[lo : lo + 20]
+                        assert reader.cached_nbytes <= (2 + read_ahead) * pair
+
+    def test_corrupt_read_ahead_chunk_raises_when_reached(
+        self, tmp_path, monkeypatch, small_tensor
+    ):
+        force_cpus(monkeypatch, 4)
+        path = write_shard_cache_v2(
+            small_tensor, tmp_path / "c.npz", codec="zlib", chunk_nnz=32
+        )
+        name = "mode0_indices"
+        with load_shard_cache_v2(path) as reader:
+            offset = _frame_offset(reader, name, 3)
+            lo, hi = _chunk_rows(reader, name, 3)
+        _flip_byte(path, offset + 3)
+        want = small_tensor.sorted_by_mode(0).indices
+        with load_shard_cache_v2(path) as reader:
+            arr = reader.array(name, read_ahead=2)
+            assert np.array_equal(arr[32:64], want[32:64])  # queues 2 and 3
+            assert _settle(reader, name, 3).exception() is not None
+            assert np.array_equal(arr[64:96], want[64:96])
+            with pytest.raises(TensorFormatError) as err:
+                arr[lo:hi]
+        msg = str(err.value)
+        assert f"array {name!r} chunk 3 (rows {lo}..{hi})" in msg
+        assert "checksum mismatch" in msg
+
+    def test_unconsumed_corrupt_chunk_raises_nothing(
+        self, tmp_path, monkeypatch, small_tensor
+    ):
+        force_cpus(monkeypatch, 4)
+        path = write_shard_cache_v2(
+            small_tensor, tmp_path / "c.npz", codec="zlib", chunk_nnz=32
+        )
+        name = "mode0_values"
+        with load_shard_cache_v2(path) as reader:
+            last = len(reader.manifest["arrays"][name]["chunks"]) - 1
+            offset = _frame_offset(reader, name, last)
+            stop, _ = _chunk_rows(reader, name, last)
+        _flip_byte(path, offset + 3)
+        want = small_tensor.sorted_by_mode(0).values
+        reader = load_shard_cache_v2(path)
+        arr = reader.array(name, read_ahead=2)
+        start = stop - 64  # chunk last-2: queues last-1 and last
+        assert np.array_equal(arr[start:stop], want[start:stop])
+        assert _settle(reader, name, last).exception() is not None
+        reader.close()
+
+    def test_close_mid_stream_joins_the_decode_pool(
+        self, tmp_path, monkeypatch, small_tensor
+    ):
+        force_cpus(monkeypatch, 4)
+        path = write_shard_cache_v2(
+            small_tensor, tmp_path / "c.npz", codec="zlib", chunk_nnz=32
+        )
+        baseline = threading.active_count()
+        reader = load_shard_cache_v2(path)
+        arr = reader.array("mode1_indices", read_ahead=2)
+        arr[0:40]
+        assert threading.active_count() > baseline
+        reader.close()
+        assert threading.active_count() == baseline
+        assert reader.cached_nbytes == 0
+        with pytest.raises(TensorFormatError, match="closed"):
+            arr[40:80]
+        reader.close()  # idempotent
