@@ -131,7 +131,7 @@ def test_streaming_engine_thread_backend(benchmark, kernel_data, engine_plan):
 
 
 def test_streaming_engine_prefetch(benchmark, kernel_data, engine_plan):
-    """Serial backend + double-buffered staging (the prefetch overhead cap)."""
+    """Serial backend with prefetch on a resident plan (a pass-through)."""
     _, factors = kernel_data
     with StreamingExecutor(
         engine_plan, batch_size=4096, prefetch=True
@@ -154,7 +154,8 @@ def test_streaming_engine_mmap(benchmark, kernel_data, tmp_path):
 
 def test_streaming_engine_compressed(benchmark, kernel_data, tmp_path):
     """Throughput of the v2 chunked/compressed path: explicit chunk reads +
-    zlib decompression, double-buffered by the prefetch loader."""
+    zlib decompression, with the next chunks decoding on the reader's
+    read-ahead pool."""
     tensor, factors = kernel_data
     res = write_shard_cache_streaming(
         tensor, tmp_path / "bench_v2.npz", memory_budget=8 << 20, codec="zlib"
@@ -303,7 +304,7 @@ def _run_compressed_smoke(tensor, factors, eager_out) -> int:
     Builds the v2 cache with the external-sort streaming builder under a
     memory budget smaller than the tensor's element footprint (so the
     external sort genuinely runs), then requires the compressed source —
-    with and without double-buffered prefetch — to reproduce the v1/mmap
+    with and without prefetch (chunk read-ahead) — to reproduce the v1/mmap
     bits exactly. Correctness gate only: decompression cost is the price
     of cold storage and is reported, not bounded.
     """

@@ -14,9 +14,10 @@ than memory while the results stay **bit-identical** to the in-memory path.
 The flow below is the CI smoke job: FROSTT ``.tns`` text → shard cache →
 streaming CP-ALS, checked against the fully in-memory decomposition — with
 the out-of-core run on the **process-pool backend** (workers attach to the
-mmap cache read-only; no tensor bytes cross a pipe) and **double-buffered
-prefetch** (a background thread faults the next batch's pages in while the
-current one reduces). It drives both the library API and the CLI
+mmap cache read-only; no tensor bytes cross a pipe) and **prefetch** (the
+source's own read-ahead: the v2 compressed cache of step 8 decodes the next
+chunks while the current batch reduces; over the mmap cache it is a
+pass-through). It drives both the library API and the CLI
 (`repro cache` / `repro decompose --shard-cache ... --out-of-core
 --backend process --prefetch`).
 """
@@ -83,10 +84,10 @@ def main() -> None:
         )
 
         # --- 4. the same decomposition, streamed out of core --------------
-        # ... on the process-pool backend with double-buffered prefetch:
-        # pool workers re-open the cache read-only (only (rows, partial)
-        # results cross the pipe) and a loader thread stages the next batch
-        # while the current one reduces.
+        # ... on the process-pool backend with prefetch: pool workers
+        # re-open the cache read-only (only (rows, partial) results cross
+        # the pipe); an mmap cache has no read-ahead of its own, so
+        # prefetch leaves its batches as they are.
         ooc_config = config.replace(backend="process", workers=2, prefetch=True)
         ooc = AmpedMTTKRP.from_shard_cache(cache_path, ooc_config, name="ooc")
         print(
@@ -159,8 +160,9 @@ def main() -> None:
         # The external-sort streaming builder ingests the .tns directly —
         # the tensor is never resident during construction — and the v2
         # chunked/compressed format replaces mmap faulting with explicit
-        # double-buffered chunk reads + decompression (the right trade when
-        # bytes moved, not page faults, are what cold storage charges for).
+        # chunk reads + decompression (the right trade when bytes moved, not
+        # page faults, are what cold storage charges for); with prefetch the
+        # next chunks decode on the reader's pool while a batch reduces.
         budget = 16 * 1024  # bytes; far below this tensor's element footprint
         res = write_shard_cache_streaming(
             tns_path, tmp / "example_v2.npz",

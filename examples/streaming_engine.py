@@ -31,8 +31,9 @@ Execution backends
 thread), ``"thread"`` (persistent GIL-releasing thread pool), or
 ``"process"`` (persistent process pool whose workers attach to the element
 data — shared memory for resident tensors, the mmap cache for out-of-core
-runs). ``prefetch=True`` double-buffers batch delivery on a background
-thread. Partial results are applied in deterministic order, so the output
+runs). ``prefetch=True`` reduces the source's read-ahead partition: a v2
+compressed cache decodes the next chunks in the background, and for a
+resident plan like this one it is a pass-through. Partial results are applied in deterministic order, so the output
 never depends on the backend or its scheduling.
 """
 
@@ -89,7 +90,7 @@ def main() -> None:
     want = eager.mttkrp_all_modes(factors)
     for backend, workers, prefetch in (
         ("serial", 1, False),
-        ("serial", 1, True),   # double-buffered staging
+        ("serial", 1, True),   # a pass-through for a resident plan
         ("thread", 2, False),
         ("process", 2, False),  # shared-memory workers
     ):

@@ -147,10 +147,9 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--prefetch",
         action="store_true",
-        help="overlap element staging with compute: stage the next "
-        "element batch on a background thread (async page read-ahead for "
-        "a v1 --out-of-core cache), or decode the next v2 cache chunks on "
-        "a small decode pool",
+        help="overlap element staging with compute: decode the next v2 "
+        "cache chunks on a small decode pool while the current batch "
+        "reduces (a no-op for resident tensors and v1 mmap caches)",
     )
     parser.add_argument(
         "--shard-cache",

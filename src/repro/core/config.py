@@ -84,9 +84,10 @@ class AmpedConfig:
         :func:`repro.engine.costmodel.host_time_plan` prediction, like
         ``backend="auto"`` — resolved once at
         :class:`~repro.core.amped.AmpedMTTKRP` construction).
-    prefetch: double-buffer batch delivery — stage the next element batch
-        on a background thread (async page read-ahead for mmap sources),
-        the host-side mirror of ``double_buffer``. Never changes results.
+    prefetch: reduce the source's read-ahead partition, the host-side
+        mirror of ``double_buffer``: a v2 compressed cache decodes the next
+        chunks on its reader's decode pool while the current batch reduces;
+        for every other source it is a pass-through. Never changes results.
     stream_cache_fraction: fraction of the effective cache one streamed
         lane's block may occupy when resolving ``batch_size="auto"``; in
         (0, 1]. ``None`` defers to the measured ``host_profile`` fraction,
@@ -341,10 +342,12 @@ class AmpedConfig:
     def stream_lanes(self) -> int:
         """Concurrent host lanes staging a batch window at once.
 
-        Each backend worker streams its own batch block, and an enabled
-        prefetcher stages one more ahead of them — the host-residency
-        accounting :func:`repro.core.simulate.host_memory_plan` charges per
-        lane when running out of core.
+        Each backend worker streams its own batch block, and prefetch
+        counts one more lane — the host-residency accounting
+        :func:`repro.core.simulate.host_memory_plan` charges per lane when
+        running out of core. Only a v2 cache's read-ahead fills that lane;
+        for other sources it overprices residency by one window (kept so
+        plans stay comparable until the next ``HostProfile`` version).
         """
         _, workers = self.resolved_backend()
         return workers + (1 if self.prefetch else 0)

@@ -18,8 +18,9 @@
   ``repro cluster node`` servers via :func:`serve_node`), each running its
   own local pipeline, exchanging factor-row partials with a real ring
   all-gather;
-* :mod:`prefetch` — :class:`PrefetchingSource`, double-buffered batch
-  staging on a background thread (async page read-ahead for mmap sources);
+* :mod:`prefetch` — :class:`PrefetchingSource`, the view that reduces a
+  source's own read-ahead partition (v2 chunk read-ahead; a pass-through
+  for other sources);
 * :mod:`autotune` — cache-model batch sizing behind ``batch_size="auto"``;
 * :mod:`costmodel` — the measured host-pipeline cost model:
   :class:`HostProfile` (versioned per-host calibration JSON),

@@ -168,16 +168,7 @@ def reduce_batch(
     )
 
 
-def _reduce_item(part, item, factors, mode, kernel=None):
-    """Reduce an :class:`ElementBatch` (slice the source) or a prefetched
-    :class:`repro.engine.prefetch.LoadedBatch` (arrays already staged)."""
-    if isinstance(item, ElementBatch):
-        return reduce_batch(part, item, factors, mode, kernel)
-    return reduce_batch_arrays(item.indices, item.values, factors, mode, kernel)
-
-
-def _item_bounds(item) -> tuple[int, int]:
-    batch = item if isinstance(item, ElementBatch) else item.batch
+def _item_bounds(batch: ElementBatch) -> tuple[int, int]:
     return int(batch.elements.start), int(batch.elements.stop)
 
 
@@ -201,9 +192,6 @@ class ExecutionBackend(ABC):
     #: True when batch payloads cross a process boundary (drives the
     #: attachment machinery and the simulator's host staging accounting)
     crosses_processes: bool = False
-    #: True when the backend can attach read-only to an on-disk shard cache
-    #: instead of receiving shared-memory copies
-    supports_mmap_attach: bool = False
 
     def __init__(self, workers: int = 1) -> None:
         self.workers = validate_workers(workers)
@@ -250,8 +238,7 @@ class ExecutionBackend(ABC):
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield ``(rows, partial)`` for every item of ``items``, in order.
 
-        ``items`` are :class:`ElementBatch` slices of ``part`` or prefetched
-        :class:`repro.engine.prefetch.LoadedBatch` instances. ``attach`` is
+        ``items`` are :class:`ElementBatch` slices of ``part``. ``attach`` is
         the source's process-attachment spec
         (:meth:`repro.engine.source.ShardSource.process_attach_spec`) —
         in-process backends ignore it; :class:`ProcessBackend` uses it to
@@ -282,16 +269,16 @@ class SerialBackend(ExecutionBackend):
     def map_batches(self, part, factors, mode, items, *, attach=None, kernel=None):
         self.start()
         for item in items:
-            yield _reduce_item(part, item, factors, mode, kernel)
+            yield reduce_batch(part, item, factors, mode, kernel)
 
 
 class ThreadBackend(ExecutionBackend):
-    """A persistent thread pool (extracted from the old per-call inline pool).
+    """A persistent thread pool.
 
     The pool is created once at :meth:`start` and reused by every
-    ``map_batches`` call — the per-call ``ThreadPoolExecutor`` churn of the
-    PR 1 executor is gone. In-flight work is bounded to ``workers + 2``
-    batches so prefetched arrays never pile up unboundedly.
+    ``map_batches`` call, so no ``ThreadPoolExecutor`` is built per call.
+    In-flight work is bounded to ``workers + 2`` batches so partial results
+    never pile up unboundedly.
     """
 
     name = "thread"
@@ -320,7 +307,7 @@ class ThreadBackend(ExecutionBackend):
         pending: deque = deque()
         for item in items:
             pending.append(
-                self._pool.submit(_reduce_item, part, item, factors, mode, kernel)
+                self._pool.submit(reduce_batch, part, item, factors, mode, kernel)
             )
             if len(pending) >= window:
                 yield pending.popleft().result()
@@ -480,7 +467,6 @@ class ProcessBackend(ExecutionBackend):
     name = "process"
     parallel = True
     crosses_processes = True
-    supports_mmap_attach = True
 
     #: tasks batched per pipe message (amortizes IPC without hurting balance)
     chunksize = 4

@@ -403,7 +403,6 @@ class ClusterBackend(ExecutionBackend):
     name = "cluster"
     parallel = True
     crosses_processes = True
-    supports_mmap_attach = True
 
     def __init__(
         self,

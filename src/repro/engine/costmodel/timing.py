@@ -19,10 +19,12 @@ summed over modes:
 * **staging** — out-of-core only: faulting the batch window in from a v1
   mmap cache, or explicitly reading + decompressing v2 chunk frames (the
   codec's measured throughput and compression ratio);
-* **prefetch overlap** — with ``config.prefetch`` the staging pipeline runs
-  on the loader thread, so only the part of staging that exceeds
-  compute + dispatch stalls the consumer (classic double-buffer overlap),
-  at a small per-batch handoff overhead.
+* **prefetch overlap** — with ``config.prefetch`` staging runs ahead of
+  the consumer, so only the part of staging that exceeds compute +
+  dispatch stalls it (classic double-buffer overlap), at a small per-batch
+  handoff overhead. Only a v2 cache reads ahead; for other sources prefetch
+  is a pass-through, and the handoff term overprices it (see
+  ``docs/cost_model.md``).
 
 Every term is linear (or a max of linear terms) in nnz and in the codec's
 compressed-size ratio, so predictions are monotone in both — a property

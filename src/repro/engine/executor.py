@@ -17,10 +17,10 @@ instead of materializing whole shards, which
   serial, a persistent thread pool, or a process pool whose workers attach
   to the element data instead of receiving it through a pipe;
 * optionally double-buffers batch delivery
-  (:class:`repro.engine.prefetch.PrefetchingSource`): a background thread
-  stages the next batch's element arrays — for a memory-mapped source this
-  is async page read-ahead overlapping disk with compute — or, for a v2
-  chunked source, the source's own read-ahead decodes the next chunks;
+  (:class:`repro.engine.prefetch.PrefetchingSource`): a source that reads
+  ahead on its own (a v2 chunked cache) decodes the next chunks on its
+  decode pool while the current batch reduces; for every other source
+  prefetch is a pass-through;
 * keeps the result **bit-identical** to the eager whole-shard reduction for
   every ``(source, batch_size, backend, prefetch)`` combination — each
   output row is produced by one segmented reduction over the same elements
@@ -107,10 +107,10 @@ class StreamingExecutor:
         Worker count for a string-specified backend (``"serial"`` takes
         only 1).
     prefetch:
-        Stage the next batch on a background thread (double buffering; see
-        :mod:`repro.engine.prefetch`), or let a source that reads ahead on
-        its own (a v2 chunked cache) decode the next chunks in the
-        background. Equivalent to wrapping ``source`` in a
+        Reduce the source's read-ahead partition, so a source that reads
+        ahead on its own (a v2 chunked cache) decodes the next chunks in
+        the background (see :mod:`repro.engine.prefetch`); a pass-through
+        for every other source. Equivalent to wrapping ``source`` in a
         :class:`PrefetchingSource`.
     kernel:
         Name of the :mod:`repro.tensor.kernelreg` tier every batch
@@ -155,12 +155,10 @@ class StreamingExecutor:
                     f"batch_size must be >= 1 (or None for whole-shard "
                     f"batches), got {batch_size}"
                 )
-        self._owns_prefetcher = False
         if isinstance(source, PrefetchingSource):
             prefetch = True
         elif prefetch:
             source = PrefetchingSource(source)
-            self._owns_prefetcher = True
         self._owns_backend = not isinstance(backend, ExecutionBackend)
         self.backend = create_backend(backend, workers)
         if kernel is None:
@@ -181,15 +179,11 @@ class StreamingExecutor:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release the backend (pools, shared memory) if this executor owns
-        it, and stop any prefetch loader threads of a wrapper this executor
-        created (a caller-provided :class:`PrefetchingSource` stays with its
-        owner, like a backend instance). Idempotent."""
+        it. Idempotent."""
         if not self._closed:
             self._closed = True
             if self._owns_backend:
                 self.backend.close()
-            if self._owns_prefetcher:
-                self.source.close()
 
     def __enter__(self) -> "StreamingExecutor":
         return self
@@ -232,22 +226,8 @@ class StreamingExecutor:
             return out
         part = self.source.partition(mode)
         attach = self.source.process_attach_spec(mode)
-        items = batches
-        if isinstance(self.source, PrefetchingSource):
-            ahead = self.source.read_ahead_partition(mode)
-            if ahead is None:
-                # A process backend re-reads elements through its
-                # attachment, so staged LoadedBatch copies only help when
-                # staging warms what the workers read (an mmap attachment's
-                # page cache); for resident sources they are pure copies.
-                if not (self.backend.crosses_processes and attach is None):
-                    items = self.source.iter_batches(mode, batches)
-            elif not self.backend.crosses_processes:
-                part = ahead
-            # else: process workers attach to the chunked cache and decode
-            # their own chunks; the coordinator reads none
         for rows, partial in self.backend.map_batches(
-            part, factors, mode, items, attach=attach, kernel=self.kernel
+            part, factors, mode, batches, attach=attach, kernel=self.kernel
         ):
             out[rows] += partial
         return out

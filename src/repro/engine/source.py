@@ -18,8 +18,8 @@ behind the batches so the same executor can stream from
 * :class:`CompressedChunkSource` — a v2 chunked/compressed shard cache
   (:func:`repro.tensor.io.write_shard_cache_v2`) for cold-storage tensors:
   instead of mmap's page faulting, batches are served by explicit
-  double-buffered chunk reads + decompression — wrap it in a
-  :class:`repro.engine.prefetch.PrefetchingSource` and the next chunks
+  double-buffered chunk reads + decompression — with prefetch on
+  (:class:`repro.engine.prefetch.PrefetchingSource`) the next chunks
   decompress on the reader's decode pool while the current batch reduces.
 
 :func:`open_shard_source` sniffs a cache file's format (v1 mmap ``.npz``
@@ -122,8 +122,9 @@ class ShardSource(ABC):
     """Yields segment-aligned element batches of the per-mode tensor copies.
 
     Subclasses provide the mode-sorted element data (resident, mapped, or
-    generated) plus the shard tables and shard→GPU assignment the AMPED
-    algorithm schedules on. :class:`repro.engine.StreamingExecutor` is the
+    generated) and build the shard tables and shard→GPU assignment the
+    AMPED algorithm schedules on with :meth:`_build_layout` (or override
+    the accessors). :class:`repro.engine.StreamingExecutor` is the
     consumer: it plans batches over :meth:`mode_keys` and reduces the blocks
     :meth:`partition` exposes.
     """
@@ -142,8 +143,8 @@ class ShardSource(ABC):
     def nnz(self) -> int: ...
 
     @property
-    @abstractmethod
-    def n_gpus(self) -> int: ...
+    def n_gpus(self) -> int:
+        return self._n_gpus
 
     @property
     def nmodes(self) -> int:
@@ -154,18 +155,45 @@ class ShardSource(ABC):
     def partition(self, mode: int) -> ModePartition:
         """Shard table + (possibly lazy) mode-sorted copy of one mode."""
 
-    @abstractmethod
     def assignment(self, mode: int) -> np.ndarray:
         """Static shard→GPU assignment of one mode."""
+        return self._assignments[self._check_mode(mode)]
 
     def shards(self, mode: int) -> tuple[Shard, ...]:
         """The shard table of one mode.
 
-        Metadata only — lazy sources override this so callers that need the
-        table (e.g. workload construction) never force a mode copy to
-        materialize.
+        Metadata only, so callers that need the table (e.g. workload
+        construction) never force a mode copy to materialize.
         """
-        return self.partition(mode).shards
+        return self._shards[self._check_mode(mode)]
+
+    def _build_layout(
+        self,
+        keys_of: Callable[[int], np.ndarray],
+        *,
+        n_gpus: int,
+        shards_per_gpu: int,
+        policy: str,
+    ) -> None:
+        """Validate the sharding knobs and build every mode's shard table
+        and shard→GPU assignment from its sorted key column ``keys_of(m)``
+        — the same steps as :func:`repro.partition.plan.build_partition_plan`,
+        so every source shards bit-identically to the in-memory path."""
+        if n_gpus <= 0:
+            raise ReproError("n_gpus must be positive")
+        if shards_per_gpu <= 0:
+            raise ReproError("shards_per_gpu must be positive")
+        self._n_gpus = int(n_gpus)
+        n_shards = self._n_gpus * int(shards_per_gpu)
+        self._shards: list[tuple[Shard, ...]] = []
+        self._assignments: list[np.ndarray] = []
+        for m, extent in enumerate(self.shape):
+            shards = shard_table(keys_of(m), extent, m, n_shards)
+            nnz_per_shard = np.array([s.nnz for s in shards], dtype=np.int64)
+            self._shards.append(shards)
+            self._assignments.append(
+                assign_shards(nnz_per_shard, self._n_gpus, policy)
+            )
 
     def mode_keys(self, mode: int) -> np.ndarray:
         """The sorted output-mode key column (overridden where a contiguous
@@ -194,9 +222,7 @@ class ShardSource(ABC):
         themselves.
 
         ``None`` (the default) means the source has no read-ahead of its
-        own: a prefetching executor stages its batches on the
-        :class:`repro.engine.prefetch.PrefetchingSource` loader thread
-        instead.
+        own: a prefetching executor reduces :meth:`partition` as is.
         """
         return None
 
@@ -281,6 +307,9 @@ class InMemorySource(ShardSource):
     def assignment(self, mode: int) -> np.ndarray:
         return self._plan.assignments[self._check_mode(mode)]
 
+    def shards(self, mode: int) -> tuple[Shard, ...]:
+        return self.partition(mode).shards
+
     def partition_plan(self) -> PartitionPlan:
         return self._plan
 
@@ -311,16 +340,11 @@ class MmapNpzSource(ShardSource):
         shards_per_gpu: int = 16,
         policy: str = "lpt",
     ) -> None:
-        if n_gpus <= 0:
-            raise ReproError("n_gpus must be positive")
-        if shards_per_gpu <= 0:
-            raise ReproError("shards_per_gpu must be positive")
         self.path = shard_cache_path(path)
         self._arrays: dict[str, np.ndarray] | None = load_shard_cache(
             self.path, mmap=True
         )
         self._shape = tuple(int(s) for s in np.asarray(self._arrays["shape"]))
-        self._n_gpus = int(n_gpus)
         missing = [
             key
             for key in ["nnz"]
@@ -337,16 +361,10 @@ class MmapNpzSource(ShardSource):
                 f"rebuild with write_shard_cache()"
             )
         self._nnz = int(np.asarray(self._arrays["nnz"]).ravel()[0])
-        n_shards = self._n_gpus * int(shards_per_gpu)
-        self._shards: list[tuple[Shard, ...]] = []
-        self._assignments: list[np.ndarray] = []
-        for m, extent in enumerate(self._shape):
-            shards = shard_table(self.mode_keys(m), extent, m, n_shards)
-            nnz_per_shard = np.array([s.nnz for s in shards], dtype=np.int64)
-            self._shards.append(shards)
-            self._assignments.append(
-                assign_shards(nnz_per_shard, self._n_gpus, policy)
-            )
+        self._build_layout(
+            self.mode_keys,
+            n_gpus=n_gpus, shards_per_gpu=shards_per_gpu, policy=policy,
+        )
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -355,10 +373,6 @@ class MmapNpzSource(ShardSource):
     @property
     def nnz(self) -> int:
         return self._nnz
-
-    @property
-    def n_gpus(self) -> int:
-        return self._n_gpus
 
     def _array(self, key: str) -> np.ndarray:
         if self._arrays is None:
@@ -379,12 +393,6 @@ class MmapNpzSource(ShardSource):
             self._shape,
         )
         return ModePartition(mode=mode, tensor=view, shards=self._shards[mode])
-
-    def shards(self, mode: int) -> tuple[Shard, ...]:
-        return self._shards[self._check_mode(mode)]
-
-    def assignment(self, mode: int) -> np.ndarray:
-        return self._assignments[self._check_mode(mode)]
 
     def process_attach_spec(self, mode: int):
         """Process workers re-open this cache read-only by path (zero-copy:
@@ -431,10 +439,10 @@ class CompressedChunkSource(ShardSource):
     (:meth:`read_ahead_partition`): a chunk the consumer reaches starts
     the next :data:`repro.tensor.io_v2.READ_AHEAD_CHUNKS` chunks of its
     array decoding on the reader's decode pool, so decompression overlaps
-    the current batch's reduction without a batch loader thread. Shard
-    tables, batch boundaries, and results are bit-identical to every other
-    source (the cache stores the same stable mode-sorted copies), which
-    the source/equivalence matrix pins.
+    the current batch's reduction. Shard tables, batch boundaries, and
+    results are bit-identical to every other source (the cache stores the
+    same stable mode-sorted copies), which the source/equivalence matrix
+    pins.
     """
 
     is_out_of_core = True
@@ -448,28 +456,16 @@ class CompressedChunkSource(ShardSource):
         policy: str = "lpt",
         cache_chunks: int = DEFAULT_CHUNK_CACHE,
     ) -> None:
-        if n_gpus <= 0:
-            raise ReproError("n_gpus must be positive")
-        if shards_per_gpu <= 0:
-            raise ReproError("shards_per_gpu must be positive")
         self.path = shard_cache_path(path)
         self._reader = load_shard_cache_v2(self.path, cache_chunks=cache_chunks)
         self._shape = self._reader.shape
         self._nnz = self._reader.nnz
-        self._n_gpus = int(n_gpus)
-        n_shards = self._n_gpus * int(shards_per_gpu)
-        self._shards: list[tuple[Shard, ...]] = []
-        self._assignments: list[np.ndarray] = []
         self._keys_cache: tuple[int, np.ndarray] | None = None
-        for m, extent in enumerate(self._shape):
-            # one decompressed key column at a time (transient)
-            keys = np.asarray(self._reader.array(f"mode{m}_keys"))
-            shards = shard_table(keys, extent, m, n_shards)
-            nnz_per_shard = np.array([s.nnz for s in shards], dtype=np.int64)
-            self._shards.append(shards)
-            self._assignments.append(
-                assign_shards(nnz_per_shard, self._n_gpus, policy)
-            )
+        # one decompressed key column at a time (transient)
+        self._build_layout(
+            lambda m: np.asarray(self._reader.array(f"mode{m}_keys")),
+            n_gpus=n_gpus, shards_per_gpu=shards_per_gpu, policy=policy,
+        )
 
     # ---- identity -----------------------------------------------------
     @property
@@ -479,10 +475,6 @@ class CompressedChunkSource(ShardSource):
     @property
     def nnz(self) -> int:
         return self._nnz
-
-    @property
-    def n_gpus(self) -> int:
-        return self._n_gpus
 
     @property
     def codec(self) -> str:
@@ -551,12 +543,6 @@ class CompressedChunkSource(ShardSource):
             self._shape,
         )
         return ModePartition(mode=mode, tensor=view, shards=self._shards[mode])
-
-    def shards(self, mode: int) -> tuple[Shard, ...]:
-        return self._shards[self._check_mode(mode)]
-
-    def assignment(self, mode: int) -> np.ndarray:
-        return self._assignments[self._check_mode(mode)]
 
     def process_attach_spec(self, mode: int):
         """Process workers re-open the v2 cache by path and decompress the
@@ -637,27 +623,15 @@ class SyntheticSource(ShardSource):
     ) -> None:
         if not callable(builder):
             raise ReproError("builder must be a zero-argument callable")
-        if n_gpus <= 0:
-            raise ReproError("n_gpus must be positive")
-        if shards_per_gpu <= 0:
-            raise ReproError("shards_per_gpu must be positive")
         self._builder = builder
-        self._n_gpus = int(n_gpus)
         tensor = self._build()
         self._shape = tensor.shape
         self._nnz = tensor.nnz
         self._checksum = self._fingerprint(tensor)
-        n_shards = self._n_gpus * int(shards_per_gpu)
-        self._shards = []
-        self._assignments = []
-        for m, extent in enumerate(self._shape):
-            keys = np.sort(tensor.indices[:, m])
-            shards = shard_table(keys, extent, m, n_shards)
-            nnz_per_shard = np.array([s.nnz for s in shards], dtype=np.int64)
-            self._shards.append(shards)
-            self._assignments.append(
-                assign_shards(nnz_per_shard, self._n_gpus, policy)
-            )
+        self._build_layout(
+            lambda m: np.sort(tensor.indices[:, m]),
+            n_gpus=n_gpus, shards_per_gpu=shards_per_gpu, policy=policy,
+        )
         self._cached: tuple[int, ModePartition] | None = None
 
     @staticmethod
@@ -686,10 +660,6 @@ class SyntheticSource(ShardSource):
     def nnz(self) -> int:
         return self._nnz
 
-    @property
-    def n_gpus(self) -> int:
-        return self._n_gpus
-
     def partition(self, mode: int) -> ModePartition:
         mode = self._check_mode(mode)
         if self._cached is not None and self._cached[0] == mode:
@@ -707,8 +677,3 @@ class SyntheticSource(ShardSource):
         self._cached = (mode, part)
         return part
 
-    def shards(self, mode: int) -> tuple[Shard, ...]:
-        return self._shards[self._check_mode(mode)]
-
-    def assignment(self, mode: int) -> np.ndarray:
-        return self._assignments[self._check_mode(mode)]

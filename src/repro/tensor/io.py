@@ -24,7 +24,7 @@ from __future__ import annotations
 import io
 import zipfile
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -70,6 +70,51 @@ def _parse_tns_chunk(rows: list[list[str]], path) -> tuple[np.ndarray, np.ndarra
     return indices, data[:, -1]
 
 
+def _tns_blocks(
+    path, max_nnz: int | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Stream a ``.tns`` file as ``(0-based indices, values)`` blocks of at
+    most :data:`_TNS_CHUNK_LINES` rows, in file order.
+
+    The one ``.tns`` parser: :func:`read_tns` and the v2 external-sort
+    builder both consume it. Blank and ``#``/``%`` comment lines are
+    skipped, every line must carry the same number (>= 2) of columns, and
+    the ``max_nnz`` guard raises as soon as the line count exceeds it.
+    """
+    if max_nnz is not None and max_nnz < 0:
+        raise TensorFormatError(f"max_nnz must be >= 0, got {max_nnz}")
+    buf: list[list[str]] = []
+    width: int | None = None
+    nnz = 0
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line or line.startswith(("#", "%")):
+                continue
+            fields = line.split()
+            if width is None:
+                width = len(fields)
+                if width < 2:
+                    raise TensorFormatError(
+                        f"{path}: lines must contain indices and a value"
+                    )
+            elif len(fields) != width:
+                raise TensorFormatError(f"{path}: inconsistent column counts")
+            nnz += 1
+            if max_nnz is not None and nnz > max_nnz:
+                raise TensorFormatError(
+                    f"{path}: more than max_nnz={max_nnz} nonzeros; raise the "
+                    f"guard, or build a shard cache with "
+                    f"write_shard_cache_streaming() and stream it out of core"
+                )
+            buf.append(fields)
+            if len(buf) >= _TNS_CHUNK_LINES:
+                yield _parse_tns_chunk(buf, path)
+                buf.clear()
+    if buf:
+        yield _parse_tns_chunk(buf, path)
+
+
 def read_tns(
     path,
     *,
@@ -90,46 +135,11 @@ def read_tns(
         FROSTT downloads should instead be converted once with
         :func:`tns_to_shard_cache` and streamed out of core.
     """
-    if max_nnz is not None and max_nnz < 0:
-        raise TensorFormatError(f"max_nnz must be >= 0, got {max_nnz}")
     idx_chunks: list[np.ndarray] = []
     val_chunks: list[np.ndarray] = []
-    buf: list[list[str]] = []
-    width: int | None = None
-    nnz = 0
-
-    def flush() -> None:
-        if buf:
-            indices, values = _parse_tns_chunk(buf, path)
-            idx_chunks.append(indices)
-            val_chunks.append(values)
-            buf.clear()
-
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith(("#", "%")):
-                continue
-            fields = line.split()
-            if width is None:
-                width = len(fields)
-                if width < 2:
-                    raise TensorFormatError(
-                        f"{path}: lines must contain indices and a value"
-                    )
-            elif len(fields) != width:
-                raise TensorFormatError(f"{path}: inconsistent column counts")
-            nnz += 1
-            if max_nnz is not None and nnz > max_nnz:
-                raise TensorFormatError(
-                    f"{path}: more than max_nnz={max_nnz} nonzeros; raise the "
-                    f"guard, or convert the file once with "
-                    f"tns_to_shard_cache() and stream it out of core"
-                )
-            buf.append(fields)
-            if len(buf) >= _TNS_CHUNK_LINES:
-                flush()
-    flush()
+    for indices, values in _tns_blocks(path, max_nnz):
+        idx_chunks.append(indices)
+        val_chunks.append(values)
 
     if not idx_chunks:
         if shape is None:

@@ -591,11 +591,11 @@ class _PeakTracker:
 def _ingest_blocks(source, shape, max_nnz):
     """Yield ``(indices, values)`` blocks of the input in stream order.
 
-    ``source`` is a ``.tns`` path (streamed line by line through the v1
-    chunk parser) or an in-memory :class:`SparseTensorCOO` (sliced, no
+    ``source`` is a ``.tns`` path (streamed line by line through
+    :mod:`repro.tensor.io`'s ``.tns`` block parser) or an in-memory :class:`SparseTensorCOO` (sliced, no
     copies). The caller re-blocks to the run size.
     """
-    from repro.tensor.io import _TNS_CHUNK_LINES, _parse_tns_chunk
+    from repro.tensor.io import _TNS_CHUNK_LINES, _tns_blocks
 
     if isinstance(source, SparseTensorCOO):
         if max_nnz is not None and source.nnz > max_nnz:
@@ -607,35 +607,7 @@ def _ingest_blocks(source, shape, max_nnz):
         for lo in range(0, source.nnz, step):
             yield source.indices[lo : lo + step], source.values[lo : lo + step]
         return
-    path = Path(source)
-    buf: list[list[str]] = []
-    width: int | None = None
-    nnz = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith(("#", "%")):
-                continue
-            fields = line.split()
-            if width is None:
-                width = len(fields)
-                if width < 2:
-                    raise TensorFormatError(
-                        f"{path}: lines must contain indices and a value"
-                    )
-            elif len(fields) != width:
-                raise TensorFormatError(f"{path}: inconsistent column counts")
-            nnz += 1
-            if max_nnz is not None and nnz > max_nnz:
-                raise TensorFormatError(
-                    f"{path}: more than max_nnz={max_nnz} nonzeros"
-                )
-            buf.append(fields)
-            if len(buf) >= _TNS_CHUNK_LINES:
-                yield _parse_tns_chunk(buf, path)
-                buf.clear()
-    if buf:
-        yield _parse_tns_chunk(buf, path)
+    yield from _tns_blocks(Path(source), max_nnz)
 
 
 def _spill_input_segments(source, shape, max_nnz, run_nnz, tmp, track):

@@ -143,8 +143,6 @@ class TestCreateBackend:
         assert not SerialBackend.parallel
         assert ThreadBackend.parallel and not ThreadBackend.crosses_processes
         assert ProcessBackend.parallel and ProcessBackend.crosses_processes
-        assert ProcessBackend.supports_mmap_attach
-        assert not ThreadBackend.supports_mmap_attach
 
 
 class TestLifecycle:
@@ -291,11 +289,6 @@ class TestPrefetchingSource:
         with pytest.raises(ReproError, match="already prefetching"):
             PrefetchingSource(ps)
 
-    @pytest.mark.parametrize("depth", [0, -1, 1000])
-    def test_depth_validated(self, plan, depth):
-        with pytest.raises(ReproError, match="depth"):
-            PrefetchingSource(InMemorySource(plan), depth=depth)
-
     def test_delegates_structure(self, tensor, plan, cache_path):
         inner = MmapNpzSource(
             cache_path, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
@@ -311,7 +304,7 @@ class TestPrefetchingSource:
 
     def test_yields_wrapped_batches_in_order(self, tensor, plan):
         source = InMemorySource(plan)
-        ps = PrefetchingSource(source, depth=2)
+        ps = PrefetchingSource(source)
         part = source.partition(0)
         batches = build_batch_plan(part, 13).batches
         loaded = list(ps.iter_batches(0, batches))
@@ -333,18 +326,6 @@ class TestPrefetchingSource:
         next(it), next(it)
         with pytest.raises(RuntimeError, match="disk on fire"):
             next(it)
-
-    def test_abandoning_iterator_stops_loader(self, plan):
-        import threading
-
-        before = threading.active_count()
-        ps = PrefetchingSource(InMemorySource(plan), depth=1)
-        batches = build_batch_plan(plan.modes[0], 7).batches
-        it = ps.iter_batches(0, batches)
-        next(it)
-        it.close()  # abandon mid-stream
-        # loader threads are joined by the generator's finally block
-        assert threading.active_count() <= before + 1
 
     def test_executor_accepts_prefetching_source(self, plan, factors, eager):
         ps = PrefetchingSource(InMemorySource(plan))

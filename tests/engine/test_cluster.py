@@ -94,7 +94,6 @@ class TestAddressesAndConstruction:
             assert isinstance(backend, ClusterBackend)
             assert backend.name == "cluster"
             assert backend.parallel and backend.crosses_processes
-            assert backend.supports_mmap_attach
         finally:
             backend.close()
 

@@ -1,24 +1,27 @@
-"""Regression tests for the PrefetchingSource loader-thread lifecycle.
+"""Prefetch starts no thread of its own.
 
-The satellite bug: a consumer that stops pulling mid-stream (an early
-``break``, an exception, or simply dropping the iterator) used to leave the
-daemon loader thread blocked on its full queue — and a loader exception
-arriving *after* the consumer stopped had nowhere to go. The contract now:
-every abandonment path (``break``/GeneratorExit via the generator's
-``finally``, or :meth:`PrefetchingSource.close` for a dropped reference)
-stops **and joins** the loader, on every source type, and late loader
-exceptions are swallowed without wedging the thread.
+With ``prefetch`` on, the only threads a sweep may start are the backend's
+pool threads and a v2 cache's ``repro-v2-decode`` read-ahead pool; resident
+and v1 mmap sources are sliced in place. Closing the executor must leave
+``threading.active_count()`` where it started, on every source and backend.
+
+The abandonment paths of :meth:`PrefetchingSource.iter_batches` (an early
+``break``, a dropped iterator, an error mid-stream) must leave nothing
+running either, on every source type, and ``PrefetchingSource.close()``
+must leave the wrapped source open for whoever owns it.
 """
 
 from __future__ import annotations
 
 import gc
 import threading
-import time
 
 import numpy as np
 import pytest
 
+from helpers import force_cpus, make_factors
+from repro.core.amped import AmpedMTTKRP
+from repro.core.config import AmpedConfig
 from repro.engine import (
     CompressedChunkSource,
     InMemorySource,
@@ -35,6 +38,9 @@ from repro.tensor.io import write_shard_cache, write_shard_cache_v2
 N_GPUS = 2
 SHARDS_PER_GPU = 3
 
+#: thread-name prefixes a prefetching sweep may start
+ALLOWED_PREFIXES = ("repro-engine", "repro-v2-decode")
+
 
 def _tensor():
     return zipf_coo((30, 20, 25), 900, exponents=1.0, seed=12)
@@ -46,36 +52,89 @@ def tensor():
 
 
 @pytest.fixture(scope="module")
-def plan(tensor):
-    return build_partition_plan(tensor, N_GPUS, shards_per_gpu=SHARDS_PER_GPU)
+def caches(tensor, tmp_path_factory):
+    root = tmp_path_factory.mktemp("pf")
+    return {
+        "mmap": write_shard_cache(tensor, root / "v1.npz"),
+        "zlib": write_shard_cache_v2(
+            tensor, root / "v2.npz", codec="zlib", chunk_nnz=128
+        ),
+    }
 
 
-@pytest.fixture(scope="module")
-def cache_path(tensor, tmp_path_factory):
-    return write_shard_cache(tensor, tmp_path_factory.mktemp("pf") / "t.npz")
+def _is_pool_thread(name: str, target) -> bool:
+    """A backend pool thread: the thread backend's workers, or the
+    multiprocessing pool's own handler threads."""
+    qualname = getattr(target, "__qualname__", "")
+    return name.startswith(ALLOWED_PREFIXES) or qualname.startswith("Pool.")
 
 
-@pytest.fixture(scope="module")
-def cache_v2_path(tensor, tmp_path_factory):
-    return write_shard_cache_v2(
-        tensor, tmp_path_factory.mktemp("pf2") / "t.npz",
-        codec="zlib", chunk_nnz=128,
+@pytest.mark.parametrize("backend,workers", [
+    ("serial", 1), ("thread", 2), ("process", 2),
+])
+@pytest.mark.parametrize("kind", ["resident", "mmap", "zlib"])
+def test_prefetch_sweep_starts_only_pool_threads(
+    kind, backend, workers, tensor, caches, monkeypatch
+):
+    force_cpus(monkeypatch, 2)  # a decode pool even on a one-CPU host
+    started: list[tuple[str, object]] = []
+    start = threading.Thread.start
+
+    def recording_start(self):
+        started.append((self.name, getattr(self, "_target", None)))
+        return start(self)
+
+    gc.collect()
+    baseline = threading.active_count()
+    cfg = AmpedConfig(
+        n_gpus=N_GPUS, rank=4, shards_per_gpu=SHARDS_PER_GPU,
+        backend=backend, workers=workers, prefetch=True, batch_size=64,
     )
+    factors = make_factors(tensor.shape, rank=4)
+    serial = cfg.replace(backend="serial", workers=1, prefetch=False)
+    with AmpedMTTKRP(tensor, serial) as ref:
+        want = ref.mttkrp_all_modes(factors)
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    if kind == "resident":
+        ex = AmpedMTTKRP(tensor, cfg)
+    else:
+        ex = AmpedMTTKRP.from_shard_cache(caches[kind], cfg)
+    with ex:
+        assert ex.engine.prefetch
+        got = ex.mttkrp_all_modes(factors)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    for m in range(tensor.nmodes):
+        assert np.array_equal(got[m], want[m])
+    stray = [name for name, target in started
+             if not _is_pool_thread(name, target)]
+    assert not stray, f"prefetch started threads {stray}"
+    if kind == "zlib" and backend != "process":
+        assert any(n.startswith("repro-v2-decode") for n, _ in started)
+    if kind != "zlib":
+        assert not any(n.startswith("repro-v2-decode") for n, _ in started)
+    assert threading.active_count() == baseline
 
+
+# ---- iter_batches abandonment and ownership ---------------------------
 
 SOURCE_KINDS = ["memory", "mmap", "chunked", "synthetic"]
 
 
-def make_source(kind, plan, cache_path, cache_v2_path):
+@pytest.fixture(scope="module")
+def plan(tensor):
+    return build_partition_plan(tensor, N_GPUS, shards_per_gpu=SHARDS_PER_GPU)
+
+
+def make_source(kind, plan, caches):
     if kind == "memory":
         return InMemorySource(plan)
     if kind == "mmap":
         return MmapNpzSource(
-            cache_path, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
+            caches["mmap"], n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
         )
     if kind == "chunked":
         return CompressedChunkSource(
-            cache_v2_path, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
+            caches["zlib"], n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
         )
     if kind == "synthetic":
         return SyntheticSource(
@@ -84,189 +143,129 @@ def make_source(kind, plan, cache_path, cache_v2_path):
     raise AssertionError(kind)
 
 
-def _live_loaders() -> list[threading.Thread]:
-    return [
-        t
-        for t in threading.enumerate()
-        if t.name.startswith("repro-prefetch") and t.is_alive()
-    ]
+@pytest.fixture
+def thread_record(monkeypatch):
+    """Names of the threads started during the test; on exit, every one of
+    them must be a v2 decode thread and the thread count back to baseline."""
+    force_cpus(monkeypatch, 2)
+    gc.collect()
+    baseline = threading.active_count()
+    started: list[str] = []
+    start = threading.Thread.start
+
+    def recording_start(self):
+        started.append(self.name)
+        return start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    yield started
+    monkeypatch.setattr(threading.Thread, "start", start)
+    stray = [n for n in started if not n.startswith("repro-v2-decode")]
+    assert not stray, f"prefetch started threads {stray}"
+    assert threading.active_count() == baseline
 
 
-def _assert_no_loaders(deadline: float = 5.0) -> None:
-    end = time.monotonic() + deadline
-    while time.monotonic() < end:
-        if not _live_loaders():
-            return
-        time.sleep(0.01)
-    raise AssertionError(f"leaked prefetch loaders: {_live_loaders()}")
+def _close(source) -> None:
+    if hasattr(source, "close"):
+        source.close()
 
 
-@pytest.fixture(autouse=True)
-def no_leaked_loaders():
-    """Every test must leave zero loader threads behind."""
-    assert not _live_loaders(), "dirty state from a previous test"
-    yield
-    _assert_no_loaders()
+def _small_batches(ps: PrefetchingSource):
+    batches = build_batch_plan(
+        ps.partition(0), 32, keys=ps.mode_keys(0)
+    ).batches
+    assert len(batches) > 4
+    return batches
 
 
 class TestAbandonedIteration:
-    """Consumer breaks mid-stream: the loader must be joined, per source."""
+    """A consumer that stops mid-stream leaves nothing running, per source."""
 
     @pytest.mark.parametrize("kind", SOURCE_KINDS)
-    def test_break_joins_loader(self, kind, plan, cache_path, cache_v2_path):
-        source = make_source(kind, plan, cache_path, cache_v2_path)
-        ps = PrefetchingSource(source, depth=1)
-        # a batch plan with many small batches so the loader is mid-flight
-        batches = build_batch_plan(
-            ps.partition(0), 32, keys=ps.mode_keys(0)
-        ).batches
-        assert len(batches) > 4
-        for i, loaded in enumerate(ps.iter_batches(0, batches)):
-            assert loaded.nnz > 0
+    def test_break_joins_loader(self, kind, plan, caches, thread_record):
+        source = make_source(kind, plan, caches)
+        ps = PrefetchingSource(source)
+        part = source.partition(0)
+        for i, loaded in enumerate(ps.iter_batches(0, _small_batches(ps))):
+            sl = loaded.batch.elements
+            assert np.array_equal(loaded.indices, part.tensor.indices[sl])
+            assert np.array_equal(loaded.values, part.tensor.values[sl])
             if i == 1:
-                break  # GeneratorExit -> finally -> shutdown
-        assert ps.active_loaders == 0
-        _assert_no_loaders()
-        if hasattr(source, "close"):
-            source.close()
+                break
+        _close(source)  # shuts down a v2 reader's decode pool
+        if kind == "chunked":
+            assert any(n.startswith("repro-v2-decode") for n in thread_record)
+        else:
+            assert not thread_record
 
     @pytest.mark.parametrize("kind", SOURCE_KINDS)
     def test_dropped_iterator_joined_by_close(
-        self, kind, plan, cache_path, cache_v2_path
+        self, kind, plan, caches, thread_record
     ):
-        """A reference-dropped (never closed) iterator is the leak case the
-        generator's ``finally`` cannot see until GC; ``close()`` must join
-        the loader deterministically."""
-        source = make_source(kind, plan, cache_path, cache_v2_path)
-        ps = PrefetchingSource(source, depth=1)
-        batches = build_batch_plan(
-            ps.partition(0), 32, keys=ps.mode_keys(0)
-        ).batches
-        it = ps.iter_batches(0, batches)
+        """A reference-dropped (never exhausted) iterator holds nothing
+        that ``close()`` must release; closing twice and then closing the
+        abandoned generator are no-ops, and the wrapped source stays open."""
+        source = make_source(kind, plan, caches)
+        ps = PrefetchingSource(source)
+        it = ps.iter_batches(0, _small_batches(ps))
         next(it)
-        assert ps.active_loaders == 1
-        ps.close()  # the consumer never touched `it` again
-        assert ps.active_loaders == 0
-        _assert_no_loaders()
-        # closing again is a no-op, and the abandoned generator's own
-        # cleanup must not raise either
+        ps.close()
         ps.close()
         it.close()
-        if hasattr(source, "close"):
-            source.close()
+        want = source.partition(1).tensor.values
+        assert np.array_equal(ps.partition(1).tensor.values, want)
+        _close(source)
 
-    def test_exhausted_iteration_leaves_nothing(self, plan):
-        ps = PrefetchingSource(InMemorySource(plan), depth=2)
+    def test_exhausted_iteration_leaves_nothing(self, plan, thread_record):
+        ps = PrefetchingSource(InMemorySource(plan))
         batches = build_batch_plan(ps.partition(0), 64).batches
         assert len(list(ps.iter_batches(0, batches))) == len(batches)
-        assert ps.active_loaders == 0
 
 
 class TestLateLoaderFailure:
-    def test_error_after_consumer_stopped_is_swallowed(self, plan):
-        """A loader exception with nobody left to pull must not wedge the
-        thread (the old code could spin forever trying to enqueue it)."""
-        ps = PrefetchingSource(InMemorySource(plan), depth=1)
-        released = threading.Event()
+    def test_error_while_consuming_still_propagates(self, plan, thread_record):
+        """A failing read of the wrapped source surfaces at the consumer."""
 
-        def batches():
-            yield from build_batch_plan(plan.modes[0], 32).batches[:2]
-            released.wait(5.0)  # past the consumer's break
-            raise RuntimeError("late disk failure")
+        class FailingSource(InMemorySource):
+            def partition(self, mode):
+                raise RuntimeError("disk on fire")
 
-        it = ps.iter_batches(0, batches())
-        next(it)
-        # release the loader into its raise *while* close() is joining it:
-        # the exception arrives with the consumer already gone
-        threading.Timer(0.05, released.set).start()
-        it.close()
-        _assert_no_loaders()
-
-    def test_error_while_consuming_still_propagates(self, plan):
-        ps = PrefetchingSource(InMemorySource(plan), depth=1)
-
-        def batches():
-            yield from build_batch_plan(plan.modes[0], 32).batches[:1]
-            raise RuntimeError("disk on fire")
-
+        ps = PrefetchingSource(FailingSource(plan))
+        batches = build_batch_plan(plan.modes[0], 32).batches
         with pytest.raises(RuntimeError, match="disk on fire"):
-            list(ps.iter_batches(0, batches()))
-        assert ps.active_loaders == 0
+            list(ps.iter_batches(0, batches))
 
 
 class TestExecutorOwnership:
-    def test_executor_close_joins_owned_prefetcher(self, plan):
-        factors = [
-            np.random.default_rng(1).random((s, 4))
-            for s in InMemorySource(plan).shape
-        ]
+    def test_executor_close_joins_owned_prefetcher(self, plan, thread_record):
+        factors = make_factors(InMemorySource(plan).shape, rank=4)
         engine = StreamingExecutor(
             InMemorySource(plan), batch_size=32, prefetch=True
         )
+        assert isinstance(engine.source, PrefetchingSource)
         engine.mttkrp(factors, 0)
         engine.close()
-        assert engine.source.active_loaders == 0
-        _assert_no_loaders()
 
-    def test_executor_leaves_shared_prefetcher_to_owner(self, plan):
-        ps = PrefetchingSource(InMemorySource(plan), depth=1)
-        batches = build_batch_plan(ps.partition(0), 32).batches
-        it = ps.iter_batches(0, batches)
-        next(it)
-        with StreamingExecutor(ps, batch_size=32):
-            pass  # close() must not touch the caller's loaders
-        assert ps.active_loaders == 1
-        ps.close()
-        it.close()
+    def test_executor_leaves_shared_prefetcher_to_owner(
+        self, plan, caches, thread_record
+    ):
+        source = make_source("chunked", plan, caches)
+        ps = PrefetchingSource(source)
+        factors = make_factors(source.shape, rank=4)
+        with StreamingExecutor(ps, batch_size=32) as engine:
+            assert engine.source is ps
+            got = engine.mttkrp(factors, 0)
+        # the executor's close() left the caller's source open
+        with StreamingExecutor(source, batch_size=32) as engine:
+            assert np.array_equal(engine.mttkrp(factors, 0), got)
+        source.close()
 
-    def test_amped_prefetch_run_leaves_nothing(self, tensor):
-        from repro.core.amped import AmpedMTTKRP
-        from repro.core.config import AmpedConfig
-
-        rng = np.random.default_rng(5)
-        factors = [rng.random((s, 4)) for s in tensor.shape]
+    def test_amped_prefetch_run_leaves_nothing(self, tensor, thread_record):
+        factors = make_factors(tensor.shape, rank=4)
         cfg = AmpedConfig(
             n_gpus=2, rank=4, shards_per_gpu=2, prefetch=True, batch_size=64
         )
         with AmpedMTTKRP(tensor, cfg) as ex:
             ex.mttkrp(factors, 0)
         gc.collect()
-        _assert_no_loaders()
-
-
-class TestWedgedLoaderAndCrossThreadClose:
-    """Review hardening: shutdown must bound its join on a loader wedged in
-    stalled I/O, and close() from another thread must wake a consumer
-    blocked in ``queue.get()`` rather than strand it."""
-
-    def test_close_gives_up_on_wedged_loader_and_wakes_consumer(
-        self, plan, monkeypatch
-    ):
-        import repro.engine.prefetch as prefetch_mod
-
-        monkeypatch.setattr(prefetch_mod, "LOADER_JOIN_TIMEOUT", 0.3)
-        ps = PrefetchingSource(InMemorySource(plan), depth=1)
-        release = threading.Event()
-
-        def batches():
-            yield from build_batch_plan(plan.modes[0], 32).batches[:1]
-            release.wait(10.0)  # the loader is now wedged mid-"read"
-
-        it = ps.iter_batches(0, batches())
-        next(it)
-        drained: dict = {}
-
-        def consume():
-            drained["rest"] = sum(1 for _ in it)
-
-        consumer = threading.Thread(target=consume)
-        consumer.start()
-        time.sleep(0.1)  # consumer is blocked in queue.get()
-        t0 = time.monotonic()
-        ps.close()  # must neither hang on the wedged loader...
-        assert time.monotonic() - t0 < 5.0
-        consumer.join(timeout=5.0)
-        assert not consumer.is_alive()  # ...nor strand the consumer
-        assert drained["rest"] == 0
-        release.set()  # un-wedge; the loader observes stop and exits
-        _assert_no_loaders()
+        assert not thread_record

@@ -23,7 +23,6 @@ from repro.engine import (
     CompressedChunkSource,
     InMemorySource,
     MmapNpzSource,
-    PrefetchingSource,
     ProcessBackend,
     SerialBackend,
     StreamingExecutor,
@@ -583,10 +582,6 @@ class TestCompressedChunkSource:
             v2.close()
 
 
-def _no_batch_loader(*args, **kw):
-    raise AssertionError("batch loader ran over a chunked source")
-
-
 @pytest.fixture(scope="module", params=available_codecs())
 def codec_cache(request, tensor, tmp_path_factory):
     """``(codec, path)``: the module tensor in a v2 cache with 128-row
@@ -642,7 +637,6 @@ class TestChunkReadAhead:
             return load(self, name, i)
 
         force_cpus(monkeypatch, 4)
-        monkeypatch.setattr(PrefetchingSource, "iter_batches", _no_batch_loader)
         monkeypatch.setattr(io_v2.ChunkedCacheReader, "_load", traced)
         with CompressedChunkSource(
             cache_v2_path, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
@@ -671,7 +665,6 @@ class TestChunkReadAhead:
                 calls.append((name, i))
             return chunk(self, name, i, read_ahead)
 
-        monkeypatch.setattr(PrefetchingSource, "iter_batches", _no_batch_loader)
         with CompressedChunkSource(
             cache_v2_path, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
         ) as source:

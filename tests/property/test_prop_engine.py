@@ -14,8 +14,8 @@ Invariants (satellites of the streaming-engine and shard-source issues):
   bit-identical to the resident path;
 * :class:`repro.engine.PrefetchingSource` yields exactly the wrapped
   source's batches, in order, with byte-identical element arrays — for any
-  tensor, sharding, batch size, and prefetch depth (so prefetch can never
-  change a result, only when bytes are read);
+  tensor, sharding, and batch size (so prefetch can never change a
+  result, only when bytes are read);
 * the v2 chunked/compressed shard cache round-trips **byte-identically**
   for any tensor, codec, and chunk size — every mode-sorted array read
   back equals the bytes ``sorted_by_mode`` produced;
@@ -166,18 +166,16 @@ class TestSourceProperties:
 
 
 class TestPrefetchProperties:
-    @given(engine_cases(), st.integers(1, 5))
+    @given(engine_cases())
     @settings(max_examples=40, deadline=None)
-    def test_prefetching_source_yields_wrapped_batches_in_order(
-        self, case, depth
-    ):
+    def test_prefetching_source_yields_wrapped_batches_in_order(self, case):
         """PrefetchingSource delivery == the wrapped source's batches: same
         order, same plan entries, byte-identical staged element arrays."""
         shape, nnz, seed, n_gpus, shards_per_gpu, batch_size, _, mode = case
         t = zipf_coo(shape, nnz, exponents=1.0, seed=seed)
         plan = build_partition_plan(t, n_gpus, shards_per_gpu=shards_per_gpu)
         source = InMemorySource(plan)
-        prefetching = PrefetchingSource(source, depth=depth)
+        prefetching = PrefetchingSource(source)
         part = source.partition(mode)
         batches = build_batch_plan(part, batch_size).batches
         loaded = list(prefetching.iter_batches(mode, batches))

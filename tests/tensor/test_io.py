@@ -150,6 +150,30 @@ class TestStreamingReader:
             read_tns(path, max_nnz=25)
         assert sum(calls) <= 30  # only the chunks before the guard tripped
 
+    @pytest.mark.parametrize("text,max_nnz", [
+        ("1 1 1.0\n1 2\n", None),            # inconsistent column counts
+        ("# header\n5\n", None),             # no value column
+        ("0 1 1.0\n", None),                 # 0-based index
+        ("1 1 1.0\n2 2 2.0\n3 3 3.0\n", 2),  # over the max_nnz guard
+        ("1 1 1.0\n", -1),                   # invalid guard
+    ])
+    def test_streaming_builder_shares_the_parser(
+        self, tmp_path, text, max_nnz
+    ):
+        """read_tns and the v2 external-sort builder reject a malformed
+        file with the same error, raised by the same parser."""
+        path = tmp_path / "bad.tns"
+        path.write_text(text)
+        with pytest.raises(TensorFormatError) as direct:
+            read_tns(path, max_nnz=max_nnz)
+        with pytest.raises(TensorFormatError) as built:
+            write_shard_cache_streaming(
+                path, tmp_path / "bad.npz", memory_budget=1 << 20,
+                max_nnz=max_nnz,
+            )
+        assert str(built.value) == str(direct.value)
+        assert not (tmp_path / "bad.npz").exists()
+
 
 class TestShardCache:
     def test_round_trip_mode_sorted_bytes(self, tmp_path, small_tensor):
