@@ -24,7 +24,8 @@ model (:func:`repro.engine.costmodel.host_time_plan`), batch autotuning
   included — this was a documented 0.70 default before profile version 2);
 * ``mmap_read_bandwidth`` / ``chunk_read_bandwidth`` — memory-mapped vs
   explicit reads of a temporary file (page-cache-warm, like a hot run);
-* ``decompress_bandwidth`` — raw bytes/s per available v2 cache codec;
+* ``decompress_bandwidth`` — raw bytes/s per available v2 cache codec,
+  through the v2 reader's own frame decode (frame filter included);
 * ``serial_dispatch_s`` / ``thread_dispatch_s`` / ``process_task_s`` /
   ``pipe_bandwidth`` / ``prefetch_overhead_s`` — the per-batch overheads
   of each dispatch path (Python call, pool submit, process-pool round
@@ -52,7 +53,6 @@ import queue
 import socket
 import tempfile
 import time
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
@@ -64,6 +64,13 @@ from repro.engine.backend import reduce_batch_arrays
 from repro.engine.costmodel.hostprofile import (
     DEFAULT_PROFILE_PATH,
     HostProfile,
+)
+from repro.tensor.io_v2 import (
+    _compress_frame,
+    _decode_frame,
+    _frame_filter,
+    _resolve_codec,
+    available_codecs,
 )
 
 __all__ = ["profile_host", "write_host_profile"]
@@ -215,26 +222,23 @@ def _measure_file_bandwidths(nbytes: int, repeats: int) -> tuple[float, float]:
 
 
 def _measure_decompress(nbytes: int, repeats: int, memcpy_bw: float) -> dict:
-    """Raw bytes/s per available codec (``none`` frames are plain views)."""
-    raw = np.arange(nbytes // 8, dtype=np.int64).tobytes()
+    """Raw bytes/s per available codec through the v2 reader's own frame
+    decode (decompress, then undo the frame filter) of a frame written at
+    the codec's default level; ``none`` frames are plain views."""
+    arr = np.arange(nbytes // 8, dtype=np.int64)
     rates = {"none": float(memcpy_bw)}
-    rates["zlib"] = len(raw) / _best(
-        lambda blob=zlib.compress(raw, 6): zlib.decompress(blob), repeats
-    )
-    import lzma
-
-    rates["lzma"] = len(raw) / _best(
-        lambda blob=lzma.compress(raw, preset=1): lzma.decompress(blob),
-        max(1, repeats // 2),
-    )
-    try:
-        import zstandard
-    except ImportError:
-        pass
-    else:
-        blob = zstandard.ZstdCompressor().compress(raw)
-        dctx = zstandard.ZstdDecompressor()
-        rates["zstd"] = len(raw) / _best(lambda: dctx.decompress(blob), repeats)
+    for name in available_codecs():
+        if name == "none":
+            continue
+        codec = _resolve_codec(name)
+        filter_name = _frame_filter(codec)
+        frame, _ = _compress_frame(codec, codec.default_level, filter_name, arr)
+        rates[name] = arr.nbytes / _best(
+            lambda: _decode_frame(
+                codec, filter_name, frame, arr.nbytes, arr.dtype, arr.shape
+            ),
+            max(1, repeats // 2) if name == "lzma" else repeats,
+        )
     return rates
 
 

@@ -155,3 +155,34 @@ def test_profile_feeds_the_timing_model(measured):
     ex = AmpedMTTKRP(tensor, AmpedConfig(n_gpus=2, rank=4, shards_per_gpu=2))
     plan = host_time_plan(ex.workload, ex.config, KernelCostModel(), measured)
     assert plan["total_s"] > 0.0
+
+
+def test_decompress_rates_time_the_v2_frame_decode(monkeypatch):
+    """Each codec is priced through the reader's own decode of a frame
+    written as a new cache writes it: default level, frame filter on."""
+    from repro.engine import profile
+    from repro.tensor import io_v2
+
+    encoded, decoded = [], []
+    compress, decode = profile._compress_frame, profile._decode_frame
+
+    def traced_compress(codec, level, filter_name, arr):
+        encoded.append((codec.name, level, filter_name))
+        return compress(codec, level, filter_name, arr)
+
+    def traced_decode(codec, filter_name, *args):
+        decoded.append((codec.name, filter_name))
+        return decode(codec, filter_name, *args)
+
+    monkeypatch.setattr(profile, "_compress_frame", traced_compress)
+    monkeypatch.setattr(profile, "_decode_frame", traced_decode)
+    rates = profile._measure_decompress(1 << 16, 2, memcpy_bw=1e10)
+    codecs = [c for c in io_v2.available_codecs() if c != "none"]
+    assert set(rates) == {"none", *codecs}
+    assert rates["none"] == 1e10
+    assert sorted(encoded) == sorted(
+        (c, io_v2._resolve_codec(c).default_level, "shuffle") for c in codecs
+    )
+    assert ("zlib", 1, "shuffle") in encoded
+    assert {c for c, _ in decoded} == set(codecs)
+    assert all(f == "shuffle" for _, f in decoded)

@@ -1,11 +1,16 @@
 """Property-based tests (hypothesis) for the tensor substrate."""
 
+import tempfile
+import zlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.tensor import io_v2
 from repro.tensor.coo import SparseTensorCOO, stable_key_order
 from repro.tensor.formats.blco import BLCOTensor
 from repro.tensor.formats.csf import CSFTensor
@@ -187,3 +192,79 @@ class TestLinearizeProperties:
         # offsets must fit in the declared bit budget
         if nnz:
             assert offset.max(initial=0) < (1 << obits)
+
+
+#: dtypes of itemsize 1, 4 and 8 (the cache writes only 8-byte items today)
+FRAME_DTYPES = (np.uint8, np.int32, np.float32, np.int64, np.float64)
+
+
+@st.composite
+def frame_arrays(draw):
+    """1-D or 2-D arrays of 0, 1 or more rows, sometimes a strided column
+    view like the writer's key frames."""
+    dtype = np.dtype(draw(st.sampled_from(FRAME_DTYPES)))
+    rows = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 40)))
+    width = draw(st.sampled_from([None, 1, 3]))
+    shape = (rows,) if width is None else (rows, width)
+    raw = draw(arrays(np.uint8, (int(np.prod(shape)) * dtype.itemsize,)))
+    arr = raw.view(dtype).reshape(shape)
+    if width == 3 and draw(st.booleans()):
+        arr = arr[:, 1]
+    return arr
+
+
+class TestFrameFilterProperties:
+    @given(
+        frame_arrays(),
+        st.sampled_from(io_v2.available_codecs()),
+        st.sampled_from(io_v2.FRAME_FILTERS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_frame_round_trip(self, arr, codec_name, filter_name):
+        """Encode then decode gives the same bytes, shape and dtype, for
+        every codec (``none`` included) and filter."""
+        codec = io_v2._resolve_codec(codec_name)
+        frame, crc = io_v2._compress_frame(
+            codec, codec.default_level, filter_name, arr
+        )
+        assert crc == zlib.crc32(frame)
+        out = io_v2._decode_frame(
+            codec, filter_name, frame, arr.nbytes, arr.dtype, arr.shape
+        )
+        assert out.dtype == arr.dtype and out.shape == arr.shape
+        assert out.tobytes() == arr.tobytes()
+        assert not out.flags.writeable
+
+    @given(frame_arrays())
+    @settings(max_examples=100, deadline=None)
+    def test_shuffle_groups_byte_k_of_every_item(self, arr):
+        size = arr.dtype.itemsize
+        items = np.frombuffer(arr.tobytes(), dtype=np.uint8).reshape(-1, size)
+        shuffled = io_v2._shuffle(arr)
+        planes = np.frombuffer(shuffled, dtype=np.uint8).reshape(size, -1)
+        for k in range(size):
+            assert planes[k].tobytes() == items[:, k].tobytes()
+        restored = io_v2._unshuffle(shuffled, arr.dtype, arr.shape)
+        assert restored.tobytes() == arr.tobytes()
+
+    @given(
+        coo_tensors(max_nnz=30),
+        st.integers(1, 4),
+        st.sampled_from(io_v2.available_codecs()),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cache_round_trip_small_chunks(self, t, chunk_nnz, codec):
+        """Whole caches of 1- to 4-row chunks read back every array."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = io_v2.write_shard_cache_v2(
+                t, Path(tmp) / "c.npz", codec=codec, chunk_nnz=chunk_nnz
+            )
+            with io_v2.load_shard_cache_v2(path) as reader:
+                for m in range(t.nmodes):
+                    s = t.sorted_by_mode(m)
+                    got = reader.array(f"mode{m}_indices")
+                    assert np.array_equal(np.asarray(got), s.indices)
+                    assert np.array_equal(
+                        np.asarray(reader.array(f"mode{m}_values")), s.values
+                    )
+                    assert np.array_equal(got[:, m], s.indices[:, m])

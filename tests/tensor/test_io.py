@@ -3,14 +3,21 @@
 
 import dataclasses
 import itertools
+import json
 import threading
+import tracemalloc
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import force_cpus
+from helpers import force_cpus, make_factors
+
+from repro.engine import CompressedChunkSource, InMemorySource, StreamingExecutor
 
 from repro.errors import ReproError, TensorFormatError
 from repro.tensor.coo import SparseTensorCOO
+from repro.tensor.generate import random_coo
 from repro.tensor.io import (
     SHARD_CACHE_VERSION,
     available_codecs,
@@ -324,6 +331,26 @@ class TestShardCacheV2:
             assert np.array_equal(arr[10:90, 1], want[10:90, 1])
             assert arr.shape == want.shape and len(arr) == len(want)
 
+    @pytest.mark.parametrize("part", ["indices", "values"])
+    def test_boundary_slice_copies_only_its_rows(self, tmp_path, part):
+        """A slice crossing a chunk boundary allocates its own rows, not a
+        concatenation of the two covering chunks."""
+        tensor = random_coo((60, 50, 40), 20000, seed=3)
+        path = write_shard_cache_v2(tensor, tmp_path / "c.npz", chunk_nnz=8192)
+        lo, hi = 8000, 8400
+        with load_shard_cache_v2(path) as reader:
+            arr = reader.array(f"mode1_{part}")
+            want = np.asarray(arr)[lo:hi]
+            arr[lo:hi]  # decode both covering chunks into the cache
+            tracemalloc.start()
+            try:
+                got = arr[lo:hi]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < 2 * want.nbytes
+
     def test_detection_both_directions(self, tmp_path, small_tensor):
         v1 = write_shard_cache(small_tensor, tmp_path / "v1.npz")
         v2 = write_shard_cache_v2(small_tensor, tmp_path / "v2.npz")
@@ -396,6 +423,117 @@ class TestShardCacheV2:
         with load_shard_cache_v2(path) as reader:
             with pytest.raises(TensorFormatError, match="no array"):
                 reader.array("mode9_indices")
+
+
+#: a version-2 cache (zlib level 6, no frame filter, 64-row chunks) of
+#: :func:`_fixture_tensor`, written before the frame filter existed
+FIXTURE_V2 = Path(__file__).parent / "data" / "cache_v2_zlib.npz"
+
+
+def _fixture_tensor() -> SparseTensorCOO:
+    """The tensor in :data:`FIXTURE_V2`: arithmetic, no RNG, so every
+    NumPy builds the same one."""
+    shape = (9, 7, 5)
+    k = np.arange(200, dtype=np.int64)
+    lin = (k * 149) % (9 * 7 * 5)
+    indices = np.stack(np.unravel_index(lin, shape), axis=1).astype(np.int64)
+    return SparseTensorCOO(indices, 1.0 + (k % 13) / 8.0, shape)
+
+
+def _rewrite_manifest(path, **fields):
+    """Set manifest ``fields`` of the v2 cache at ``path`` in place."""
+    raw = path.read_bytes()
+    moff = int.from_bytes(raw[len(SHARD_CACHE_V2_MAGIC):_HEADER_BYTES], "little")
+    manifest = json.loads(raw[moff:])
+    manifest.update(fields)
+    path.write_bytes(raw[:moff] + json.dumps(manifest).encode("utf-8"))
+
+
+class TestShardCacheV2Compat:
+    """Version-3 manifests record the frame filter; version-2 caches (no
+    filter, raw frames) keep reading, and anything else is refused by
+    name."""
+
+    def test_version_2_fixture_reads(self):
+        tensor = _fixture_tensor()
+        with load_shard_cache_v2(FIXTURE_V2) as reader:
+            assert reader.manifest["version"] == 2
+            assert "filter" not in reader.manifest
+            assert reader.filter == "none"
+            assert reader.codec_name == "zlib" and reader.chunk_nnz == 64
+            for m in range(tensor.nmodes):
+                s = tensor.sorted_by_mode(m)
+                idx = np.asarray(reader.array(f"mode{m}_indices"))
+                val = np.asarray(reader.array(f"mode{m}_values"))
+                assert np.array_equal(idx, s.indices)
+                assert np.array_equal(val, s.values)
+
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_version_2_mttkrp_bit_identical_to_in_memory(self, prefetch):
+        tensor = _fixture_tensor()
+        factors = make_factors(tensor.shape)
+        memory = StreamingExecutor(
+            InMemorySource.from_tensor(tensor, 2, shards_per_gpu=2),
+            batch_size=50,
+        )
+        with CompressedChunkSource(
+            FIXTURE_V2, n_gpus=2, shards_per_gpu=2
+        ) as source, StreamingExecutor(
+            source, batch_size=50, prefetch=prefetch
+        ) as engine:
+            for m in range(tensor.nmodes):
+                assert np.array_equal(
+                    engine.mttkrp(factors, m), memory.mttkrp(factors, m)
+                )
+
+    @pytest.mark.parametrize("codec", available_codecs())
+    def test_new_caches_record_their_filter(self, tmp_path, codec):
+        tensor = _fixture_tensor()
+        path = write_shard_cache_v2(
+            tensor, tmp_path / "c.npz", codec=codec, chunk_nnz=64
+        )
+        with load_shard_cache_v2(path) as reader:
+            manifest = reader.manifest
+            assert manifest["version"] == io_v2.SHARD_CACHE_V2_VERSION == 3
+            assert manifest["filter"] == ("none" if codec == "none" else "shuffle")
+            if codec == "zlib":
+                assert manifest["level"] == 1
+                chunk = manifest["arrays"]["mode0_indices"]["chunks"][0]
+                frame = path.read_bytes()[
+                    chunk["offset"] : chunk["offset"] + chunk["nbytes"]
+                ]
+                rows = tensor.sorted_by_mode(0).indices[chunk["lo"] : chunk["hi"]]
+                # byte k of every int64 item, k = 0..7
+                shuffled = rows.reshape(-1).view(np.uint8).reshape(-1, 8).T
+                assert zlib.decompress(frame) == shuffled.tobytes()
+        assert detect_shard_cache_version(path) == 2  # the container
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"version": 4}, "version 4 unsupported"),
+            ({"version": "3"}, "version '3' unsupported"),
+            ({"filter": "bogus"}, "frame filter 'bogus'"),
+            ({"version": 2, "filter": "bogus"}, "frame filter 'bogus'"),
+            ({"filter": None}, "frame filter None"),
+        ],
+    )
+    def test_unknown_version_or_filter_named(self, tmp_path, fields, named):
+        path = write_shard_cache_v2(_fixture_tensor(), tmp_path / "c.npz")
+        _rewrite_manifest(path, **fields)
+        with pytest.raises(TensorFormatError, match=named):
+            load_shard_cache_v2(path)
+
+    def test_chunks_read_only_whatever_the_filter(self, tmp_path):
+        """Decoded chunks are shared through the reader's cache, so no
+        filter may hand out a writable one."""
+        for codec in ("none", "zlib"):
+            path = write_shard_cache_v2(
+                _fixture_tensor(), tmp_path / f"{codec}.npz", codec=codec,
+                chunk_nnz=64,
+            )
+            with load_shard_cache_v2(path) as reader:
+                assert not reader.array("mode0_indices")[0:10].flags.writeable
 
 
 class TestShardCacheV2Corruption:
