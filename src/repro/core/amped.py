@@ -170,6 +170,12 @@ class AmpedMTTKRP:
         copy at once — prefer the per-mode ``source`` accessors). Distinct
         from :attr:`plan`, the resolved+priced
         :class:`repro.engine.plan.ExecutionPlan`.
+
+        A resident plan's mode copies hold their indices in a narrow
+        unsigned dtype (:func:`repro.tensor.coo.index_dtype`; uint16 when
+        no mode is longer than 65,536): the values are exact, but
+        arithmetic on them can wrap or overflow — widen with
+        ``.astype(np.int64)`` first.
         """
         if self._plan is None:
             self._plan = self.source.partition_plan()
@@ -240,13 +246,13 @@ class AmpedMTTKRP:
 
         The result is bit-identical for every ``(source, batch_size,
         backend, prefetch)`` configuration: every source yields
-        byte-identical mode-sorted copies, batch edges are segment-aligned,
-        and every backend returns partial results in batch order, so each
-        output row is produced by one segmented reduction over the same
-        elements in the same order. The default ``kernel="numpy"``
-        preserves that contract exactly; compiled tiers are deterministic
-        but agree with it only to the documented ~1e-12 tolerance
-        (``docs/kernels.md``).
+        mode-sorted copies with identical coordinates, batch edges are
+        segment-aligned, and every backend returns partial results in
+        batch order, so each output row is produced by one segmented
+        reduction over the same elements in the same order. The default
+        ``kernel="numpy"`` preserves that contract exactly; compiled tiers
+        are deterministic but agree with it only to the documented ~1e-12
+        tolerance (``docs/kernels.md``).
         """
         return self.engine.mttkrp(factors, mode)
 

@@ -39,7 +39,8 @@
 
 The engine's contract: for any ``(source, batch_size, backend, prefetch)``
 the result is bit-identical to the eager whole-shard reduction, because
-every source yields byte-identical mode-sorted copies, batch edges are
+every source yields mode-sorted copies with identical coordinates (narrow
+resident copies, int64 caches), batch edges are
 snapped to output-segment boundaries, prefetch only changes *when* bytes
 are read, and partial results are applied in a deterministic order.
 """

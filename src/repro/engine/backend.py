@@ -531,7 +531,12 @@ class ProcessBackend(ExecutionBackend):
                 pass
 
     def _shared_spec(self, part) -> tuple:
-        """Publish (or reuse) shared-memory copies of a resident mode."""
+        """Publish (or reuse) shared-memory copies of a resident mode.
+
+        The segments keep the mode copy's dtypes, so a plan's narrow index
+        block is published as is: ``nnz * (nmodes * itemsize + 8)`` bytes
+        per mode, and the reduced ``rows`` come back narrow too.
+        """
         indices = part.tensor.indices
         values = part.tensor.values
         key = (id(indices), id(values))
@@ -552,6 +557,15 @@ class ProcessBackend(ExecutionBackend):
         """Resident modes currently published to shared memory (test hook:
         stays 0 when workers attach to an mmap shard cache instead)."""
         return len(self._shm_cache)
+
+    @property
+    def published_bytes(self) -> int:
+        """Bytes of the resident mode copies currently published to shared
+        memory (test hook: indices plus values of every published mode)."""
+        return sum(
+            shm.size for _spec, shms, _refs in self._shm_cache.values()
+            for shm in shms
+        )
 
     @property
     def inflight_publications(self) -> int:

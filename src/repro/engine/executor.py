@@ -24,9 +24,10 @@ instead of materializing whole shards, which
 * keeps the result **bit-identical** to the eager whole-shard reduction for
   every ``(source, batch_size, backend, prefetch)`` combination — each
   output row is produced by one segmented reduction over the same elements
-  in the same order, every source yields byte-identical mode-sorted copies,
-  and every backend yields partial results in batch order for the
-  coordinator's deterministic scatter-add.
+  in the same order, every source yields mode-sorted copies with identical
+  coordinates (a resident copy stores them in a narrow index dtype, a
+  shard cache in int64: same values), and every backend yields partial
+  results in batch order for the coordinator's deterministic scatter-add.
 
 Batch-size tuning
 -----------------

@@ -26,9 +26,12 @@ behind the batches so the same executor can stream from
 vs v2 chunked) and opens the matching source.
 
 The contract all sources share: for one logical tensor, every source yields
-**byte-identical mode-sorted copies**, hence the same shard tables, the same
-segment-aligned :class:`repro.engine.batch.BatchPlan` boundaries, and
-bit-identical MTTKRP results — the source/equivalence test matrix in
+**mode-sorted copies with identical coordinates** — resident copies store
+them in the narrowest index dtype of the shape
+(:func:`repro.tensor.coo.index_dtype`), shard caches in int64, with the
+same values — hence the same shard tables, the same segment-aligned
+:class:`repro.engine.batch.BatchPlan` boundaries, and bit-identical MTTKRP
+results — the source/equivalence test matrix in
 ``tests/engine/test_sources.py`` and ``tests/golden/`` pins this.
 """
 

@@ -46,7 +46,13 @@ class Shard:
 
 @dataclass(frozen=True)
 class ModePartition:
-    """All shards of one output mode plus the mode-sorted tensor copy."""
+    """All shards of one output mode plus the mode-sorted tensor copy.
+
+    The copy's indices may be narrower than int64 (a plan stores them in
+    :func:`repro.tensor.coo.index_dtype` of the shape); the coordinate
+    values are the same in every dtype, so shards, batches and MTTKRP bits
+    do not depend on it.
+    """
 
     mode: int
     tensor: SparseTensorCOO  # sorted by `mode` — the per-mode tensor copy

@@ -41,7 +41,8 @@ def unfold_columns(indices: np.ndarray, shape: Sequence[int], mode: int) -> np.n
     cols = np.zeros(indices.shape[0], dtype=np.int64)
     stride = 1
     for m in _other_modes(nmodes, mode):
-        cols += indices[:, m] * stride
+        # widen first: a narrow (uint16/uint32) column would wrap
+        cols += indices[:, m].astype(np.int64) * stride
         stride *= shape[m]
     return cols
 

@@ -67,6 +67,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.errors import TensorFormatError
+from repro.tensor.coo import INDEX_DTYPES
 from repro.tensor.kernels import (
     ec_contributions,
     scatter_rows_atomic,
@@ -113,6 +114,16 @@ DEFAULT_CC_CACHE_DIR = "~/.cache/repro/cc"
 #: still catching any real numerical defect.
 FUSED_RTOL = 1e-12
 FUSED_ATOL = 1e-14
+
+#: Index dtypes the cc tier compiles its kernels for, with the C suffix of
+#: each instantiation: a resident mode copy in any of them (see
+#: :func:`repro.tensor.coo.index_dtype`) is reduced without an upcast.
+_CC_INDEX_SUFFIX = {
+    np.dtype(np.int64): "i64",
+    np.dtype(np.uint32): "u32",
+    np.dtype(np.uint16): "u16",
+}
+_INT64_ONLY = (np.dtype(np.int64),)
 
 #: The fused C kernel hoists per-element factor-row base pointers into a
 #: fixed-size stack array; tensors beyond this mode count take the numpy
@@ -227,9 +238,19 @@ def _raise_fused_bounds_error(
     )
 
 
-def _fused_operands(indices, values, factors):
-    """Contiguous, dtype-normalized operand views for a compiled kernel."""
-    idx = np.ascontiguousarray(indices, dtype=np.int64)
+def _fused_operands(indices, values, factors, index_dtypes=_INT64_ONLY):
+    """Contiguous, dtype-normalized operand views for a compiled kernel.
+
+    Indices keep their dtype when the tier has a kernel for it
+    (``index_dtypes``) and are widened to int64 otherwise. The numba tier
+    takes the int64 default: its kernels would specialize per index type
+    on first call, but no narrow specialization is probed, so narrow
+    batches are upcast for it (one copy per batch).
+    """
+    idx = np.asarray(indices)
+    if idx.dtype not in index_dtypes:
+        idx = idx.astype(np.int64)
+    idx = np.ascontiguousarray(idx)
     val = np.ascontiguousarray(values, dtype=np.float64)
     facs = [np.ascontiguousarray(f, dtype=np.float64) for f in factors]
     return idx, val, facs
@@ -383,74 +404,86 @@ _C_SOURCE = r"""
 
 #define MAX_MODES %d
 
-/* One cache-friendly scan of every index column against its bound;
- * returns -1 when clean, else the flat (i * nmodes + w) of the first
- * violation. Runs before either fused kernel dereferences a factor row,
- * so a bad index can never touch arbitrary memory — and the compute
- * loops below stay branch-free. */
-int64_t check_bounds(const int64_t *idx, int64_t n, int64_t nmodes,
-                     const int64_t *bound)
-{
-    for (int64_t i = 0; i < n; ++i) {
-        const int64_t *row = idx + i * nmodes;
-        for (int64_t w = 0; w < nmodes; ++w) {
-            int64_t r = row[w];
-            if (r < 0 || r >= bound[w])
-                return i * nmodes + w;
-        }
-    }
-    return -1;
+/* The three kernels, written once over an index type T and instantiated
+ * below for every index dtype a mode copy may hold, so a narrow batch is
+ * reduced as it is stored. Each index is widened to int64 as it is read;
+ * the floating-point operations are the same for every T.
+ *
+ * check_bounds: one cache-friendly scan of every index column against its
+ * bound; returns -1 when clean, else the flat (i * nmodes + w) of the
+ * first violation. Runs before either fused kernel dereferences a factor
+ * row, so a bad index can never touch arbitrary memory — and the compute
+ * loops stay branch-free. */
+#define MTTKRP_KERNELS(T, SUFFIX)                                           \
+int64_t check_bounds_##SUFFIX(const T *idx, int64_t n, int64_t nmodes,    \
+                              const int64_t *bound)                       \
+{                                                                         \
+    for (int64_t i = 0; i < n; ++i) {                                     \
+        const T *row = idx + i * nmodes;                                  \
+        for (int64_t w = 0; w < nmodes; ++w) {                            \
+            int64_t r = (int64_t)row[w];                                  \
+            if (r < 0 || r >= bound[w])                                   \
+                return i * nmodes + w;                                    \
+        }                                                                 \
+    }                                                                     \
+    return -1;                                                            \
+}                                                                         \
+                                                                          \
+void fused_reduce_##SUFFIX(const T *idx, int64_t nmodes,                  \
+                           const double *val, const double **facs,        \
+                           int64_t mode, int64_t rank,                    \
+                           const int64_t *starts, int64_t nseg,           \
+                           double *partial)                               \
+{                                                                         \
+    for (int64_t s = 0; s < nseg; ++s) {                                  \
+        int64_t lo = starts[s];                                           \
+        int64_t hi = starts[s + 1];                                       \
+        double *dst = partial + s * rank;                                 \
+        for (int64_t r = 0; r < rank; ++r)                                \
+            dst[r] = 0.0;                                                 \
+        for (int64_t i = lo; i < hi; ++i) {                               \
+            const T *row = idx + i * nmodes;                              \
+            const double *base[MAX_MODES];                                \
+            int64_t nw = 0;                                               \
+            for (int64_t w = 0; w < nmodes; ++w)                          \
+                if (w != mode)                                            \
+                    base[nw++] = facs[w] + (int64_t)row[w] * rank;        \
+            double v = val[i];                                            \
+            for (int64_t r = 0; r < rank; ++r) {                          \
+                double c = v;                                             \
+                for (int64_t w = 0; w < nw; ++w)                          \
+                    c *= base[w][r];                                      \
+                dst[r] += c;                                              \
+            }                                                             \
+        }                                                                 \
+    }                                                                     \
+}                                                                         \
+                                                                          \
+void fused_scatter_##SUFFIX(const T *idx, int64_t n, int64_t nmodes,      \
+                            const double *val, const double **facs,       \
+                            int64_t mode, int64_t rank, double *out)      \
+{                                                                         \
+    for (int64_t i = 0; i < n; ++i) {                                     \
+        const T *row = idx + i * nmodes;                                  \
+        const double *base[MAX_MODES];                                    \
+        int64_t nw = 0;                                                   \
+        for (int64_t w = 0; w < nmodes; ++w)                              \
+            if (w != mode)                                                \
+                base[nw++] = facs[w] + (int64_t)row[w] * rank;            \
+        double v = val[i];                                                \
+        double *dst = out + (int64_t)row[mode] * rank;                    \
+        for (int64_t r = 0; r < rank; ++r) {                              \
+            double c = v;                                                 \
+            for (int64_t w = 0; w < nw; ++w)                              \
+                c *= base[w][r];                                          \
+            dst[r] += c;                                                  \
+        }                                                                 \
+    }                                                                     \
 }
 
-void fused_reduce(const int64_t *idx, int64_t nmodes, const double *val,
-                  const double **facs, int64_t mode, int64_t rank,
-                  const int64_t *starts, int64_t nseg, double *partial)
-{
-    for (int64_t s = 0; s < nseg; ++s) {
-        int64_t lo = starts[s];
-        int64_t hi = starts[s + 1];
-        double *dst = partial + s * rank;
-        for (int64_t r = 0; r < rank; ++r)
-            dst[r] = 0.0;
-        for (int64_t i = lo; i < hi; ++i) {
-            const int64_t *row = idx + i * nmodes;
-            const double *base[MAX_MODES];
-            int64_t nw = 0;
-            for (int64_t w = 0; w < nmodes; ++w)
-                if (w != mode)
-                    base[nw++] = facs[w] + row[w] * rank;
-            double v = val[i];
-            for (int64_t r = 0; r < rank; ++r) {
-                double c = v;
-                for (int64_t w = 0; w < nw; ++w)
-                    c *= base[w][r];
-                dst[r] += c;
-            }
-        }
-    }
-}
-
-void fused_scatter(const int64_t *idx, int64_t n, int64_t nmodes,
-                   const double *val, const double **facs, int64_t mode,
-                   int64_t rank, double *out)
-{
-    for (int64_t i = 0; i < n; ++i) {
-        const int64_t *row = idx + i * nmodes;
-        const double *base[MAX_MODES];
-        int64_t nw = 0;
-        for (int64_t w = 0; w < nmodes; ++w)
-            if (w != mode)
-                base[nw++] = facs[w] + row[w] * rank;
-        double v = val[i];
-        double *dst = out + row[mode] * rank;
-        for (int64_t r = 0; r < rank; ++r) {
-            double c = v;
-            for (int64_t w = 0; w < nw; ++w)
-                c *= base[w][r];
-            dst[r] += c;
-        }
-    }
-}
+MTTKRP_KERNELS(int64_t, i64)
+MTTKRP_KERNELS(uint32_t, u32)
+MTTKRP_KERNELS(uint16_t, u16)
 """ % _CC_MAX_MODES
 
 
@@ -492,19 +525,27 @@ def _build_cc_spec() -> KernelSpec:
     """Compile, bind, and probe the C tier; raises on any failure."""
     lib = _compile_cc_library()
     c_i64 = ctypes.c_int64
+    p_idx = ctypes.c_void_p  # the index block, in any instantiated dtype
     p_i64 = ctypes.POINTER(ctypes.c_int64)
     p_f64 = ctypes.POINTER(ctypes.c_double)
     pp_f64 = ctypes.POINTER(p_f64)
-    lib.check_bounds.restype = c_i64
-    lib.check_bounds.argtypes = [p_i64, c_i64, c_i64, p_i64]
-    lib.fused_reduce.restype = None
-    lib.fused_reduce.argtypes = [
-        p_i64, c_i64, p_f64, pp_f64, c_i64, c_i64, p_i64, c_i64, p_f64,
-    ]
-    lib.fused_scatter.restype = None
-    lib.fused_scatter.argtypes = [
-        p_i64, c_i64, c_i64, p_f64, pp_f64, c_i64, c_i64, p_f64,
-    ]
+    # dtype -> (check_bounds, fused_reduce, fused_scatter) of that index type
+    kernels = {}
+    for dtype, suffix in _CC_INDEX_SUFFIX.items():
+        check = getattr(lib, f"check_bounds_{suffix}")
+        check.restype = c_i64
+        check.argtypes = [p_idx, c_i64, c_i64, p_i64]
+        reduce_fn = getattr(lib, f"fused_reduce_{suffix}")
+        reduce_fn.restype = None
+        reduce_fn.argtypes = [
+            p_idx, c_i64, p_f64, pp_f64, c_i64, c_i64, p_i64, c_i64, p_f64,
+        ]
+        scatter_fn = getattr(lib, f"fused_scatter_{suffix}")
+        scatter_fn.restype = None
+        scatter_fn.argtypes = [
+            p_idx, c_i64, c_i64, p_f64, pp_f64, c_i64, c_i64, p_f64,
+        ]
+        kernels[dtype] = (check, reduce_fn, scatter_fn)
 
     def _factor_ptrs(facs):
         return (p_f64 * len(facs))(
@@ -515,8 +556,8 @@ def _build_cc_spec() -> KernelSpec:
         bound = np.array([f.shape[0] for f in facs], dtype=np.int64)
         if out_rows is not None:
             bound[mode] = min(bound[mode], out_rows)
-        bad = lib.check_bounds(
-            idx.ctypes.data_as(p_i64),
+        bad = kernels[idx.dtype][0](
+            idx.ctypes.data,
             c_i64(idx.shape[0]),
             c_i64(idx.shape[1]),
             bound.ctypes.data_as(p_i64),
@@ -527,7 +568,9 @@ def _build_cc_spec() -> KernelSpec:
     def reduce_batch(indices, values, factors, mode):
         if len(factors) > _CC_MAX_MODES:
             return _numpy_reduce_batch(indices, values, factors, mode)
-        idx, val, facs = _fused_operands(indices, values, factors)
+        idx, val, facs = _fused_operands(
+            indices, values, factors, _CC_INDEX_SUFFIX
+        )
         _check_fused_shapes(idx, val, facs, mode)
         _checked_bounds(idx, facs, mode)
         keys = idx[:, mode]
@@ -537,8 +580,8 @@ def _build_cc_spec() -> KernelSpec:
         starts_ext[-1] = idx.shape[0]
         rank = facs[0].shape[1]
         partial = np.empty((starts.size, rank), dtype=np.float64)
-        lib.fused_reduce(
-            idx.ctypes.data_as(p_i64),
+        kernels[idx.dtype][1](
+            idx.ctypes.data,
             c_i64(idx.shape[1]),
             val.ctypes.data_as(p_f64),
             _factor_ptrs(facs),
@@ -553,7 +596,9 @@ def _build_cc_spec() -> KernelSpec:
     def scatter_batch(out, indices, values, factors, mode):
         if len(factors) > _CC_MAX_MODES:
             return _numpy_scatter_batch(out, indices, values, factors, mode)
-        idx, val, facs = _fused_operands(indices, values, factors)
+        idx, val, facs = _fused_operands(
+            indices, values, factors, _CC_INDEX_SUFFIX
+        )
         _check_fused_shapes(idx, val, facs, mode)
         if out.ndim != 2 or out.shape[1] != facs[0].shape[1]:
             raise TensorFormatError(
@@ -565,8 +610,8 @@ def _build_cc_spec() -> KernelSpec:
                 "fused scatter needs a C-contiguous float64 out array"
             )
         _checked_bounds(idx, facs, mode, out_rows=out.shape[0])
-        lib.fused_scatter(
-            idx.ctypes.data_as(p_i64),
+        kernels[idx.dtype][2](
+            idx.ctypes.data,
             c_i64(idx.shape[0]),
             c_i64(idx.shape[1]),
             val.ctypes.data_as(p_f64),
@@ -592,6 +637,11 @@ def _build_cc_spec() -> KernelSpec:
 # ever dispatched to (a miscompiled kernel downgrades, never corrupts).
 # ----------------------------------------------------------------------
 def _probe_spec(spec: KernelSpec) -> None:
+    """Run ``spec`` on a small batch in every index dtype a mode copy may
+    hold (:data:`repro.tensor.coo.INDEX_DTYPES`) against the numpy
+    reference; a narrow batch must also give exactly the int64 batch's
+    bits. Raises on any disagreement, so one miscompiled instantiation
+    downgrades the tier."""
     rng = np.random.default_rng(12345)
     shape = (11, 7, 9)
     nnz = 64
@@ -602,22 +652,35 @@ def _probe_spec(spec: KernelSpec) -> None:
     values = rng.random(nnz)
     factors = [rng.random((s, 5)) for s in shape]
     want_rows, want_partial = _numpy_reduce_batch(indices, values, factors, 0)
-    rows, partial = spec.reduce_batch(indices, values, factors, 0)
-    if not (
-        np.array_equal(rows, want_rows)
-        and np.allclose(partial, want_partial, rtol=FUSED_RTOL, atol=FUSED_ATOL)
-    ):
-        raise RuntimeError(
-            f"{spec.name} kernel probe disagrees with the numpy reference"
-        )
-    out = np.zeros((shape[1], 5))
-    want_out = np.zeros_like(out)
+    want_out = np.zeros((shape[1], 5))
     _numpy_scatter_batch(want_out, indices, values, factors, 1)
-    spec.scatter_batch(out, indices, values, factors, 1)
-    if not np.allclose(out, want_out, rtol=FUSED_RTOL, atol=FUSED_ATOL):
-        raise RuntimeError(
-            f"{spec.name} scatter probe disagrees with the numpy reference"
-        )
+    bits = {}
+    for dtype in INDEX_DTYPES:
+        idx = indices.astype(dtype)
+        rows, partial = spec.reduce_batch(idx, values, factors, 0)
+        out = np.zeros_like(want_out)
+        spec.scatter_batch(out, idx, values, factors, 1)
+        if not (
+            np.array_equal(rows, want_rows)
+            and np.allclose(
+                partial, want_partial, rtol=FUSED_RTOL, atol=FUSED_ATOL
+            )
+            and np.allclose(out, want_out, rtol=FUSED_RTOL, atol=FUSED_ATOL)
+        ):
+            raise RuntimeError(
+                f"{spec.name} kernel probe on {dtype} indices "
+                f"disagrees with the numpy reference"
+            )
+        bits[dtype] = (partial, out)
+    wide = bits[np.dtype(np.int64)]
+    for dtype, (partial, out) in bits.items():
+        if not (
+            np.array_equal(partial, wide[0]) and np.array_equal(out, wide[1])
+        ):
+            raise RuntimeError(
+                f"{spec.name} kernel probe on {dtype} indices "
+                f"differs from the same batch as int64"
+            )
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Source/equivalence test matrix for the shard-source abstraction.
 
 The engine contract extended to sources and backends: for one logical
-tensor, every ``ShardSource`` implementation yields byte-identical
-mode-sorted copies, identical shard tables and batch boundaries, and
+tensor, every ``ShardSource`` implementation yields mode-sorted copies with
+identical coordinates (narrow resident copies, int64 caches), identical
+shard tables and batch boundaries, and
 therefore **bit-identical** MTTKRP results for every ``(batch_size,
 backend, prefetch, mode)`` cell — with :class:`MmapNpzSource` additionally
 keeping the element data on disk (memory-mapped) rather than resident, and
@@ -39,6 +40,7 @@ from repro.engine.batch import build_batch_plan
 from repro.errors import ReproError, TensorFormatError
 from repro.partition.plan import build_partition_plan
 from repro.simgpu.kernel import KernelCostModel
+from repro.tensor.coo import index_dtype
 from repro.tensor.generate import zipf_coo
 from repro.tensor import io_v2
 from repro.tensor.io import (
@@ -387,6 +389,64 @@ class TestClusterCell:
         assert stats["calls"] == 2
         assert stats["seconds"] > 0.0
         assert stats["bytes"] > 0
+
+
+class TestResidentIndexWidth:
+    """Resident mode copies store narrow indices; shard caches store int64.
+    The coordinate values, and so the MTTKRP bits, are the same."""
+
+    def test_sources_hold_equal_coordinates(
+        self, tensor, plan, cache_path, cache_v2_path
+    ):
+        narrow = index_dtype(tensor.shape)
+        assert narrow == np.uint16
+        for kind in ("mmap", "chunked"):
+            source = make_source(kind, plan, cache_path, cache_v2_path)
+            for mode in range(tensor.nmodes):
+                resident = plan.modes[mode].tensor.indices
+                cached = source.partition(mode).tensor.indices
+                assert resident.dtype == narrow
+                assert cached.dtype == np.int64
+                assert np.array_equal(np.asarray(cached[:]), resident)
+
+    @pytest.mark.parametrize("kernel", ["numpy", "cc"])
+    @pytest.mark.parametrize("backend", BACKEND_KINDS)
+    def test_narrow_resident_bit_identical_to_int64_caches(
+        self, tensor, factors, plan, cache_path, cache_v2_path,
+        shared_backends, kernel, backend,
+    ):
+        outs = {}
+        for kind in ("memory", "mmap", "chunked"):
+            source = make_source(kind, plan, cache_path, cache_v2_path)
+            engine = StreamingExecutor(
+                source, batch_size=7, backend=shared_backends[backend],
+                kernel=kernel,
+            )
+            outs[kind] = engine.mttkrp_all_modes(factors)
+        for kind in ("mmap", "chunked"):
+            for got, want in zip(outs[kind], outs["memory"]):
+                assert np.array_equal(got, want)
+
+    def test_process_run_publishes_narrow_modes(self, tensor, factors, plan):
+        """Each published mode is its copy's own bytes: nnz * (N * 2 + 8)
+        for uint16 indices and float64 values."""
+        nnz, n = tensor.nnz, tensor.nmodes
+        with ProcessBackend(2) as backend:
+            StreamingExecutor(plan, backend=backend).mttkrp_all_modes(factors)
+            assert backend.published_modes == n
+            assert backend.published_bytes == n * nnz * (n * 2 + 8)
+
+    def test_scaled_twitch_copies_hold_two_bytes_per_index(self):
+        from repro.datasets.profiles import profile_by_name
+        from repro.datasets.synthetic import materialize
+
+        twitch = materialize(profile_by_name("twitch"), 600_000, seed=4)
+        assert max(twitch.shape) <= 1 << 16
+        plan = build_partition_plan(twitch, 2)
+        nnz, n = twitch.nnz, twitch.nmodes
+        for part in plan.modes:
+            assert part.tensor.indices.dtype == np.uint16
+            assert part.tensor.indices.nbytes == nnz * n * 2
 
 
 class TestInMemorySource:

@@ -43,6 +43,7 @@ from repro.engine import (
 )
 from repro.errors import UnsupportedTensorError
 from repro.partition.plan import build_partition_plan
+from repro.tensor.coo import index_dtype
 from repro.tensor.io import write_shard_cache, write_shard_cache_v2
 from repro.tensor.kernelreg import (
     FUSED_ATOL,
@@ -189,6 +190,25 @@ class TestEngineBitExact:
         )
         for m in range(tensor.nmodes):
             assert np.array_equal(engine.mttkrp(factors, m), _expected(data, m))
+
+    @pytest.mark.parametrize("source_kind", ["mmap", "chunked", "synthetic"])
+    def test_shard_source_coordinates(
+        self, case, case_cache, case_cache_v2, source_kind
+    ):
+        """The resident copies hold the golden coordinates in the narrowest
+        index dtype of the shape; every other source holds the same values
+        as int64 — the representation the bit-identical matrix above runs
+        over."""
+        name, tensor, _, _, config, _ = case
+        resident = _case_source("memory", name, tensor, config, case_cache)
+        cache = case_cache_v2 if source_kind == "chunked" else case_cache
+        source = _case_source(source_kind, name, tensor, config, cache)
+        for m in range(tensor.nmodes):
+            want = resident.partition(m).tensor.indices
+            got = source.partition(m).tensor.indices
+            assert want.dtype == index_dtype(tensor.shape)
+            assert got.dtype == np.int64
+            assert np.array_equal(np.asarray(got[:]), want)
 
     @pytest.mark.parametrize(
         "source_kind", ["memory", "mmap", "chunked", "synthetic"]

@@ -62,6 +62,20 @@ class TestUnfoldColumns:
         with pytest.raises(TensorFormatError):
             unfold_columns(np.zeros((1, 2), dtype=np.int64), (2, 2), 5)
 
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
+    def test_narrow_indices_do_not_wrap(self, dtype):
+        """A partition plan's mode copies hold narrow indices; their column
+        indices (up to 299 * 300 + 299 here) must not wrap at 2**16."""
+        rng = np.random.default_rng(4)
+        shape = (300, 300, 300)
+        coords = np.stack([rng.integers(0, s, 200) for s in shape], axis=1)
+        coords[0] = 299
+        for mode in range(3):
+            assert np.array_equal(
+                unfold_columns(coords.astype(dtype), shape, mode),
+                unfold_columns(coords, shape, mode),
+            )
+
 
 class TestUnfoldKhatriRaoConsistency:
     def test_mttkrp_identity(self):

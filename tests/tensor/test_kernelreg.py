@@ -285,3 +285,101 @@ class TestFusedPreconditions:
         wide = np.zeros((factors[0].shape[0], 2 * rank))
         with pytest.raises(TensorFormatError, match="C-contiguous"):
             spec.scatter_batch(wide[:, ::2], indices, values, factors, 0)
+
+
+NARROW_DTYPES = [np.uint32, np.uint16]
+
+
+class TestNarrowIndexTypes:
+    """Resident mode copies hold narrow indices (uint16/uint32): every tier
+    reduces them to exactly the bits of the same batch as int64, and the
+    cc tier does so with its own instantiation instead of an upcast."""
+
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    @pytest.mark.parametrize("dtype", NARROW_DTYPES)
+    def test_narrow_batch_equals_int64_batch(self, name, dtype):
+        if name not in available_kernels():
+            pytest.skip(f"{name} unavailable")
+        spec = get_kernel(name)
+        indices, values, factors = _sorted_batch(seed=6, mode=1)
+        narrow = indices.astype(dtype)
+        rows64, partial64 = spec.reduce_batch(indices, values, factors, 1)
+        rows, partial = spec.reduce_batch(narrow, values, factors, 1)
+        assert np.array_equal(rows, rows64)
+        assert np.array_equal(partial, partial64)
+        out64 = np.zeros((factors[2].shape[0], factors[0].shape[1]))
+        out = np.zeros_like(out64)
+        spec.scatter_batch(out64, indices, values, factors, 2)
+        spec.scatter_batch(out, narrow, values, factors, 2)
+        assert np.array_equal(out, out64)
+
+    @pytest.mark.skipif(
+        "cc" not in available_kernels(), reason="no C toolchain on this host"
+    )
+    @pytest.mark.parametrize("dtype", NARROW_DTYPES)
+    def test_cc_reduces_narrow_indices_natively(self, dtype):
+        """The rows a cc reduction returns keep the batch's dtype: the
+        batch was not widened to int64 on the way in."""
+        indices, values, factors = _sorted_batch(seed=7)
+        rows, _ = get_kernel("cc").reduce_batch(
+            indices.astype(dtype), values, factors, 0
+        )
+        assert rows.dtype == np.dtype(dtype)
+
+    @pytest.mark.parametrize("name", FUSED_TIERS)
+    @pytest.mark.parametrize("dtype", NARROW_DTYPES)
+    def test_narrow_out_of_range_index_rejected(self, name, dtype):
+        if name not in available_kernels():
+            pytest.skip(f"{name} unavailable")
+        indices, values, factors = _sorted_batch(nnz=20)
+        indices[5, 2] = factors[2].shape[0]  # one past the extent
+        with pytest.raises(TensorFormatError, match="outside factor extent"):
+            get_kernel(name).reduce_batch(
+                indices.astype(dtype), values, factors, 0
+            )
+
+
+def _bad_narrow_spec(dtype, nudge):
+    """The numpy tier, except that batches of ``dtype`` come out nudged by
+    ``nudge`` — a stand-in for one miscompiled index-type instantiation."""
+    from repro.tensor.kernelreg import KernelSpec
+
+    good = get_kernel("numpy")
+
+    def reduce_batch(indices, values, factors, mode):
+        rows, partial = good.reduce_batch(indices, values, factors, mode)
+        return rows, (nudge(partial) if indices.dtype == dtype else partial)
+
+    return KernelSpec("bad", False, reduce_batch, good.scatter_batch)
+
+
+class TestProbeCoversEveryIndexType:
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
+    @pytest.mark.parametrize(
+        "nudge,message",
+        [
+            (lambda p: p * (1 + 1e-6), "disagrees with the numpy reference"),
+            (lambda p: np.nextafter(p, np.inf), "differs from the same batch"),
+        ],
+    )
+    def test_probe_rejects_one_bad_instantiation(self, dtype, nudge, message):
+        from repro.tensor.kernelreg import _probe_spec
+
+        dtype = np.dtype(dtype)
+        with pytest.raises(RuntimeError, match=f"{dtype}.*{message}"):
+            _probe_spec(_bad_narrow_spec(dtype, nudge))
+
+    def test_bad_narrow_instantiation_downgrades_the_tier(
+        self, monkeypatch, registry_guard
+    ):
+        from repro.tensor import kernelreg
+
+        def build():
+            spec = _bad_narrow_spec(np.dtype(np.uint16), lambda p: p * 2.0)
+            kernelreg._probe_spec(spec)
+            return spec
+
+        monkeypatch.setitem(kernelreg._BUILDERS, "cc", build)
+        refresh_kernel_registry()
+        assert resolve_kernel_name("cc") == "numpy"
+        assert "uint16" in kernel_availability()["cc"]
