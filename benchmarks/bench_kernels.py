@@ -6,9 +6,10 @@ optimizing, then keep the receipts).
 
 Run directly with ``--smoke`` for the CI engine check: verifies that the
 streaming batched executor is bit-identical to the eager path and within
-1.2x of its wall time on the seed synthetic tensor, that the cc kernel
-reduces int64, uint32 and uint16 mode copies to the same bits with neither
-narrow cell beyond 1.2x of the int64 one, then repeats the check
+1.2x of its wall time on the seed synthetic tensor, that every available
+kernel tier (numpy, cc, numba) reduces int64, uint32 and uint16 mode copies
+to the same bits with neither narrow cell beyond 1.2x of the int64 one,
+then repeats the check
 out of core — a memory-mapped shard cache must match the in-memory bits at
 every probed batch size, and the cache-model ``auto`` batch must land within
 1.2x of the best manually tuned one — and finally sweeps the execution
@@ -20,6 +21,8 @@ the host-pipeline timing-model gate: a quick host calibration
 serial-vs-thread ordering must match the measured one (ties near parity
 pass — see ``_run_prediction_smoke``).
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,7 +239,7 @@ def run_smoke(batch_size: int = 4096) -> int:
         print(f"SMOKE FAIL: batched path exceeds {SMOKE_RATIO_LIMIT}x eager")
         return 1
 
-    rc = _run_index_width_smoke(tensor, factors, batch_size)
+    rc = _run_index_width_smoke(plan, factors, batch_size)
     if rc != 0:
         return rc
     rc = _run_out_of_core_smoke(tensor, factors, eager_out, t_eager)
@@ -252,61 +255,73 @@ def run_smoke(batch_size: int = 4096) -> int:
     return 0
 
 
-def _run_index_width_smoke(tensor, factors, batch_size) -> int:
-    """cc-kernel index-width gate.
+def _widened(plan, dtype):
+    """``plan`` with every mode copy's indices cast to ``dtype`` (the plan
+    itself stores the narrowest dtype of the shape)."""
+    return replace(plan, modes=tuple(
+        replace(part, tensor=part.tensor._trusted(
+            part.tensor.indices.astype(dtype), part.tensor.values
+        ))
+        for part in plan.modes
+    ))
 
-    Reduces the same plan with int64, uint32 and uint16 mode copies on the
-    cc tier (one compiled instantiation per index type): the narrow cells
-    must be bit-identical to the int64 cell and within SMOKE_RATIO_LIMIT of
-    its best wall time. Reported and skipped where cc is unavailable.
+
+def _run_index_width_smoke(plan, factors, batch_size) -> int:
+    """Index-width gate, per available kernel tier.
+
+    Reduces the same plan with int64, uint32 and uint16 mode copies on
+    every available tier (numpy gathers with the narrow columns directly,
+    cc runs one compiled instantiation per index type, numba widens each
+    batch to int64): the narrow cells must be bit-identical to the int64
+    cell of their tier and within SMOKE_RATIO_LIMIT of its best wall time.
     """
-    from repro.tensor.kernelreg import available_kernels, kernel_availability
+    from repro.tensor.kernelreg import available_kernels
 
-    if "cc" not in available_kernels():
-        print(
-            f"index-width smoke skipped: cc tier unavailable "
-            f"({kernel_availability()['cc']})"
-        )
-        return 0
-    engines = {}
-    for dtype in (np.int64, np.uint32, np.uint16):
-        plan = build_partition_plan(
-            tensor, 4, shards_per_gpu=8, index_dtype=dtype
-        )
-        engine = StreamingExecutor(plan, batch_size=batch_size, kernel="cc")
-        for m in range(tensor.nmodes):
-            engine.batch_plan(m)
-        engines[np.dtype(dtype).name] = engine
-    want = engines["int64"].mttkrp_all_modes(factors)
-    for label in ("uint32", "uint16"):
-        outs = engines[label].mttkrp_all_modes(factors)
-        for m, (a, o) in enumerate(zip(want, outs)):
-            if not np.array_equal(a, o):
-                print(
-                    f"SMOKE FAIL: cc kernel on {label} indices, mode {m}, "
-                    f"differs from the int64 cell"
-                )
-                return 1
-    times = _best_wall_times({
-        label: (lambda e=engine: e.mttkrp_all_modes(factors))
-        for label, engine in engines.items()
-    })
-    ratios = {label: times[label] / times["int64"] for label in times}
-    print(
-        "index-width smoke (cc): "
-        + ", ".join(
-            f"{label} {times[label] * 1e3:.1f} ms ({ratios[label]:.3f}x)"
-            for label in times
-        )
-        + "; narrow cells bit-identical to int64"
-    )
-    slow = [label for label, r in ratios.items() if r > SMOKE_RATIO_LIMIT]
-    if slow:
-        print(
-            f"SMOKE FAIL: cc kernel on {slow} indices exceeds "
-            f"{SMOKE_RATIO_LIMIT}x the int64 cell"
-        )
+    plans = {
+        "int64": _widened(plan, np.int64),
+        "uint32": _widened(plan, np.uint32),
+        "uint16": plan,
+    }
+    if plan.modes[0].tensor.indices.dtype != np.uint16:
+        print("SMOKE FAIL: the smoke plan's mode copies are not uint16")
         return 1
+    for kernel in available_kernels():
+        engines = {}
+        for label, p in plans.items():
+            engine = StreamingExecutor(p, batch_size=batch_size, kernel=kernel)
+            for m in range(len(p.modes)):
+                engine.batch_plan(m)
+            engines[label] = engine
+        want = engines["int64"].mttkrp_all_modes(factors)
+        for label in ("uint32", "uint16"):
+            outs = engines[label].mttkrp_all_modes(factors)
+            for m, (a, o) in enumerate(zip(want, outs)):
+                if not np.array_equal(a, o):
+                    print(
+                        f"SMOKE FAIL: {kernel} kernel on {label} indices, "
+                        f"mode {m}, differs from the int64 cell"
+                    )
+                    return 1
+        times = _best_wall_times({
+            label: (lambda e=engine: e.mttkrp_all_modes(factors))
+            for label, engine in engines.items()
+        })
+        ratios = {label: times[label] / times["int64"] for label in times}
+        print(
+            f"index-width smoke ({kernel}): "
+            + ", ".join(
+                f"{label} {times[label] * 1e3:.1f} ms ({ratios[label]:.3f}x)"
+                for label in times
+            )
+            + "; narrow cells bit-identical to int64"
+        )
+        slow = [label for label, r in ratios.items() if r > SMOKE_RATIO_LIMIT]
+        if slow:
+            print(
+                f"SMOKE FAIL: {kernel} kernel on {slow} indices exceeds "
+                f"{SMOKE_RATIO_LIMIT}x the int64 cell"
+            )
+            return 1
     return 0
 
 

@@ -559,15 +559,6 @@ class ProcessBackend(ExecutionBackend):
         return len(self._shm_cache)
 
     @property
-    def published_bytes(self) -> int:
-        """Bytes of the resident mode copies currently published to shared
-        memory (test hook: indices plus values of every published mode)."""
-        return sum(
-            shm.size for _spec, shms, _refs in self._shm_cache.values()
-            for shm in shms
-        )
-
-    @property
     def inflight_publications(self) -> int:
         """Factor publications not yet released (test hook: 0 after every
         fully consumed or abandoned ``map_batches`` call is cleaned up)."""

@@ -22,8 +22,7 @@ import numpy as np
 from repro.errors import PartitionError
 from repro.partition.balance import assign_shards, bin_loads
 from repro.partition.sharding import ModePartition, shard_mode
-from repro.tensor.coo import INDEX_DTYPES, SparseTensorCOO
-from repro.tensor.coo import index_dtype as narrowest_index_dtype
+from repro.tensor.coo import SparseTensorCOO, index_dtype
 
 __all__ = ["PartitionPlan", "build_partition_plan", "paper_shard_count"]
 
@@ -84,7 +83,6 @@ def build_partition_plan(
     shards_per_gpu: int | None = 8,
     n_shards: Sequence[int] | int | None = None,
     policy: str = "lpt",
-    index_dtype=None,
 ) -> PartitionPlan:
     """Shard every mode of ``tensor`` and assign shards to GPUs.
 
@@ -98,12 +96,6 @@ def build_partition_plan(
         :func:`paper_shard_count` for the paper's ``|I_d|/m`` rule.
     policy:
         ``"lpt"`` (default, static balanced) or ``"round_robin"``.
-    index_dtype:
-        Index dtype of the mode copies: ``None`` (default) takes the
-        narrowest one that holds every extent
-        (:func:`repro.tensor.coo.index_dtype`); pass ``np.int64`` (or
-        ``np.uint32``) for wider copies, e.g. to do index arithmetic on
-        them. A dtype too narrow for the shape is refused.
     """
     if n_gpus <= 0:
         raise PartitionError("n_gpus must be positive")
@@ -118,18 +110,11 @@ def build_partition_plan(
         counts = [int(c) for c in n_shards]
         if len(counts) != nmodes:
             raise PartitionError("need one shard count per mode")
-    narrowest = narrowest_index_dtype(tensor.shape)
-    dtype = narrowest if index_dtype is None else np.dtype(index_dtype)
-    if dtype not in INDEX_DTYPES or dtype.itemsize < narrowest.itemsize:
-        raise PartitionError(
-            f"index_dtype {dtype} cannot hold shape {tensor.shape}; use "
-            f"one of {[str(d) for d in INDEX_DTYPES]} at least as wide "
-            f"as {narrowest}"
-        )
     # One narrowing cast of the index block; each mode copy gathers its
     # rows from it, so no int64 copy of a mode is ever made.
     narrowed = tensor._trusted(
-        tensor.indices.astype(dtype, copy=False), tensor.values
+        tensor.indices.astype(index_dtype(tensor.shape), copy=False),
+        tensor.values,
     )
     modes: list[ModePartition] = []
     assignments: list[np.ndarray] = []

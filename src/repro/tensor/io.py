@@ -162,7 +162,8 @@ def write_tns(path, tensor: SparseTensorCOO, *, header: str | None = None) -> No
     if header:
         for line in header.splitlines():
             buf.write(f"# {line}\n")
-    ones = tensor.indices + 1
+    # widen first: a narrow (uint16) mode copy's 65,535 + 1 would wrap to 0
+    ones = tensor.indices.astype(np.int64) + 1
     for row, val in zip(ones, tensor.values):
         buf.write(" ".join(str(int(i)) for i in row))
         buf.write(f" {float(val)!r}\n")

@@ -115,14 +115,11 @@ DEFAULT_CC_CACHE_DIR = "~/.cache/repro/cc"
 FUSED_RTOL = 1e-12
 FUSED_ATOL = 1e-14
 
-#: Index dtypes the cc tier compiles its kernels for, with the C suffix of
-#: each instantiation: a resident mode copy in any of them (see
-#: :func:`repro.tensor.coo.index_dtype`) is reduced without an upcast.
-_CC_INDEX_SUFFIX = {
-    np.dtype(np.int64): "i64",
-    np.dtype(np.uint32): "u32",
-    np.dtype(np.uint16): "u16",
-}
+#: The cc tier compiles its kernels once per index dtype a mode copy may
+#: hold (:data:`repro.tensor.coo.INDEX_DTYPES`), so a narrow batch is
+#: reduced without an upcast. Maps each dtype to its C symbol suffix
+#: (``i8``, ``u4``, ``u2``: kind and byte width).
+_CC_INDEX_SUFFIX = {dtype: dtype.str[1:] for dtype in INDEX_DTYPES}
 _INT64_ONLY = (np.dtype(np.int64),)
 
 #: The fused C kernel hoists per-element factor-row base pointers into a
@@ -406,7 +403,8 @@ _C_SOURCE = r"""
 
 /* The three kernels, written once over an index type T and instantiated
  * below for every index dtype a mode copy may hold, so a narrow batch is
- * reduced as it is stored. Each index is widened to int64 as it is read;
+ * reduced as it is stored (the instantiation lines are generated from
+ * INDEX_DTYPES after this source). Each index is widened to int64 as it is read;
  * the floating-point operations are the same for every T.
  *
  * check_bounds: one cache-friendly scan of every index column against its
@@ -481,10 +479,11 @@ void fused_scatter_##SUFFIX(const T *idx, int64_t n, int64_t nmodes,      \
     }                                                                     \
 }
 
-MTTKRP_KERNELS(int64_t, i64)
-MTTKRP_KERNELS(uint32_t, u32)
-MTTKRP_KERNELS(uint16_t, u16)
-""" % _CC_MAX_MODES
+""" % _CC_MAX_MODES + "".join(
+    f"MTTKRP_KERNELS({'u' if dtype.kind == 'u' else ''}int"
+    f"{dtype.itemsize * 8}_t, {suffix})\n"
+    for dtype, suffix in _CC_INDEX_SUFFIX.items()
+)
 
 
 def _compile_cc_library() -> ctypes.CDLL:

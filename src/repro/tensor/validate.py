@@ -59,8 +59,10 @@ def diagnose(tensor: SparseTensorCOO) -> TensorDiagnostics:
         for m in range(tensor.nmodes)
     )
     degenerate = tuple(m for m, s in enumerate(tensor.shape) if s == 1)
+    # widen first: np.diff of an unsigned (narrow mode-copy) column wraps
     sortedness = tuple(
-        bool(np.all(np.diff(tensor.indices[:, m]) >= 0)) if nnz else True
+        bool(np.all(np.diff(tensor.indices[:, m].astype(np.int64)) >= 0))
+        if nnz else True
         for m in range(tensor.nmodes)
     )
     return TensorDiagnostics(

@@ -4,11 +4,14 @@ A partition plan stores each mode-sorted copy's indices in the narrowest
 dtype that holds every extent (:func:`repro.tensor.coo.index_dtype`):
 uint16 up to ``max(shape) == 2**16``, uint32 up to ``2**32``, int64 beyond.
 At each edge the plan and its batch plans must validate, and MTTKRP must be
-bit-identical to the same plan built with int64 copies — for the numpy and
-cc tiers on the serial, thread and process backends.
+bit-identical to the same plan with int64 copies sharded straight from the
+tensor — for the numpy and cc tiers on the serial, thread and process
+backends.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +23,8 @@ from repro.engine import (
     ThreadBackend,
 )
 from repro.engine.batch import build_batch_plan
-from repro.errors import PartitionError
 from repro.partition.plan import build_partition_plan
+from repro.partition.sharding import shard_mode
 from repro.tensor.coo import SparseTensorCOO, index_dtype
 
 U16_EDGE = 1 << 16
@@ -81,9 +84,10 @@ def width_case(request):
     shape, dtype = WIDTHS[request.param]
     tensor = _edge_tensor(shape)
     plan = build_partition_plan(tensor, 2, shards_per_gpu=4)
-    wide = build_partition_plan(
-        tensor, 2, shards_per_gpu=4, index_dtype=np.int64
-    )
+    # the int64 reference: each mode sharded from the int64 tensor itself
+    wide = replace(plan, modes=tuple(
+        shard_mode(tensor, mode, 2 * 4) for mode in range(tensor.nmodes)
+    ))
     rng = np.random.default_rng(17)
     factors = [rng.random((s, 4)) for s in shape]
     return tensor, dtype, plan, wide, factors
@@ -139,9 +143,3 @@ def test_extent_above_uint32_keeps_int64():
         build_batch_plan(part, 4).validate_against(part)
     assert int(plan.modes[0].tensor.indices[-1, 0]) == (1 << 32) + 2
 
-
-@pytest.mark.parametrize("dtype", [np.uint16, np.int32, np.float64])
-def test_plan_refuses_an_index_dtype_that_cannot_hold_the_shape(dtype):
-    tensor = _edge_tensor((U16_EDGE + 1, 4, 3), nnz=20)
-    with pytest.raises(PartitionError, match="cannot hold shape"):
-        build_partition_plan(tensor, 2, index_dtype=dtype)

@@ -434,7 +434,11 @@ class TestResidentIndexWidth:
         with ProcessBackend(2) as backend:
             StreamingExecutor(plan, backend=backend).mttkrp_all_modes(factors)
             assert backend.published_modes == n
-            assert backend.published_bytes == n * nnz * (n * 2 + 8)
+            published = sum(
+                shm.size for _spec, shms, _refs in backend._shm_cache.values()
+                for shm in shms
+            )
+        assert published == n * nnz * (n * 2 + 8)
 
     def test_scaled_twitch_copies_hold_two_bytes_per_index(self):
         from repro.datasets.profiles import profile_by_name

@@ -58,6 +58,21 @@ class TestRoundTrip:
         expected = tuple(int(m) + 1 for m in tiny_tensor.indices.max(axis=0))
         assert back.shape == expected
 
+    def test_narrow_mode_copy_roundtrip(self, tmp_path):
+        """A plan's uint16 mode copy writes 65,535 as 65536, not 0."""
+        from repro.partition.plan import build_partition_plan
+
+        t = SparseTensorCOO(
+            np.array([[(1 << 16) - 1, 1], [0, 2]]), np.array([1.5, 2.5]),
+            (1 << 16, 3),
+        )
+        copy = build_partition_plan(t, 1, n_shards=1).modes[0].tensor
+        assert copy.indices.dtype == np.uint16
+        path = tmp_path / "t.tns"
+        write_tns(path, copy)
+        assert path.read_text().splitlines()[-1].startswith("65536 2 ")
+        assert read_tns(path, shape=t.shape).allclose(t)
+
 
 class TestParsing:
     def test_one_based_indices(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TensorFormatError
+from repro.partition.plan import build_partition_plan
 from repro.tensor.coo import SparseTensorCOO
 from repro.tensor.validate import diagnose, require_canonical
 
@@ -45,6 +46,18 @@ class TestDiagnose:
         s = small_tensor.sorted_by_mode(1)
         d = diagnose(s)
         assert d.sorted_by_mode[1]
+
+    def test_sortedness_of_a_narrow_mode_copy(self):
+        """A plan's uint16 mode copy: unsigned differences must not wrap."""
+        t = SparseTensorCOO(
+            np.array([[1 << 15, 2], [0, 1], [(1 << 16) - 1, 0]]),
+            np.ones(3),
+            (1 << 16, 3),
+        )
+        copy = build_partition_plan(t, 1, n_shards=1).modes[0].tensor
+        assert copy.indices.dtype == np.uint16
+        assert diagnose(copy).sorted_by_mode == (True, False)
+        assert diagnose(copy) == diagnose(t.sorted_by_mode(0))
 
     def test_empty_tensor(self):
         t = SparseTensorCOO(np.empty((0, 2), dtype=np.int64), np.empty(0), (3, 3))
