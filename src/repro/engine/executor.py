@@ -25,8 +25,9 @@ instead of materializing whole shards, which
   every ``(source, batch_size, backend, prefetch)`` combination — each
   output row is produced by one segmented reduction over the same elements
   in the same order, every source yields mode-sorted copies with identical
-  coordinates (a resident copy stores them in a narrow index dtype, a
-  shard cache in int64: same values), and every backend yields partial
+  coordinates (resident copies and v2 caches store them in the narrow
+  ``index_dtype`` of the shape, v1 caches in int64: same values), and
+  every backend yields partial
   results in batch order for the coordinator's deterministic scatter-add.
 
 Batch-size tuning

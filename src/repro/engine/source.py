@@ -26,9 +26,9 @@ behind the batches so the same executor can stream from
 vs v2 chunked) and opens the matching source.
 
 The contract all sources share: for one logical tensor, every source yields
-**mode-sorted copies with identical coordinates** — resident copies store
-them in the narrowest index dtype of the shape
-(:func:`repro.tensor.coo.index_dtype`), shard caches in int64, with the
+**mode-sorted copies with identical coordinates** — resident copies and
+v2 caches store them in the narrowest index dtype of the shape
+(:func:`repro.tensor.coo.index_dtype`), v1 caches in int64, with the
 same values — hence the same shard tables, the same segment-aligned
 :class:`repro.engine.batch.BatchPlan` boundaries, and bit-identical MTTKRP
 results — the source/equivalence test matrix in
@@ -512,8 +512,9 @@ class CompressedChunkSource(ShardSource):
         """The mode's key column, decompressed on demand.
 
         Only the most recently used mode's column is kept (planning touches
-        one mode at a time), so key residency is ``nnz * 8`` bytes, not
-        ``nmodes * nnz * 8``.
+        one mode at a time), so key residency is ``nnz * itemsize`` bytes
+        (the cache's index dtype: 2 for a uint16 cache, 8 before version
+        4), not ``nmodes * nnz * itemsize``.
 
         Concurrency: the cache slot is read through a local snapshot and
         replaced with one atomic assignment, so concurrent readers (two

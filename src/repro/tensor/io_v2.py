@@ -43,8 +43,9 @@ Manifest schema (canonical ``json.dumps(..., sort_keys=True)``)::
 
     {
       "format": "repro-shard-cache-v2",
-      "version": 3,                   # 2 is still read: no "filter" key,
-                                      # frames unfiltered
+      "version": 4,                   # 2 (no "filter" key, raw frames)
+                                      # and 3 (filtered) are still read;
+                                      # both hold "<i8" coordinates
       "codec": "zstd" | "zlib" | "lzma" | "none",
       "filter": "shuffle" | "none",   # "shuffle" for every real codec
       "level": <int>,                 # resolved codec level
@@ -53,7 +54,8 @@ Manifest schema (canonical ``json.dumps(..., sort_keys=True)``)::
       "nnz": <int>,
       "arrays": {
         "mode{d}_indices" | "mode{d}_values" | "mode{d}_keys": {
-          "dtype": "<i8" | "<f8",
+          "dtype": "<u2" | "<u4" | "<i8"  # indices and keys
+                 | "<f8",                 # values
           "shape": [...],
           "chunks": [
             {"lo": r0, "hi": r1,      # row range of the chunk
@@ -66,6 +68,13 @@ Manifest schema (canonical ``json.dumps(..., sort_keys=True)``)::
         }
       }
     }
+
+**Coordinate width.** A mode's ``indices`` and ``keys`` share one
+little-endian dtype: :func:`repro.tensor.coo.index_dtype` of ``shape``
+(uint16 when no extent passes 2**16, uint32 up to 2**32, int64 beyond),
+the width resident mode copies use. The reader accepts any dtype of
+:data:`repro.tensor.coo.INDEX_DTYPES` at least that wide, and refuses
+anything else by array name before a frame is decoded.
 
 **Frame filter.** With ``"filter": "shuffle"`` a frame's raw bytes are
 byte-shuffled before compression (Blosc's lossless filter): byte *k* of
@@ -95,7 +104,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.errors import TensorFormatError
-from repro.tensor.coo import SparseTensorCOO, stable_key_order
+from repro.tensor.coo import (
+    INDEX_DTYPES,
+    SparseTensorCOO,
+    index_dtype,
+    stable_key_order,
+)
 
 __all__ = [
     "SHARD_CACHE_V2_VERSION",
@@ -117,13 +131,15 @@ __all__ = [
     "StreamingBuildResult",
 ]
 
-#: manifest version the writer emits (3 added the frame ``filter``); the
-#: container (magic, header, frames, manifest) is still the v2 one
-SHARD_CACHE_V2_VERSION = 3
+#: manifest version the writer emits (3 added the frame ``filter``, 4 the
+#: narrow coordinate dtypes); the container (magic, header, frames,
+#: manifest) is still the v2 one
+SHARD_CACHE_V2_VERSION = 4
 SHARD_CACHE_V2_MAGIC = b"REPROSC2"
 
-#: manifest versions the reader accepts (2: no ``filter`` key, raw frames)
-_READABLE_VERSIONS = (2, 3)
+#: manifest versions the reader accepts (2: no ``filter`` key, raw frames;
+#: 2 and 3: int64 coordinates)
+_READABLE_VERSIONS = (2, 3, 4)
 
 #: frame filters a manifest may name: ``none`` stores a frame's raw
 #: C-order bytes, ``shuffle`` their byte shuffle (see the module docstring)
@@ -313,6 +329,11 @@ def _row_nbytes(meta: dict) -> int:
     return np.dtype(meta["dtype"]).itemsize * width
 
 
+def _manifest_dtype(dtype: np.dtype) -> str:
+    """``dtype`` as a manifest spells it: its little-endian ``str``."""
+    return np.dtype(dtype).newbyteorder("<").str
+
+
 def _frame_filter(codec: _Codec) -> str:
     """The filter a new cache applies to ``codec`` frames."""
     return "none" if codec.name == "none" else "shuffle"
@@ -417,6 +438,8 @@ class _V2Writer:
         self.shape = tuple(int(s) for s in shape)
         self.nnz = int(nnz)
         self.nmodes = len(self.shape)
+        #: dtype of every index and key frame (appended blocks are cast)
+        self.index_dtype = index_dtype(self.shape)
         self.codec = _resolve_codec(codec)
         self.level = self.codec.default_level if level is None else int(level)
         self.filter = _frame_filter(self.codec)
@@ -529,10 +552,11 @@ class _V2Writer:
         self._mode_rows = 0
         self._buffered = 0
         self._buf_idx, self._buf_val = [], []
+        coords = _manifest_dtype(self.index_dtype)
         for part, dtype, shape in (
-            ("indices", "<i8", [self.nnz, self.nmodes]),
+            ("indices", coords, [self.nnz, self.nmodes]),
             ("values", "<f8", [self.nnz]),
-            ("keys", "<i8", [self.nnz]),
+            ("keys", coords, [self.nnz]),
         ):
             self._arrays[f"mode{mode}_{part}"] = {
                 "dtype": dtype,
@@ -541,8 +565,9 @@ class _V2Writer:
             }
 
     def append(self, indices: np.ndarray, values: np.ndarray) -> None:
-        """Append the next block of the current mode's sorted element list."""
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
+        """Append the next block of the current mode's sorted element list
+        (indices in ``[0, extent)``; they are stored at ``index_dtype``)."""
+        indices = np.ascontiguousarray(indices, dtype=self.index_dtype)
         values = np.ascontiguousarray(values, dtype=np.float64)
         if indices.shape[0]:
             self._buf_idx.append(indices)
@@ -617,6 +642,8 @@ def write_shard_cache_v2(
         codec=codec, chunk_nnz=chunk_nnz, level=level,
     )
     try:
+        # narrowed once, so every chunk gathers frame-width rows
+        indices = tensor.indices.astype(writer.index_dtype, copy=False)
         for m in range(tensor.nmodes):
             writer.begin_mode(m)
             # one permutation per mode, gathered a chunk at a time: the
@@ -625,7 +652,9 @@ def write_shard_cache_v2(
             order = tensor.mode_order(m)
             for lo in range(0, tensor.nnz, writer.chunk_nnz):
                 rows = order[lo : lo + writer.chunk_nnz]
-                writer.append(tensor.indices[rows], tensor.values[rows])
+                writer.append(
+                    np.take(indices, rows, axis=0), np.take(tensor.values, rows)
+                )
         return writer.finish()
     except BaseException:
         writer.abort()
@@ -809,7 +838,7 @@ def _merge_sorted_runs(runs, mode, extent, block, emit, track):
             val = np.concatenate(collect_v)
             track.see(2 * idx.shape[0])
             order = stable_key_order(idx[:, mode], extent)
-            emit(idx[order], val[order])
+            emit(np.take(idx, order, axis=0), np.take(val, order))
         # Now stream every element equal to the frontier key, run by run
         # (run order == input order == stable order for equal keys).
         for i in range(len(readers)):
@@ -849,8 +878,9 @@ def write_shard_cache_streaming(
        most ``run_nnz = memory_budget // ((nmodes + 3) * 8)`` elements
        (one element costs ``nmodes*8 + 8`` bytes plus the sort
        permutation; the denominator charges all three);
-    2. **run formation** — load one segment at a time, stable-sort it by
-       the mode key, spill the sorted run;
+    2. **run formation** — load one segment at a time, narrow it to the
+       cache's index dtype, stable-sort it by the mode key, spill the
+       sorted run;
     3. **k-way merge** — merge the runs in bounded blocks
        (``run_nnz // n_runs`` elements per run head) straight into the
        compressed chunk frames, preserving input order for equal keys.
@@ -907,14 +937,16 @@ def write_shard_cache_streaming(
             writer.begin_mode(mode)
             runs: list[tuple[Path, Path]] = []
             for s, (ip, vp) in enumerate(segments):
-                idx = np.load(ip)
+                # segments are int64 (pass 0 may not know the shape yet);
+                # runs are sorted and spilled at the cache's index width
+                idx = np.load(ip).astype(writer.index_dtype, copy=False)
                 val = np.load(vp)
                 track.see(2 * idx.shape[0])  # segment + sort permutation
                 order = stable_key_order(idx[:, mode], out_shape[mode])
                 rip = tmp / f"run{mode}_{s}_idx.npy"
                 rvp = tmp / f"run{mode}_{s}_val.npy"
-                np.save(rip, idx[order])
-                np.save(rvp, val[order])
+                np.save(rip, np.take(idx, order, axis=0))
+                np.save(rvp, np.take(val, order))
                 runs.append((rip, rvp))
             if len(runs) == 1:
                 idx = np.load(runs[0][0])
@@ -1129,6 +1161,7 @@ class ChunkedCacheReader:
                 f"{self.path}: v2 manifest is missing arrays {missing}; "
                 f"rebuild the cache"
             )
+        self._check_dtypes(version)
         # reader-wide LRU of decoded chunks, (array, chunk) -> array, or a
         # Future while a read-ahead decode is in flight; both count their
         # manifest raw size in _cached_nbytes
@@ -1144,6 +1177,37 @@ class ChunkedCacheReader:
         self._decode_workers = _codec_workers(self._codec, _MAX_DECODE_WORKERS)
         self._pool: ThreadPoolExecutor | None = None
 
+    def _check_dtypes(self, version: int) -> None:
+        """Refuse, by array name, any dtype this reader would misdecode:
+        values must be ``<f8``; a mode's indices and keys share one
+        little-endian dtype of ``INDEX_DTYPES`` at least as wide as
+        ``index_dtype(shape)``, and ``<i8`` before version 4."""
+        coords = [_manifest_dtype(d) for d in INDEX_DTYPES]
+        narrowest = coords.index(_manifest_dtype(index_dtype(self.shape)))
+        # versions 2 and 3 predate narrow coordinates
+        allowed = coords[narrowest:] if version >= 4 else ["<i8"]
+
+        def refuse(name: str, why: str) -> None:
+            raise TensorFormatError(
+                f"{self.path}: array {name!r} has dtype "
+                f"{self._meta[name].get('dtype')!r}, {why}; rebuild the cache"
+            )
+
+        for m in range(len(self.shape)):
+            values = f"mode{m}_values"
+            if self._meta[values].get("dtype") != "<f8":
+                refuse(values, "expected '<f8'")
+            indices, keys = f"mode{m}_indices", f"mode{m}_keys"
+            dtype = self._meta[indices].get("dtype")
+            if dtype not in allowed:
+                refuse(
+                    indices,
+                    f"expected one of {allowed} for shape {list(self.shape)} "
+                    f"in a version-{version} cache",
+                )
+            if self._meta[keys].get("dtype") != dtype:
+                refuse(keys, f"expected the indices' {dtype!r}")
+
     @property
     def nmodes(self) -> int:
         return len(self.shape)
@@ -1152,21 +1216,25 @@ class ChunkedCacheReader:
     def codec_ratio(self) -> float:
         """Measured compressed/raw byte ratio over every chunk in the cache.
 
-        This is the real on-disk ratio the manifest records (frame ``nbytes``
-        over ``raw_nbytes``, summed across all arrays), the number the host
-        timing model's staging-read term should use instead of the analytic
-        per-codec default in
+        The numerator is the real on-disk bytes the manifest records (frame
+        ``nbytes`` summed across all arrays). The denominator prices every
+        array the way the host timing model does, with 8-byte coordinates
+        whatever the cache stores (``raw_nbytes`` scaled by ``8 /
+        itemsize``), so ``ratio * priced raw bytes`` is the bytes a staging
+        read really moves. This is the number the staging-read term should
+        use instead of the analytic per-codec default in
         :data:`repro.engine.costmodel.timing.DEFAULT_CODEC_RATIO`.
         """
         compressed = 0
-        raw = 0
+        priced = 0
         for meta in self._meta.values():
+            itemsize = np.dtype(meta["dtype"]).itemsize
             for chunk in meta["chunks"]:
                 compressed += int(chunk["nbytes"])
-                raw += int(chunk["raw_nbytes"])
-        if raw <= 0:
+                priced += int(chunk["raw_nbytes"]) // itemsize * 8
+        if priced <= 0:
             return 1.0
-        return compressed / raw
+        return compressed / priced
 
     def array_names(self) -> tuple[str, ...]:
         return tuple(self._meta)

@@ -2,8 +2,8 @@
 
 The engine contract extended to sources and backends: for one logical
 tensor, every ``ShardSource`` implementation yields mode-sorted copies with
-identical coordinates (narrow resident copies, int64 caches), identical
-shard tables and batch boundaries, and
+identical coordinates (narrow resident copies and v2 caches, int64 v1
+caches), identical shard tables and batch boundaries, and
 therefore **bit-identical** MTTKRP results for every ``(batch_size,
 backend, prefetch, mode)`` cell — with :class:`MmapNpzSource` additionally
 keeping the element data on disk (memory-mapped) rather than resident, and
@@ -392,21 +392,22 @@ class TestClusterCell:
 
 
 class TestResidentIndexWidth:
-    """Resident mode copies store narrow indices; shard caches store int64.
-    The coordinate values, and so the MTTKRP bits, are the same."""
+    """Resident mode copies and v2 caches store narrow indices; v1 caches
+    store int64. The coordinate values, and so the MTTKRP bits, are the
+    same."""
 
     def test_sources_hold_equal_coordinates(
         self, tensor, plan, cache_path, cache_v2_path
     ):
         narrow = index_dtype(tensor.shape)
         assert narrow == np.uint16
-        for kind in ("mmap", "chunked"):
+        for kind, stored in (("mmap", np.int64), ("chunked", narrow)):
             source = make_source(kind, plan, cache_path, cache_v2_path)
             for mode in range(tensor.nmodes):
                 resident = plan.modes[mode].tensor.indices
                 cached = source.partition(mode).tensor.indices
                 assert resident.dtype == narrow
-                assert cached.dtype == np.int64
+                assert cached.dtype == stored
                 assert np.array_equal(np.asarray(cached[:]), resident)
 
     @pytest.mark.parametrize("kernel", ["numpy", "cc"])

@@ -195,19 +195,21 @@ class TestEngineBitExact:
     def test_shard_source_coordinates(
         self, case, case_cache, case_cache_v2, source_kind
     ):
-        """The resident copies hold the golden coordinates in the narrowest
-        index dtype of the shape; every other source holds the same values
-        as int64 — the representation the bit-identical matrix above runs
-        over."""
+        """The resident copies and the v2 cache hold the golden coordinates
+        in the narrowest index dtype of the shape; the v1 cache and the
+        synthetic source hold the same values as int64 — the
+        representations the bit-identical matrix above runs over."""
         name, tensor, _, _, config, _ = case
         resident = _case_source("memory", name, tensor, config, case_cache)
         cache = case_cache_v2 if source_kind == "chunked" else case_cache
         source = _case_source(source_kind, name, tensor, config, cache)
+        narrow = index_dtype(tensor.shape)
+        stored = narrow if source_kind == "chunked" else np.int64
         for m in range(tensor.nmodes):
             want = resident.partition(m).tensor.indices
             got = source.partition(m).tensor.indices
-            assert want.dtype == index_dtype(tensor.shape)
-            assert got.dtype == np.int64
+            assert want.dtype == narrow
+            assert got.dtype == stored
             assert np.array_equal(np.asarray(got[:]), want)
 
     @pytest.mark.parametrize(

@@ -45,6 +45,7 @@ from repro.engine import (
 )
 from repro.partition.plan import build_partition_plan
 from repro.partition.sharding import shard_mode
+from repro.tensor.coo import index_dtype
 from repro.tensor.generate import zipf_coo
 from repro.tensor.io import (
     available_codecs,
@@ -234,14 +235,17 @@ class TestCompressedCacheProperties:
                 assert reader.shape == t.shape
                 assert reader.nnz == t.nnz
                 assert reader.codec_name == codec
+                narrow = index_dtype(t.shape)
                 for m in range(t.nmodes):
                     s = t.sorted_by_mode(m)
+                    want = s.indices.astype(narrow)
                     idx = np.asarray(reader.array(f"mode{m}_indices"))
                     val = np.asarray(reader.array(f"mode{m}_values"))
                     keys = np.asarray(reader.array(f"mode{m}_keys"))
-                    assert idx.tobytes() == s.indices.tobytes()
+                    assert idx.dtype == keys.dtype == narrow
+                    assert idx.tobytes() == want.tobytes()
                     assert val.tobytes() == s.values.tobytes()
-                    assert keys.tobytes() == s.indices[:, m].tobytes()
+                    assert keys.tobytes() == want[:, m].tobytes()
 
     @given(v2_cache_cases(), st.integers(1, 2000))
     @settings(max_examples=30, deadline=None)

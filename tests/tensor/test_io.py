@@ -4,6 +4,7 @@
 import dataclasses
 import itertools
 import json
+import re
 import threading
 import tracemalloc
 import zlib
@@ -16,7 +17,7 @@ from helpers import force_cpus, make_factors
 from repro.engine import CompressedChunkSource, InMemorySource, StreamingExecutor
 
 from repro.errors import ReproError, TensorFormatError
-from repro.tensor.coo import SparseTensorCOO
+from repro.tensor.coo import SparseTensorCOO, index_dtype
 from repro.tensor.generate import random_coo
 from repro.tensor.io import (
     SHARD_CACHE_VERSION,
@@ -444,6 +445,10 @@ class TestShardCacheV2:
 #: :func:`_fixture_tensor`, written before the frame filter existed
 FIXTURE_V2 = Path(__file__).parent / "data" / "cache_v2_zlib.npz"
 
+#: :func:`_fixture_tensor` as a version-3 cache: shuffled zlib level-1
+#: frames, int64 coordinates (written before coordinates were narrowed)
+FIXTURE_V3 = Path(__file__).parent / "data" / "cache_v3_zlib.npz"
+
 
 def _fixture_tensor() -> SparseTensorCOO:
     """The tensor in :data:`FIXTURE_V2`: arithmetic, no RNG, so every
@@ -455,51 +460,77 @@ def _fixture_tensor() -> SparseTensorCOO:
     return SparseTensorCOO(indices, 1.0 + (k % 13) / 8.0, shape)
 
 
-def _rewrite_manifest(path, **fields):
-    """Set manifest ``fields`` of the v2 cache at ``path`` in place."""
+def _rewrite_manifest(path, arrays=None, **fields):
+    """Set manifest ``fields`` of the v2 cache at ``path`` in place;
+    ``arrays`` maps an array name to the fields to set in its entry."""
     raw = path.read_bytes()
     moff = int.from_bytes(raw[len(SHARD_CACHE_V2_MAGIC):_HEADER_BYTES], "little")
     manifest = json.loads(raw[moff:])
     manifest.update(fields)
+    for name, entry in (arrays or {}).items():
+        manifest["arrays"][name].update(entry)
     path.write_bytes(raw[:moff] + json.dumps(manifest).encode("utf-8"))
 
 
+def _assert_fixture_reads(fixture, *, version, filter_name, level):
+    """A committed fixture reads back :func:`_fixture_tensor`'s sorted
+    copies, with the int64 coordinates every pre-4 version stores."""
+    tensor = _fixture_tensor()
+    with load_shard_cache_v2(fixture) as reader:
+        assert reader.manifest["version"] == version
+        assert ("filter" in reader.manifest) == (version > 2)
+        assert reader.filter == filter_name
+        assert reader.codec_name == "zlib" and reader.chunk_nnz == 64
+        assert reader.manifest["level"] == level
+        for m in range(tensor.nmodes):
+            s = tensor.sorted_by_mode(m)
+            idx = np.asarray(reader.array(f"mode{m}_indices"))
+            val = np.asarray(reader.array(f"mode{m}_values"))
+            keys = np.asarray(reader.array(f"mode{m}_keys"))
+            assert idx.dtype == keys.dtype == np.int64
+            assert np.array_equal(idx, s.indices)
+            assert np.array_equal(val, s.values)
+            assert np.array_equal(keys, s.indices[:, m])
+
+
+def _assert_fixture_mttkrp(fixture, prefetch):
+    """MTTKRP over a committed fixture is bit-identical to in-memory."""
+    tensor = _fixture_tensor()
+    factors = make_factors(tensor.shape)
+    memory = StreamingExecutor(
+        InMemorySource.from_tensor(tensor, 2, shards_per_gpu=2),
+        batch_size=50,
+    )
+    with CompressedChunkSource(
+        fixture, n_gpus=2, shards_per_gpu=2
+    ) as source, StreamingExecutor(
+        source, batch_size=50, prefetch=prefetch
+    ) as engine:
+        for m in range(tensor.nmodes):
+            assert np.array_equal(
+                engine.mttkrp(factors, m), memory.mttkrp(factors, m)
+            )
+
+
 class TestShardCacheV2Compat:
-    """Version-3 manifests record the frame filter; version-2 caches (no
-    filter, raw frames) keep reading, and anything else is refused by
+    """Version-4 manifests record narrow coordinates and version-3 ones the
+    frame filter; version-3 caches (int64 coordinates) and version-2 caches
+    (no filter, raw frames) keep reading, and anything else is refused by
     name."""
 
     def test_version_2_fixture_reads(self):
-        tensor = _fixture_tensor()
-        with load_shard_cache_v2(FIXTURE_V2) as reader:
-            assert reader.manifest["version"] == 2
-            assert "filter" not in reader.manifest
-            assert reader.filter == "none"
-            assert reader.codec_name == "zlib" and reader.chunk_nnz == 64
-            for m in range(tensor.nmodes):
-                s = tensor.sorted_by_mode(m)
-                idx = np.asarray(reader.array(f"mode{m}_indices"))
-                val = np.asarray(reader.array(f"mode{m}_values"))
-                assert np.array_equal(idx, s.indices)
-                assert np.array_equal(val, s.values)
+        _assert_fixture_reads(FIXTURE_V2, version=2, filter_name="none", level=6)
+
+    def test_version_3_fixture_reads(self):
+        _assert_fixture_reads(FIXTURE_V3, version=3, filter_name="shuffle", level=1)
 
     @pytest.mark.parametrize("prefetch", [False, True])
     def test_version_2_mttkrp_bit_identical_to_in_memory(self, prefetch):
-        tensor = _fixture_tensor()
-        factors = make_factors(tensor.shape)
-        memory = StreamingExecutor(
-            InMemorySource.from_tensor(tensor, 2, shards_per_gpu=2),
-            batch_size=50,
-        )
-        with CompressedChunkSource(
-            FIXTURE_V2, n_gpus=2, shards_per_gpu=2
-        ) as source, StreamingExecutor(
-            source, batch_size=50, prefetch=prefetch
-        ) as engine:
-            for m in range(tensor.nmodes):
-                assert np.array_equal(
-                    engine.mttkrp(factors, m), memory.mttkrp(factors, m)
-                )
+        _assert_fixture_mttkrp(FIXTURE_V2, prefetch)
+
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_version_3_mttkrp_bit_identical_to_in_memory(self, prefetch):
+        _assert_fixture_mttkrp(FIXTURE_V3, prefetch)
 
     @pytest.mark.parametrize("codec", available_codecs())
     def test_new_caches_record_their_filter(self, tmp_path, codec):
@@ -509,7 +540,7 @@ class TestShardCacheV2Compat:
         )
         with load_shard_cache_v2(path) as reader:
             manifest = reader.manifest
-            assert manifest["version"] == io_v2.SHARD_CACHE_V2_VERSION == 3
+            assert manifest["version"] == io_v2.SHARD_CACHE_V2_VERSION == 4
             assert manifest["filter"] == ("none" if codec == "none" else "shuffle")
             if codec == "zlib":
                 assert manifest["level"] == 1
@@ -518,15 +549,16 @@ class TestShardCacheV2Compat:
                     chunk["offset"] : chunk["offset"] + chunk["nbytes"]
                 ]
                 rows = tensor.sorted_by_mode(0).indices[chunk["lo"] : chunk["hi"]]
-                # byte k of every int64 item, k = 0..7
-                shuffled = rows.reshape(-1).view(np.uint8).reshape(-1, 8).T
+                # byte k of every uint16 item, k = 0..1
+                items = rows.astype(np.uint16).reshape(-1)
+                shuffled = items.view(np.uint8).reshape(-1, 2).T
                 assert zlib.decompress(frame) == shuffled.tobytes()
         assert detect_shard_cache_version(path) == 2  # the container
 
     @pytest.mark.parametrize(
         "fields, named",
         [
-            ({"version": 4}, "version 4 unsupported"),
+            ({"version": 5}, "version 5 unsupported"),
             ({"version": "3"}, "version '3' unsupported"),
             ({"filter": "bogus"}, "frame filter 'bogus'"),
             ({"version": 2, "filter": "bogus"}, "frame filter 'bogus'"),
@@ -539,6 +571,51 @@ class TestShardCacheV2Compat:
         with pytest.raises(TensorFormatError, match=named):
             load_shard_cache_v2(path)
 
+    @pytest.mark.parametrize(
+        "shape, version, arrays, named",
+        [
+            (
+                (70_000, 7, 5), None,
+                {"mode0_indices": "<u2", "mode0_keys": "<u2"},
+                "array 'mode0_indices' has dtype '<u2'",
+            ),
+            (
+                None, None,
+                {"mode0_indices": "<f4", "mode0_keys": "<f4"},
+                "array 'mode0_indices' has dtype '<f4'",
+            ),
+            (
+                None, None, {"mode1_keys": "<u4"},
+                "array 'mode1_keys' has dtype '<u4', expected the indices' '<u2'",
+            ),
+            (None, 3, {}, "array 'mode0_indices' has dtype '<u2'"),
+            (None, None, {"mode2_indices": "|O"}, "array 'mode2_indices' has dtype '|O'"),
+            (None, None, {"mode0_values": "<f4"}, "array 'mode0_values' has dtype '<f4'"),
+            (None, None, {"mode0_indices": ">u2"}, "array 'mode0_indices' has dtype '>u2'"),
+        ],
+        ids=[
+            "uint16-at-extent-70000", "float-indices", "mismatched-keys",
+            "v3-claims-uint16", "object", "float32-values", "big-endian",
+        ],
+    )
+    def test_coordinate_dtype_refused_by_name(
+        self, tmp_path, shape, version, arrays, named
+    ):
+        """A manifest dtype the reader would misdecode is refused when the
+        cache opens, naming the array and its dtype."""
+        tensor = _fixture_tensor()
+        if shape is not None:  # indices of a wider tensor, stored as uint32
+            tensor = SparseTensorCOO(tensor.indices, tensor.values, shape)
+        path = write_shard_cache_v2(tensor, tmp_path / "c.npz", chunk_nnz=64)
+        fields = {} if version is None else {"version": version}
+        _rewrite_manifest(
+            path,
+            arrays={name: {"dtype": dtype} for name, dtype in arrays.items()},
+            **fields,
+        )
+        with pytest.raises(TensorFormatError, match=re.escape(named)):
+            load_shard_cache_v2(path)
+
     def test_chunks_read_only_whatever_the_filter(self, tmp_path):
         """Decoded chunks are shared through the reader's cache, so no
         filter may hand out a writable one."""
@@ -549,6 +626,74 @@ class TestShardCacheV2Compat:
             )
             with load_shard_cache_v2(path) as reader:
                 assert not reader.array("mode0_indices")[0:10].flags.writeable
+
+
+class TestShardCacheV2IndexWidth:
+    """Version-4 caches store indices and keys at ``index_dtype(shape)``."""
+
+    @pytest.mark.parametrize(
+        "extent, dtype",
+        [(2**16, "<u2"), (2**16 + 1, "<u4"), (2**32, "<u4"), (2**32 + 1, "<i8")],
+    )
+    @pytest.mark.parametrize("codec", available_codecs())
+    def test_coordinates_stored_at_index_dtype(
+        self, tmp_path, extent, dtype, codec
+    ):
+        tensor = _fixture_tensor()
+        idx = tensor.indices.copy()
+        idx[::7, 1] = extent - 1 - np.arange(idx[::7].shape[0])  # reach the top
+        tensor = SparseTensorCOO(idx, tensor.values, (9, extent, 5))
+        assert index_dtype(tensor.shape) == np.dtype(dtype)
+        path = write_shard_cache_v2(
+            tensor, tmp_path / "c.npz", codec=codec, chunk_nnz=64
+        )
+        with load_shard_cache_v2(path) as reader:
+            for m in range(tensor.nmodes):
+                s = tensor.sorted_by_mode(m)
+                for part in ("indices", "keys"):
+                    assert reader.manifest["arrays"][f"mode{m}_{part}"][
+                        "dtype"
+                    ] == dtype
+                got = np.asarray(reader.array(f"mode{m}_indices"))
+                keys = np.asarray(reader.array(f"mode{m}_keys"))
+                assert got.dtype == keys.dtype == np.dtype(dtype)
+                assert np.array_equal(got, s.indices)
+                assert np.array_equal(keys, s.indices[:, m])
+                assert (
+                    np.asarray(reader.array(f"mode{m}_values")).tobytes()
+                    == s.values.tobytes()
+                )
+
+    @pytest.mark.parametrize("codec", available_codecs())
+    def test_builders_byte_identical_at_uint32(self, tmp_path, codec):
+        """Both builders narrow to the same width: the external-sort runs
+        are spilled as uint32 and the files still match byte for byte."""
+        tensor = random_coo((70_000, 40, 30), 600, seed=5)
+        mem, ext = _build_both(tensor, tmp_path / "both", codec)
+        assert mem == ext
+        with load_shard_cache_v2(tmp_path / "both" / "mem.npz") as reader:
+            assert reader.manifest["arrays"]["mode0_indices"]["dtype"] == "<u4"
+
+    def test_codec_ratio_prices_8_byte_coordinates(self, tmp_path):
+        """``codec_ratio`` times the raw bytes the host timing model prices
+        (every coordinate at 8 bytes: indices, values and keys of every
+        mode) is exactly the frame bytes the manifest records."""
+        tensor = _fixture_tensor()
+        path = write_shard_cache_v2(tensor, tmp_path / "c.npz", chunk_nnz=64)
+        with load_shard_cache_v2(path) as reader:
+            chunks = [
+                c
+                for meta in reader.manifest["arrays"].values()
+                for c in meta["chunks"]
+            ]
+            ratio = reader.codec_ratio
+        nmodes, nnz = tensor.nmodes, tensor.nnz
+        priced = nmodes * nnz * (nmodes * 8 + 8 + 8)
+        frames = sum(c["nbytes"] for c in chunks)
+        assert ratio * priced == pytest.approx(frames, rel=1e-12)
+        # the uint16 frames themselves hold fewer raw bytes than are priced
+        raw = sum(c["raw_nbytes"] for c in chunks)
+        assert raw == nmodes * nnz * (nmodes * 2 + 8 + 2)
 
 
 class TestShardCacheV2Corruption:
