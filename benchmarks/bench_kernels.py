@@ -343,7 +343,7 @@ def _run_prediction_smoke(tensor, plan, batch_size, t_serial, t_thread) -> int:
     model must only be *confidently wrong* to fail CI.
     """
     from repro.core.config import AmpedConfig
-    from repro.core.simulate import host_time_plan
+    from repro.engine.costmodel import host_time_plan
     from repro.core.workload import TensorWorkload
     from repro.engine.profile import profile_host
 

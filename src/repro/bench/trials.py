@@ -6,7 +6,7 @@ iterations followed by
 timed repeats of a full MTTKRP iteration (``mttkrp_all_modes``), the same
 quantity the host-pipeline timing model predicts. Each trial produces one
 versioned JSON record holding the measured wall times, the per-phase
-prediction from :func:`repro.core.simulate.host_time_plan`, the
+prediction from the executor's ``plan.time_plan``, the
 predicted-vs-measured error, peak RSS, a config fingerprint, the host
 profile hash, and the git revision — enough provenance to compare the same
 cell across trajectory files from different commits (see

@@ -131,9 +131,9 @@ class AmpedMTTKRP:
         self.source = source
         self._owns_source = False
         # A v2 source's manifest records the real on-disk compressed/raw
-        # ratio; every host-pipeline prediction made through this executor
-        # (backend="auto" below, host_time_plan()) uses it instead of the
-        # analytic per-codec default. None for v1/in-memory sources.
+        # ratio; the execution plan below (the auto resolution and its
+        # time_plan) prices with it instead of the analytic per-codec
+        # default. None for v1/in-memory sources.
         self.cache_codec_ratio = getattr(source, "codec_ratio", None)
         # Resolve -> price -> build, once, through the plan layer: any
         # "auto" axis is decided against this actual workload (measured
@@ -272,33 +272,3 @@ class AmpedMTTKRP:
         if reset:
             self.platform.reset()
         return simulate_amped(self.platform, self.cost, self.workload, self.config)
-
-    def host_time_plan(self, profile=None) -> dict:
-        """Predicted functional host-pipeline time for one MTTKRP iteration.
-
-        The per-batch dispatch/IPC/staging/decompression accounting of
-        :func:`repro.core.simulate.host_time_plan` for this executor's
-        workload and (resolved) config; ``profile`` overrides the config's
-        host profile. When the source is a v2 chunked cache, the manifest's
-        measured ``codec_ratio`` replaces the analytic per-codec default in
-        the staging-read term. A cluster config dispatches to
-        :func:`repro.engine.costmodel.cluster_time_plan` — the returned
-        plan keeps every ``host_time_plan`` key (callers see one schema)
-        and adds the comm/scatter terms and node topology.
-        """
-        from repro.engine.costmodel import cluster_time_plan, host_time_plan
-
-        name, workers = self.config.resolved_backend()
-        if name == "cluster":
-            return cluster_time_plan(
-                self.workload, self.config, self.cost, profile,
-                nodes=self.config.nodes or 2,
-                sub_backend=(
-                    "thread" if workers > 1 else "serial", workers
-                ),
-                codec_ratio=self.cache_codec_ratio,
-            )
-        return host_time_plan(
-            self.workload, self.config, self.cost, profile,
-            codec_ratio=self.cache_codec_ratio,
-        )

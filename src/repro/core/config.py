@@ -4,11 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.engine.autotune import (
-    resolve_batch_size,
-    stream_cache_fraction,
-    validate_batch_size,
-)
+from repro.engine.autotune import resolve_batch_size, validate_batch_size
 from repro.engine.backend import (
     MAX_WORKERS,
     validate_backend_name,
@@ -26,7 +22,7 @@ from repro.util.humanize import parse_size
 __all__ = ["AmpedConfig", "MAX_WORKERS", "AUTO_BACKEND", "AUTO_KERNEL"]
 
 #: The config spelling of "let the host cost model pick the backend"
-#: (resolved by :func:`repro.engine.costmodel.resolve_auto_backend`;
+#: (resolved by :func:`repro.engine.costmodel.resolve_auto_execution`;
 #: :class:`repro.core.AmpedMTTKRP` pins the concrete choice at construction).
 AUTO_BACKEND = "auto"
 
@@ -88,17 +84,11 @@ class AmpedConfig:
         mirror of ``double_buffer``: a v2 compressed cache decodes the next
         chunks on its reader's decode pool while the current batch reduces;
         for every other source it is a pass-through. Never changes results.
-    stream_cache_fraction: fraction of the effective cache one streamed
-        lane's block may occupy when resolving ``batch_size="auto"``; in
-        (0, 1]. ``None`` defers to the measured ``host_profile`` fraction,
-        then the ``REPRO_STREAM_CACHE_FRACTION`` environment variable,
-        then the built-in calibration
-        (:data:`repro.engine.autotune.STREAM_CACHE_FRACTION`). The env
-        var (and a configured profile) is validated here, at config
-        construction — a malformed value raises :class:`ReproError`
-        immediately instead of surfacing deep inside batch autotuning.
     host_profile: the measured per-host calibration consumed by the host
-        pipeline timing model, ``backend="auto"``, and batch autotuning —
+        pipeline timing model, ``backend="auto"``, and batch autotuning
+        (its ``stream_cache_fraction`` sizes ``batch_size="auto"``; without
+        one, the built-in
+        :data:`repro.engine.autotune.STREAM_CACHE_FRACTION` applies) —
         a :class:`repro.engine.costmodel.HostProfile`, a path to the JSON
         written by ``repro profile``, or ``None`` (consult the
         ``REPRO_HOST_PROFILE`` environment variable, else fall back to the
@@ -161,7 +151,6 @@ class AmpedConfig:
     workers: int = 1
     kernel: str = "numpy"
     prefetch: bool = False
-    stream_cache_fraction: float | None = None
     out_of_core: bool = False
     shard_cache: str | None = None
     cache_codec: str | None = None
@@ -211,15 +200,6 @@ class AmpedConfig:
         profile = resolve_host_profile(self.host_profile)
         if profile is not None:
             object.__setattr__(self, "host_profile", profile)
-        # Validate the stream-cache-fraction chain eagerly too: a
-        # malformed value must fail here, at config resolution, as a named
-        # ReproError — never as a bare ValueError deep inside batch
-        # autotuning. The env var is checked unconditionally (second
-        # call), even when an explicit override or a measured profile wins
-        # the resolution: garbage in REPRO_STREAM_CACHE_FRACTION would
-        # otherwise lie in wait for the next unconfigured run.
-        stream_cache_fraction(self.stream_cache_fraction, profile)
-        stream_cache_fraction(None, None)
         # Cluster topology: validate eagerly (bad addresses or an
         # inconsistent node count must fail at config construction, not
         # when the first socket dial times out mid-decomposition).
@@ -293,14 +273,14 @@ class AmpedConfig:
         """The concrete ``(backend name, workers)`` pair.
 
         ``backend="auto"`` has no answer without a workload — resolve it
-        first (:func:`repro.engine.costmodel.resolve_auto_backend`, done
+        first (:func:`repro.engine.costmodel.resolve_auto_execution`, done
         automatically by :class:`~repro.core.amped.AmpedMTTKRP`).
         """
         if self.backend == AUTO_BACKEND:
             raise ReproError(
                 "backend='auto' is resolved against a workload: build the "
                 "executor (AmpedMTTKRP pins the choice) or call "
-                "repro.engine.costmodel.resolve_auto_backend first"
+                "repro.engine.costmodel.resolve_auto_execution first"
             )
         return self.backend, self.workers
 
@@ -335,7 +315,6 @@ class AmpedConfig:
             rank=self.rank,
             nmodes=nmodes,
             out_of_core=self.out_of_core,
-            cache_fraction=self.stream_cache_fraction,
             profile=self.resolved_host_profile(),
         )
 

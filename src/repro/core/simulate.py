@@ -25,7 +25,6 @@ from repro.comm.allgather import direct_allgather_time, ring_allgather_time
 from repro.core.config import AmpedConfig
 from repro.core.results import ModeTiming, RunResult
 from repro.core.workload import ModeWorkload, TensorWorkload
-from repro.engine.costmodel import host_time_plan
 from repro.errors import DeviceMemoryError, SimulationError
 from repro.simgpu.kernel import KernelCostModel
 from repro.simgpu.platform import MultiGPUPlatform
@@ -35,7 +34,6 @@ __all__ = [
     "simulate_amped",
     "amped_memory_plan",
     "host_memory_plan",
-    "host_time_plan",
 ]
 
 
@@ -116,10 +114,9 @@ def host_memory_plan(
     engine gathers from them on every batch).
 
     This plan accounts *residency*; its time-side companion is
-    :func:`host_time_plan` (re-exported from
-    :mod:`repro.engine.costmodel`), which charges the same pipeline's
-    per-batch dispatch/IPC/staging/decompression cost against a measured
-    host profile.
+    :func:`repro.engine.costmodel.host_time_plan`, which charges the same
+    pipeline's per-batch dispatch/IPC/staging/decompression cost against a
+    measured host profile.
     """
     elem_bytes = cost.host_element_bytes(workload.nmodes)
     batch_size = config.resolved_batch_size(cost, workload.nmodes)

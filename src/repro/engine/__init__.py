@@ -25,8 +25,8 @@
 * :mod:`costmodel` — the measured host-pipeline cost model:
   :class:`HostProfile` (versioned per-host calibration JSON),
   :func:`host_time_plan` (per-batch backend dispatch/IPC, staging, codec
-  decompression, prefetch overlap), and ``backend="auto"`` resolution
-  (:func:`resolve_auto_backend`);
+  decompression, prefetch overlap), and ``backend="auto"`` /
+  ``kernel="auto"`` resolution (:func:`resolve_auto_execution`);
 * :mod:`profile` — the microbenchmark profiler filling a
   :class:`HostProfile` (CLI: ``repro profile``);
 * :mod:`plan` — :class:`ExecutionPlan`, the frozen JSON-round-trippable
@@ -76,9 +76,7 @@ from repro.engine.costmodel import (
     cluster_time_plan,
     host_time_plan,
     load_host_profile,
-    rank_backends,
     rank_executions,
-    resolve_auto_backend,
     resolve_auto_execution,
     resolve_host_profile,
 )
@@ -148,9 +146,7 @@ __all__ = [
     "resolve_host_profile",
     "cluster_time_plan",
     "host_time_plan",
-    "rank_backends",
     "rank_executions",
-    "resolve_auto_backend",
     "resolve_auto_execution",
     "EXECUTION_PLAN_VERSION",
     "ExecutionPlan",

@@ -21,7 +21,9 @@ default model a ~3 MB slab, i.e. a few thousand elements at rank 32. The
 fraction is calibrated against the smoke sweep in
 ``benchmarks/bench_kernels.py --smoke``: throughput is flat from ~2k to
 ~16k elements and falls off past ~64k when the streamed block outgrows the
-cache slice, so the slice targets the middle of the plateau.
+cache slice, so the slice targets the middle of the plateau. A measured
+host profile (``repro profile`` sweeps the plateau on the host itself)
+replaces that default; an integer ``batch_size`` is the manual override.
 Resolution is **source-aware**: for fully resident sources
 the fastest granularity is the eager whole-shard batch (PR 1's measured
 result — the tensor occupies host RAM either way, and one segmented
@@ -31,8 +33,6 @@ footprint, so ``auto`` resolves to the cache-derived size.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.errors import ReproError
 
@@ -51,58 +51,21 @@ MAX_AUTO_BATCH = 1 << 22
 #: default fraction of the shared effective cache granted to one lane's
 #: streamed block; the rest serves factor-row gathers and the other
 #: execution lanes (calibrated on the --smoke sweep, see module docstring).
-#: Override per run with ``AmpedConfig.stream_cache_fraction`` or per host
-#: with the ``REPRO_STREAM_CACHE_FRACTION`` environment variable —
-#: :func:`stream_cache_fraction` is the resolution order.
+#: A measured host profile replaces it (:func:`stream_cache_fraction`).
 STREAM_CACHE_FRACTION = 1 / 32
 
-#: environment override for measured per-host calibration
-STREAM_CACHE_FRACTION_ENV = "REPRO_STREAM_CACHE_FRACTION"
 
+def stream_cache_fraction(profile=None) -> float:
+    """The cache fraction one streamed lane may occupy, in (0, 1].
 
-def _validate_fraction(fraction, origin: str) -> float:
-    try:
-        fraction = float(fraction)
-    except (TypeError, ValueError):
-        raise ReproError(
-            f"{origin} must be a number in (0, 1], got {fraction!r}"
-        ) from None
-    if not 0.0 < fraction <= 1.0:
-        raise ReproError(
-            f"{origin} must be in (0, 1], got {fraction}"
-        )
-    return fraction
-
-
-def stream_cache_fraction(override: float | None = None, profile=None) -> float:
-    """The cache fraction one streamed lane may occupy, validated to (0, 1].
-
-    Resolution order: explicit ``override`` (normally
-    ``AmpedConfig.stream_cache_fraction``) > a measured host profile's
-    ``stream_cache_fraction`` (``profile`` is a
+    A measured host profile's ``stream_cache_fraction`` (``profile`` is a
     :class:`repro.engine.costmodel.HostProfile`, the product of
-    ``repro profile``) > the ``REPRO_STREAM_CACHE_FRACTION`` environment
-    variable > the built-in :data:`STREAM_CACHE_FRACTION` default.
-
-    A measured profile deliberately beats the env var: the env var is the
-    blunt per-host override PR 3 introduced, the profile is the measured
-    calibration that replaces it — and both lose to an explicit per-run
-    config value. Bad values raise the named :class:`ReproError` wherever
-    they come from; :class:`repro.core.config.AmpedConfig` calls this at
-    construction so a malformed env var fails at config resolution, not
-    deep inside batch autotuning.
+    ``repro profile``, which validates the value) when it sets one, else
+    the built-in :data:`STREAM_CACHE_FRACTION`. To tune the batch by hand,
+    pass an integer ``batch_size`` instead.
     """
-    if override is not None:
-        return _validate_fraction(override, "stream_cache_fraction")
     measured = getattr(profile, "stream_cache_fraction", None)
-    if measured is not None:
-        return _validate_fraction(measured, "host profile stream_cache_fraction")
-    env = os.environ.get(STREAM_CACHE_FRACTION_ENV)
-    if env is not None and env.strip():
-        return _validate_fraction(
-            env, f"{STREAM_CACHE_FRACTION_ENV} environment variable"
-        )
-    return STREAM_CACHE_FRACTION
+    return STREAM_CACHE_FRACTION if measured is None else float(measured)
 
 
 def streamed_batch_bytes(batch_size: int, rank: int, nmodes: int) -> int:
@@ -116,24 +79,16 @@ def streamed_batch_bytes(batch_size: int, rank: int, nmodes: int) -> int:
     return int(batch_size) * per_element
 
 
-def auto_batch_size(
-    cost,
-    rank: int,
-    nmodes: int,
-    *,
-    cache_fraction: float | None = None,
-    profile=None,
-) -> int:
+def auto_batch_size(cost, rank: int, nmodes: int, *, profile=None) -> int:
     """The cache-model batch size for an out-of-core streamed reduction.
 
     ``cost`` is anything with an ``effective_cache_bytes`` attribute
     (normally a :class:`repro.simgpu.kernel.KernelCostModel`). The result is
     the largest batch whose streamed block fits a
-    :func:`stream_cache_fraction` slice of the effective cache
-    (``cache_fraction`` overrides, else a measured host ``profile``'s
-    fraction, else the ``REPRO_STREAM_CACHE_FRACTION`` env var, else the
-    built-in default), clamped to ``[MIN_AUTO_BATCH, MAX_AUTO_BATCH]``
-    (below the floor, dispatch overhead outweighs any locality win).
+    :func:`stream_cache_fraction` slice of the effective cache (a measured
+    host ``profile``'s fraction, else the built-in default), clamped to
+    ``[MIN_AUTO_BATCH, MAX_AUTO_BATCH]`` (below the floor, dispatch
+    overhead outweighs any locality win).
     """
     if rank <= 0:
         raise ReproError(f"rank must be positive, got {rank}")
@@ -142,7 +97,7 @@ def auto_batch_size(
     cache = int(getattr(cost, "effective_cache_bytes"))
     if cache <= 0:
         raise ReproError(f"effective_cache_bytes must be positive, got {cache}")
-    budget = int(cache * stream_cache_fraction(cache_fraction, profile))
+    budget = int(cache * stream_cache_fraction(profile))
     per_element = streamed_batch_bytes(1, rank, nmodes)
     batch = budget // per_element
     return int(min(MAX_AUTO_BATCH, max(MIN_AUTO_BATCH, batch)))
@@ -176,7 +131,6 @@ def resolve_batch_size(
     rank: int,
     nmodes: int,
     out_of_core: bool,
-    cache_fraction: float | None = None,
     profile=None,
 ) -> int | None:
     """Resolve a ``batch_size`` config value to the engine's ``int | None``.
@@ -184,15 +138,13 @@ def resolve_batch_size(
     ``"auto"`` resolves to :func:`auto_batch_size` when the element data is
     out of core and to ``None`` (eager whole-shard batches) when it is fully
     resident — see the module docstring for why. Integers and ``None`` pass
-    through validated. ``cache_fraction`` threads the
-    ``AmpedConfig.stream_cache_fraction`` override into the cache model;
-    ``profile`` a measured :class:`repro.engine.costmodel.HostProfile`.
+    through validated. ``profile`` is a measured
+    :class:`repro.engine.costmodel.HostProfile` whose cache fraction, when
+    set, replaces the built-in one.
     """
     validate_batch_size(batch_size)
     if batch_size == "auto":
         if not out_of_core:
             return None
-        return auto_batch_size(
-            cost, rank, nmodes, cache_fraction=cache_fraction, profile=profile
-        )
+        return auto_batch_size(cost, rank, nmodes, profile=profile)
     return None if batch_size is None else int(batch_size)

@@ -134,7 +134,7 @@ def reduce_batch_arrays(
     values: np.ndarray,
     factors: Sequence[np.ndarray],
     mode: int,
-    kernel: str | None = None,
+    kernel: str = "numpy",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Segmented reduction of one batch's (already materialized) elements.
 
@@ -142,10 +142,10 @@ def reduce_batch_arrays(
     and ``partial`` their summed contribution rows — the per-segment
     reduction of :func:`repro.tensor.kernels.mttkrp_sorted_segments`, split
     from the scatter-add so workers stay pure. ``kernel`` names the
-    :mod:`repro.tensor.kernelreg` tier to dispatch to; ``None`` keeps the
-    bit-exact ``numpy`` reference (back-compat for existing callers).
+    :mod:`repro.tensor.kernelreg` tier to dispatch to (default: the
+    bit-exact ``numpy`` reference).
     """
-    spec = get_kernel(kernel if kernel is not None else "numpy")
+    spec = get_kernel(kernel)
     return spec.reduce_batch(indices, values, factors, mode)
 
 
@@ -154,7 +154,7 @@ def reduce_batch(
     batch: ElementBatch,
     factors: Sequence[np.ndarray],
     mode: int,
-    kernel: str | None = None,
+    kernel: str = "numpy",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reduce one element batch of ``part`` without touching shared state.
 
@@ -234,7 +234,7 @@ class ExecutionBackend(ABC):
         items: Iterable,
         *,
         attach=None,
-        kernel: str | None = None,
+        kernel: str = "numpy",
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield ``(rows, partial)`` for every item of ``items``, in order.
 
@@ -244,7 +244,7 @@ class ExecutionBackend(ABC):
         in-process backends ignore it; :class:`ProcessBackend` uses it to
         reach the element bytes without pickling them. ``kernel`` names the
         :mod:`repro.tensor.kernelreg` tier every reduction dispatches to
-        (``None`` = the bit-exact numpy reference); process workers resolve
+        (default: the bit-exact numpy reference); process workers resolve
         the name in their own registry, so a tier that fails to build in a
         worker degrades to numpy there too. The iterator must be consumed
         fully (the executor and grid always do).
@@ -266,7 +266,8 @@ class SerialBackend(ExecutionBackend):
                 f"\"process\" for a worker pool)"
             )
 
-    def map_batches(self, part, factors, mode, items, *, attach=None, kernel=None):
+    def map_batches(self, part, factors, mode, items, *, attach=None,
+                    kernel="numpy"):
         self.start()
         for item in items:
             yield reduce_batch(part, item, factors, mode, kernel)
@@ -301,7 +302,8 @@ class ThreadBackend(ExecutionBackend):
             self._pool = None
         super().close()
 
-    def map_batches(self, part, factors, mode, items, *, attach=None, kernel=None):
+    def map_batches(self, part, factors, mode, items, *, attach=None,
+                    kernel="numpy"):
         self.start()
         window = self.workers + 2
         pending: deque = deque()
@@ -564,7 +566,8 @@ class ProcessBackend(ExecutionBackend):
         fully consumed or abandoned ``map_batches`` call is cleaned up)."""
         return len(self._inflight_factors)
 
-    def map_batches(self, part, factors, mode, items, *, attach=None, kernel=None):
+    def map_batches(self, part, factors, mode, items, *, attach=None,
+                    kernel="numpy"):
         self.start()
         self._call_id += 1
         call_id = self._call_id

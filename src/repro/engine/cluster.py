@@ -598,7 +598,7 @@ class ClusterBackend(ExecutionBackend):
 
     # ---- the one operation --------------------------------------------
     def map_batches(self, part, factors, mode, items, *, attach=None,
-                    kernel=None):
+                    kernel="numpy"):
         self.start()
         items = list(items)
         if not items:

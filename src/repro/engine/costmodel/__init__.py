@@ -8,10 +8,9 @@
   the functional host pipeline (backend dispatch/IPC, mmap vs explicit
   staging, v2 per-chunk decompression, prefetch overlap), and the
   ``backend="auto"`` / ``kernel="auto"`` resolution built on it
-  (:func:`rank_backends` / :func:`resolve_auto_backend` for the backend
-  axis alone, :func:`rank_executions` / :func:`resolve_auto_execution`
-  across the (kernel × backend) product), plus
-  :func:`cluster_time_plan` — the N-node extension pricing per-node
+  (:func:`resolve_auto_execution` picks the fastest candidate of the
+  (kernel × backend) product, :func:`rank_executions` lists them all),
+  plus :func:`cluster_time_plan` — the N-node extension pricing per-node
   pipelines with :func:`host_time_plan` and the socket exchange with the
   ``repro.comm`` collectives over :func:`loopback_platform` (the
   HostProfile v4 measured links).
@@ -19,7 +18,9 @@
 The profiler that fills a :class:`HostProfile` lives in
 :mod:`repro.engine.profile` (CLI: ``repro profile``); the residency-side
 companion of :func:`host_time_plan` is
-:func:`repro.core.simulate.host_memory_plan`.
+:func:`repro.core.simulate.host_memory_plan`. Both are priced once per run
+by :func:`repro.engine.plan.plan_execution`: read an executor's prediction
+from its ``plan.time_plan`` (CLI: ``repro plan``).
 """
 
 from repro.engine.costmodel.hostprofile import (
@@ -37,9 +38,7 @@ from repro.engine.costmodel.timing import (
     cluster_time_plan,
     host_time_plan,
     loopback_platform,
-    rank_backends,
     rank_executions,
-    resolve_auto_backend,
     resolve_auto_execution,
 )
 
@@ -56,8 +55,6 @@ __all__ = [
     "cluster_time_plan",
     "host_time_plan",
     "loopback_platform",
-    "rank_backends",
     "rank_executions",
-    "resolve_auto_backend",
     "resolve_auto_execution",
 ]

@@ -5,7 +5,7 @@ A :class:`HostProfile` is the measured side of
 and overhead constants that the profiler (:mod:`repro.engine.profile`,
 CLI ``repro profile``) fills by running short microbenchmarks and persists
 as a small versioned JSON file. Everything that consumes the timing model —
-``simulate``'s ``host_time_plan``, ``batch_size="auto"`` (through the
+``host_time_plan`` itself, ``batch_size="auto"`` (through the
 measured ``stream_cache_fraction``), and ``backend="auto"`` resolution —
 takes a profile; when none is given, :data:`DEFAULT_HOST_PROFILE` supplies
 the committed synthetic calibration (a mid-range workstation), which keeps

@@ -30,11 +30,12 @@ Every term is linear (or a max of linear terms) in nnz and in the codec's
 compressed-size ratio, so predictions are monotone in both — a property
 test pins this, and a golden test pins the exact output for the committed
 synthetic profile. The model is what turns the simulator into a planner:
-``backend="auto"`` (:func:`resolve_auto_backend`) picks the backend with
-the smallest predicted total for the actual workload, and
-``kernel="auto"`` (:func:`resolve_auto_execution`) extends the same search
-across the (kernel × backend) product using the profile's per-tier
-measured reduce rates.
+:func:`resolve_auto_execution` resolves ``backend="auto"`` and
+``kernel="auto"`` to the (kernel × backend) candidate with the smallest
+predicted total for the actual workload, pricing each tier with the
+profile's measured reduce rate (:func:`rank_executions` lists every
+candidate). :func:`repro.engine.plan.plan_execution` is its one caller in
+the run path; an executor's prediction is its ``plan.time_plan``.
 """
 
 from __future__ import annotations
@@ -59,9 +60,7 @@ __all__ = [
     "host_time_plan",
     "cluster_time_plan",
     "loopback_platform",
-    "rank_backends",
     "rank_executions",
-    "resolve_auto_backend",
     "resolve_auto_execution",
 ]
 
@@ -126,8 +125,8 @@ def host_time_plan(
         ``host_profile`` (then the ``REPRO_HOST_PROFILE`` env var, then the
         committed :data:`DEFAULT_HOST_PROFILE`).
     backend: explicit ``(name, workers)`` override — how
-        :func:`resolve_auto_backend` evaluates candidates without mutating
-        the config. Defaults to ``config.resolved_backend()``.
+        :func:`rank_executions` evaluates candidates without mutating the
+        config. Defaults to ``config.resolved_backend()``.
     kernel: explicit kernel-tier override pricing the compute term with
         the profile's :meth:`HostProfile.kernel_rate`. Defaults to the
         config's ``kernel`` (where present; the reference ``numpy``
@@ -155,7 +154,7 @@ def host_time_plan(
         raise ReproError(
             f"host_time_plan needs a concrete single-host backend (serial/"
             f"thread/process), got {backend_name!r}; resolve 'auto' with "
-            f"resolve_auto_backend first, and price 'cluster' with "
+            f"resolve_auto_execution first, and price 'cluster' with "
             f"cluster_time_plan"
         )
     if kernel is None:
@@ -173,7 +172,6 @@ def host_time_plan(
         rank=rank,
         nmodes=nmodes,
         out_of_core=config.out_of_core,
-        cache_fraction=config.stream_cache_fraction,
         profile=profile,
     )
     elem_bytes = cost.host_element_bytes(nmodes)
@@ -425,50 +423,15 @@ def _auto_workers(config, workers: int | None) -> int:
     return int(workers)
 
 
-def _kernel_candidates(config, kernel: str | None) -> list[str]:
+def _kernel_candidates(config) -> list[str]:
     """Concrete kernel tiers an auto search should price, in preference
     order (so the stable total-time sort breaks ties toward the preferred —
     compiled — tier when an unprofiled host makes every tier tie)."""
-    if kernel is None:
-        kernel = getattr(config, "kernel", None) or "numpy"
+    kernel = getattr(config, "kernel", None) or "numpy"
     if kernel == AUTO_KERNEL:
         avail = available_kernels()
         return [k for k in KERNEL_PREFERENCE if k in avail]
     return [resolve_kernel_name(kernel)]
-
-
-def rank_backends(
-    workload,
-    config,
-    cost,
-    profile: HostProfile | None = None,
-    *,
-    workers: int | None = None,
-    kernel: str | None = None,
-    codec_ratio: float | None = None,
-) -> list[dict]:
-    """Predicted plans for every backend candidate, fastest first.
-
-    The parallel candidates run at ``workers`` (default: the config's
-    ``workers`` when above 1, else :data:`AUTO_BACKEND_WORKERS`); the
-    serial candidate always runs at 1. The kernel tier is held fixed
-    (default: the config's — an ``"auto"`` kernel is resolved by registry
-    preference here; use :func:`rank_executions` to search both axes).
-    Ties keep registry order (serial < thread < process), so resolution is
-    deterministic.
-    """
-    kern = _kernel_candidates(config, kernel)[0]
-    workers = _auto_workers(config, workers)
-    candidates = [("serial", 1), ("thread", workers), ("process", workers)]
-    plans = [
-        host_time_plan(
-            workload, config, cost, profile,
-            backend=cand, kernel=kern, codec_ratio=codec_ratio,
-        )
-        for cand in candidates
-    ]
-    order = sorted(range(len(plans)), key=lambda i: plans[i]["total_s"])
-    return [plans[i] for i in order]
 
 
 def rank_executions(
@@ -495,7 +458,7 @@ def rank_executions(
     sort resolves toward the preferred (compiled) tier.
     """
     if kernels is None:
-        kernels = _kernel_candidates(config, None)
+        kernels = _kernel_candidates(config)
     if backends is None:
         workers = _auto_workers(config, workers)
         backends = [("serial", 1), ("thread", workers), ("process", workers)]
@@ -524,30 +487,6 @@ def rank_executions(
     ]
     order = sorted(range(len(plans)), key=lambda i: plans[i]["total_s"])
     return [plans[i] for i in order]
-
-
-def resolve_auto_backend(
-    workload,
-    config,
-    cost,
-    profile: HostProfile | None = None,
-    *,
-    workers: int | None = None,
-    codec_ratio: float | None = None,
-) -> tuple[str, int]:
-    """The ``(backend, workers)`` pair ``backend="auto"`` means for a run.
-
-    Evaluates :func:`host_time_plan` for the serial, thread, and process
-    candidates against the actual workload and picks the smallest predicted
-    total. Kept as the single-axis entry point (the kernel tier stays the
-    config's); :class:`repro.core.AmpedMTTKRP` resolves both axes at once
-    through :func:`resolve_auto_execution`.
-    """
-    best = rank_backends(
-        workload, config, cost, profile,
-        workers=workers, codec_ratio=codec_ratio,
-    )[0]
-    return best["backend"], best["workers"]
 
 
 def resolve_auto_execution(

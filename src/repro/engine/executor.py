@@ -73,7 +73,11 @@ from repro.engine.prefetch import PrefetchingSource
 from repro.engine.source import InMemorySource, ShardSource
 from repro.errors import ReproError
 from repro.partition.plan import PartitionPlan
-from repro.tensor.kernelreg import resolve_kernel_name, validate_kernel_name
+from repro.tensor.kernelreg import (
+    AUTO_KERNEL,
+    resolve_kernel_name,
+    validate_kernel_name,
+)
 from repro.tensor.reference import check_factors
 
 __all__ = [
@@ -115,13 +119,12 @@ class StreamingExecutor:
         for every other source. Equivalent to wrapping ``source`` in a
         :class:`PrefetchingSource`.
     kernel:
-        Name of the :mod:`repro.tensor.kernelreg` tier every batch
-        reduction dispatches to. ``None`` (the default) keeps the bit-exact
-        ``"numpy"`` reference; ``"auto"`` resolves to the best *available*
-        tier by registry preference at construction time (cost-model-driven
-        selection lives a layer up, in ``AmpedConfig(kernel="auto")``).
-        Compiled tiers (``"numba"``, ``"cc"``) are documented tolerance
-        tiers — deterministic, but not bit-identical to numpy (see
+        Name of the concrete :mod:`repro.tensor.kernelreg` tier every batch
+        reduction dispatches to; the default is the bit-exact ``"numpy"``
+        reference. ``"auto"`` is refused: cost-model tier selection lives
+        a layer up, in ``AmpedConfig(kernel="auto")``. Compiled tiers
+        (``"numba"``, ``"cc"``) are documented tolerance tiers —
+        deterministic, but not bit-identical to numpy (see
         ``docs/kernels.md``); a tier that is unavailable on this host falls
         back to numpy.
     """
@@ -134,7 +137,7 @@ class StreamingExecutor:
         workers: int = 1,
         backend: str | ExecutionBackend | None = None,
         prefetch: bool = False,
-        kernel: str | None = None,
+        kernel: str = "numpy",
     ) -> None:
         if isinstance(source, PartitionPlan):
             source = InMemorySource(source)
@@ -161,15 +164,19 @@ class StreamingExecutor:
             prefetch = True
         elif prefetch:
             source = PrefetchingSource(source)
+        if kernel == AUTO_KERNEL:
+            raise ReproError(
+                "StreamingExecutor takes a concrete kernel tier, got 'auto'; "
+                "cost-model tier selection is AmpedConfig(kernel=\"auto\"), "
+                "which AmpedMTTKRP and the CLI resolve before building the "
+                "executor"
+            )
+        validate_kernel_name(kernel)
+        # pin the concrete tier now: dispatch stays stable for the
+        # executor's lifetime even if the registry is refreshed later
+        self.kernel = resolve_kernel_name(kernel)
         self._owns_backend = not isinstance(backend, ExecutionBackend)
         self.backend = create_backend(backend, workers)
-        if kernel is None:
-            self.kernel = None  # numpy reference, signalled as "default"
-        else:
-            validate_kernel_name(kernel)
-            # pin the concrete tier now: dispatch stays stable for the
-            # executor's lifetime even if the registry is refreshed later
-            self.kernel = resolve_kernel_name(kernel)
         self.source = source
         self.batch_size = batch_size
         self.prefetch = bool(prefetch)

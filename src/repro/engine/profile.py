@@ -102,7 +102,7 @@ def _reduce_case(nnz: int, seed: int = 0):
     return indices, values, factors
 
 
-def _measure_reduce(nnz: int, repeats: int, kernel: str | None = None) -> float:
+def _measure_reduce(nnz: int, repeats: int, kernel: str = "numpy") -> float:
     indices, values, factors = _reduce_case(nnz)
 
     def one():

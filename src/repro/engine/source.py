@@ -495,7 +495,7 @@ class CompressedChunkSource(ShardSource):
         """Measured compressed/raw byte ratio from the cache manifest.
 
         The real on-disk ratio, not the analytic per-codec default — feed
-        it to ``host_time_plan`` / ``rank_backends`` as ``codec_ratio`` so
+        it to ``host_time_plan`` / ``rank_executions`` as ``codec_ratio`` so
         the staging-read term prices the bytes actually read."""
         return self._checked_reader().codec_ratio
 

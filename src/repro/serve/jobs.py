@@ -47,14 +47,15 @@ TERMINAL_STATES = ("done", "failed", "cancelled", "rejected")
 
 #: AmpedConfig fields a job payload's ``config`` section may override.
 #: Deliberately excludes ``host_profile`` (server-wide, pinned at startup
-#: so every admission plan prices against the same calibration) and
+#: so every admission plan prices against the same calibration),
 #: ``shard_cache``/``out_of_core`` (spelled via the top-level
-#: ``shard_cache`` field so the source pool sees every cache path).
+#: ``shard_cache`` field so the source pool sees every cache path), and
+#: the cache-format fields ``cache_codec``/``cache_chunk_nnz`` (a cache's
+#: manifest sets them; an in-memory job has no chunks to size).
 CONFIG_KEYS = (
     "n_gpus", "rank", "threadblock_cols", "shards_per_gpu", "policy",
     "schedule", "allgather", "double_buffer", "batch_size", "backend",
-    "workers", "kernel", "prefetch", "stream_cache_fraction",
-    "cache_chunk_nnz", "nodes", "cluster_addresses",
+    "workers", "kernel", "prefetch", "nodes", "cluster_addresses",
 )
 
 

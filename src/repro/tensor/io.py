@@ -45,7 +45,6 @@ __all__ = [
     "CODEC_NAMES",
     "available_codecs",
     "detect_shard_cache_version",
-    "shard_cache_codec_ratio",
     "write_shard_cache_v2",
     "write_shard_cache_streaming",
     "load_shard_cache_v2",
@@ -347,7 +346,6 @@ from repro.tensor.io_v2 import (  # noqa: E402
     available_codecs,
     detect_shard_cache_version,
     load_shard_cache_v2,
-    shard_cache_codec_ratio,
     write_shard_cache_streaming,
     write_shard_cache_v2,
 )

@@ -122,7 +122,6 @@ __all__ = [
     "available_codecs",
     "codec_available",
     "detect_shard_cache_version",
-    "shard_cache_codec_ratio",
     "write_shard_cache_v2",
     "write_shard_cache_streaming",
     "load_shard_cache_v2",
@@ -284,29 +283,6 @@ def detect_shard_cache_version(path) -> int:
         f"{path}: not a shard cache (neither a v1 .npz archive nor a v2 "
         f"chunked cache); rebuild with `repro cache`"
     )
-
-
-def shard_cache_codec_ratio(path) -> float | None:
-    """Measured compressed/raw ratio of an existing v2 cache, else ``None``.
-
-    ``None`` means "no measured ratio available" — the path is missing, a
-    v1 mmap cache (stored uncompressed), or not a shard cache at all — and
-    callers should fall back to the analytic per-codec default. Feed the
-    returned ratio to :func:`repro.engine.costmodel.timing.host_time_plan`
-    / ``rank_backends`` as ``codec_ratio`` so staging-read predictions use
-    the cache's real on-disk bytes.
-    """
-    try:
-        path = _shard_cache_path(path)
-        if not path.is_file() or detect_shard_cache_version(path) != 2:
-            return None
-        reader = ChunkedCacheReader(path)
-    except TensorFormatError:
-        return None
-    try:
-        return reader.codec_ratio
-    finally:
-        reader.close()
 
 
 # ----------------------------------------------------------------------

@@ -46,10 +46,6 @@ class TestAmpedConfig:
             {"backend": "gpu"},
             {"backend": ""},
             {"backend": None},
-            {"stream_cache_fraction": 0},
-            {"stream_cache_fraction": -0.25},
-            {"stream_cache_fraction": 1.5},
-            {"stream_cache_fraction": "lots"},
             {"out_of_core": True},
             {"out_of_core": True, "shard_cache": None},
             {"out_of_core": True, "shard_cache": ""},
@@ -95,7 +91,6 @@ class TestAmpedConfig:
         assert cfg.backend == "serial"
         assert cfg.workers == 1
         assert cfg.prefetch is False
-        assert cfg.stream_cache_fraction is None
         assert cfg.out_of_core is False
         assert cfg.shard_cache is None
 
@@ -108,7 +103,6 @@ class TestAmpedConfig:
         for backend in ("serial", "thread", "process"):
             assert AmpedConfig(backend=backend, workers=1).backend == backend
         assert AmpedConfig(prefetch=True).prefetch is True
-        assert AmpedConfig(stream_cache_fraction=0.25).stream_cache_fraction == 0.25
 
     def test_out_of_core_accepted_with_cache(self):
         cfg = AmpedConfig(out_of_core=True, shard_cache="cache.npz")
@@ -176,26 +170,26 @@ class TestResolvedBackend:
 
 
 class TestStreamCacheFraction:
-    """AmpedConfig.stream_cache_fraction threads into batch autotuning."""
+    """A measured host profile's stream_cache_fraction threads into batch
+    autotuning; without one the built-in fraction applies."""
 
-    def test_override_changes_auto_batch(self):
+    def test_measured_fraction_changes_auto_batch(self):
+        from repro.engine.costmodel import DEFAULT_HOST_PROFILE
+
         cost = KernelCostModel()
+        profile = DEFAULT_HOST_PROFILE.replace(stream_cache_fraction=1.0)
         base = AmpedConfig(out_of_core=True, shard_cache="x.npz")
-        wide = base.replace(stream_cache_fraction=1.0)
-        assert wide.resolved_batch_size(cost, 3) >= base.resolved_batch_size(
+        wide = base.replace(host_profile=profile)
+        assert wide.resolved_batch_size(cost, 3) > base.resolved_batch_size(
             cost, 3
         )
         assert wide.resolved_batch_size(cost, 3) == auto_batch_size(
-            cost, 32, 3, cache_fraction=1.0
+            cost, 32, 3, profile=profile
         )
 
-    def test_env_var_applies_when_unset(self, monkeypatch):
-        cost = KernelCostModel()
-        base = AmpedConfig(out_of_core=True, shard_cache="x.npz")
-        monkeypatch.setenv("REPRO_STREAM_CACHE_FRACTION", "1.0")
-        assert base.resolved_batch_size(cost, 3) == auto_batch_size(
-            cost, 32, 3, cache_fraction=1.0
-        )
+    def test_config_has_no_fraction_override(self):
+        with pytest.raises(TypeError):
+            AmpedConfig(stream_cache_fraction=0.5)
 
 
 class TestResolvedBatchSize:
@@ -233,38 +227,13 @@ class TestResolvedBatchSize:
 
 
 class TestEnvValidationAtConstruction:
-    """Satellite contract: a malformed REPRO_STREAM_CACHE_FRACTION (or host
-    profile) fails *at config resolution* as a named ReproError — never as
-    a bare ValueError deep inside batch autotuning."""
-
-    @pytest.mark.parametrize("bad", ["lots", "1.5", "0", "-0.25", "nan"])
-    def test_bad_fraction_env_rejected_eagerly(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_STREAM_CACHE_FRACTION", bad)
-        with pytest.raises(ReproError, match="REPRO_STREAM_CACHE_FRACTION"):
-            AmpedConfig()
-
-    def test_valid_fraction_env_accepted(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_CACHE_FRACTION", "0.5")
-        AmpedConfig()  # must not raise
-
-    def test_blank_fraction_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_CACHE_FRACTION", "   ")
-        AmpedConfig()
+    """A malformed host profile fails *at config resolution* as a named
+    ReproError — never as a bare ValueError deep inside batch autotuning."""
 
     def test_bad_host_profile_env_rejected_eagerly(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_HOST_PROFILE", str(tmp_path / "nope.json"))
         with pytest.raises(ReproError, match="cannot read host profile"):
             AmpedConfig()
-
-    def test_explicit_override_beats_bad_env(self, monkeypatch):
-        """An explicit per-run fraction wins the resolution, but the env
-        var is still validated — silent acceptance of garbage would let it
-        bite the next unconfigured run."""
-        monkeypatch.setenv("REPRO_STREAM_CACHE_FRACTION", "lots")
-        with pytest.raises(ReproError):
-            AmpedConfig(stream_cache_fraction=0.5)
-        monkeypatch.delenv("REPRO_STREAM_CACHE_FRACTION")
-        assert AmpedConfig(stream_cache_fraction=0.5).stream_cache_fraction == 0.5
 
 
 class TestAutoBackendConfig:
@@ -276,11 +245,11 @@ class TestAutoBackendConfig:
         assert cfg.backend == "auto" and cfg.workers == 4
 
     def test_resolved_backend_refuses_unresolved_auto(self):
-        with pytest.raises(ReproError, match="resolve_auto_backend"):
+        with pytest.raises(ReproError, match="resolve_auto_execution"):
             AmpedConfig(backend="auto").resolved_backend()
 
     def test_stream_lanes_needs_resolution_too(self):
-        with pytest.raises(ReproError, match="resolve_auto_backend"):
+        with pytest.raises(ReproError, match="resolve_auto_execution"):
             AmpedConfig(backend="auto").stream_lanes()
 
     def test_other_spellings_still_rejected(self):
@@ -312,13 +281,3 @@ class TestHostProfilePinning:
         assert isinstance(cfg.host_profile, HostProfile)
         monkeypatch.setenv("REPRO_HOST_PROFILE", str(tmp_path / "gone.json"))
         assert cfg.resolved_host_profile().hostname == "pinned"
-
-    def test_bad_env_rejected_even_with_measured_profile(self, monkeypatch):
-        """The env var is validated unconditionally — a measured profile
-        winning the fraction resolution must not hide garbage in it."""
-        from repro.engine.costmodel import DEFAULT_HOST_PROFILE
-
-        monkeypatch.setenv("REPRO_STREAM_CACHE_FRACTION", "lots")
-        profile = DEFAULT_HOST_PROFILE.replace(stream_cache_fraction=0.25)
-        with pytest.raises(ReproError, match="REPRO_STREAM_CACHE_FRACTION"):
-            AmpedConfig(host_profile=profile)

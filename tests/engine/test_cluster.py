@@ -251,7 +251,7 @@ class TestConfigIntegration:
         assert all(not p.is_alive() for p in procs)
 
     def test_cluster_plan_keeps_host_plan_schema(self):
-        """AmpedMTTKRP.host_time_plan on a cluster config returns every
+        """The execution plan's time_plan on a cluster config has every
         single-host key (one schema for all callers) plus the comm terms."""
         from repro.core.amped import AmpedMTTKRP
         from repro.core.config import AmpedConfig
@@ -260,8 +260,9 @@ class TestConfigIntegration:
         with AmpedMTTKRP(
             tensor, AmpedConfig(rank=4, backend="cluster", nodes=2)
         ) as ex:
-            plan = ex.host_time_plan()
-        single = AmpedMTTKRP(tensor, AmpedConfig(rank=4)).host_time_plan()
+            plan = ex.plan.time_plan
+        with AmpedMTTKRP(tensor, AmpedConfig(rank=4)) as ex:
+            single = ex.plan.time_plan
         assert set(single) <= set(plan)
         assert plan["backend"] == "cluster"
         assert plan["nodes"] == 2

@@ -6,8 +6,7 @@ validation/persistence/versioning, profile resolution order (explicit >
 ``REPRO_HOST_PROFILE`` env var), the structure of ``host_time_plan``
 (which terms appear for which backend / out-of-core / prefetch settings),
 ``backend="auto"`` resolution, and the AmpedConfig / AmpedMTTKRP wiring
-including the measured-fraction precedence over the
-``REPRO_STREAM_CACHE_FRACTION`` env var.
+including the measured stream-cache fraction behind ``batch_size="auto"``.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import pytest
 
 from repro.core.amped import AmpedMTTKRP
 from repro.core.config import AmpedConfig
-from repro.core.simulate import host_time_plan as core_host_time_plan
 from repro.engine.costmodel import (
     DEFAULT_HOST_PROFILE,
     HOST_PROFILE_ENV,
@@ -27,9 +25,8 @@ from repro.engine.costmodel import (
     host_time_plan,
     load_host_profile,
     loopback_platform,
-    rank_backends,
     rank_executions,
-    resolve_auto_backend,
+    resolve_auto_execution,
     resolve_host_profile,
 )
 from repro.errors import ReproError
@@ -222,7 +219,7 @@ class TestHostTimePlan:
 
     def test_auto_spelling_rejected_without_resolution(self, workload):
         cfg = AmpedConfig(rank=8, n_gpus=2, backend="auto")
-        with pytest.raises(ReproError, match="resolve_auto_backend"):
+        with pytest.raises(ReproError, match="resolve_auto_execution"):
             host_time_plan(workload, cfg, COST)
 
     def test_explicit_backend_override(self, workload):
@@ -230,30 +227,29 @@ class TestHostTimePlan:
         plan = host_time_plan(workload, cfg, COST, backend=("thread", 4))
         assert plan["backend"] == "thread" and plan["workers"] == 4
 
-    def test_core_reexport_is_the_same_function(self):
-        assert core_host_time_plan is host_time_plan
-
 
 class TestAutoBackend:
-    def test_rank_backends_sorted_and_complete(self, workload):
-        cfg = AmpedConfig(rank=8, n_gpus=2)
-        plans = rank_backends(workload, cfg, COST)
+    AUTO = AmpedConfig(rank=8, n_gpus=2, backend="auto")
+
+    def test_rank_executions_sorted_and_complete(self, workload):
+        plans = rank_executions(workload, self.AUTO, COST)
         assert [p["backend"] for p in plans] != []
         assert {p["backend"] for p in plans} == {"serial", "thread", "process"}
         totals = [p["total_s"] for p in plans]
         assert totals == sorted(totals)
 
     def test_resolution_is_deterministic(self, workload):
-        cfg = AmpedConfig(rank=8, n_gpus=2)
-        first = resolve_auto_backend(workload, cfg, COST)
-        assert resolve_auto_backend(workload, cfg, COST) == first
+        first = resolve_auto_execution(workload, self.AUTO, COST)
+        assert resolve_auto_execution(workload, self.AUTO, COST) == first
 
     def test_dispatch_heavy_profile_prefers_serial(self, workload):
         # make every parallel dispatch ruinously expensive
         profile = DEFAULT_HOST_PROFILE.replace(
             thread_dispatch_s=10.0, process_task_s=10.0
         )
-        name, workers = resolve_auto_backend(workload, AmpedConfig(rank=8, n_gpus=2), COST, profile)
+        _, name, workers = resolve_auto_execution(
+            workload, self.AUTO, COST, profile
+        )
         assert (name, workers) == ("serial", 1)
 
     def test_parallel_friendly_profile_prefers_parallel(self, workload):
@@ -262,9 +258,8 @@ class TestAutoBackend:
             thread_dispatch_s=0.0,
             serial_dispatch_s=0.0,
         )
-        name, _ = resolve_auto_backend(
-            workload, AmpedConfig(rank=8, n_gpus=2), COST, profile,
-            workers=4,
+        _, name, _ = resolve_auto_execution(
+            workload, self.AUTO, COST, profile, workers=4,
         )
         assert name in ("thread", "process")
 
@@ -272,9 +267,11 @@ class TestAutoBackend:
         cfg = AmpedConfig(n_gpus=2, rank=8, shards_per_gpu=2, backend="auto")
         with AmpedMTTKRP(tensor, cfg) as ex:
             assert ex.config.backend in ("serial", "thread", "process")
-            expected = resolve_auto_backend(ex.workload, cfg, ex.cost)
-            assert ex.config.resolved_backend() == expected
-            assert ex.engine.backend.name == expected[0]
+            _, name, workers = resolve_auto_execution(
+                ex.workload, cfg, ex.cost
+            )
+            assert ex.config.resolved_backend() == (name, workers)
+            assert ex.engine.backend.name == name
 
     def test_auto_backend_is_bit_identical(self, tensor):
         rng = np.random.default_rng(3)
@@ -288,10 +285,10 @@ class TestAutoBackend:
                     auto.mttkrp(factors, m), base.mttkrp(factors, m)
                 )
 
-    def test_amped_host_time_plan_accessor(self, tensor):
+    def test_amped_plan_carries_time_plan(self, tensor):
         cfg = AmpedConfig(n_gpus=2, rank=8, shards_per_gpu=2)
         with AmpedMTTKRP(tensor, cfg) as ex:
-            plan = ex.host_time_plan()
+            plan = ex.plan.time_plan
             assert plan["backend"] == "serial"
             assert plan["total_s"] > 0.0
 
@@ -532,34 +529,32 @@ class TestConfigWiring:
         with pytest.raises(ReproError, match="cannot read host profile"):
             AmpedConfig(host_profile=str(tmp_path / "nope.json"))
 
-    def test_profile_fraction_beats_env_var(self, tmp_path, monkeypatch):
-        """Satellite contract: measured profile > REPRO_STREAM_CACHE_FRACTION."""
+    def test_profile_fraction_sizes_auto_batch(self):
         from repro.engine.autotune import auto_batch_size
 
-        monkeypatch.setenv("REPRO_STREAM_CACHE_FRACTION", "0.001")
         profile = DEFAULT_HOST_PROFILE.replace(stream_cache_fraction=1.0)
         cfg = AmpedConfig(
             out_of_core=True, shard_cache="x.npz", host_profile=profile
         )
         assert cfg.resolved_batch_size(COST, 3) == auto_batch_size(
-            COST, 32, 3, cache_fraction=1.0
+            COST, 32, 3, profile=profile
         )
-        # explicit config value still beats the profile
-        explicit = cfg.replace(stream_cache_fraction=0.5)
-        assert explicit.resolved_batch_size(COST, 3) == auto_batch_size(
-            COST, 32, 3, cache_fraction=0.5
+        assert cfg.resolved_batch_size(COST, 3) > cfg.replace(
+            host_profile=DEFAULT_HOST_PROFILE
+        ).resolved_batch_size(COST, 3)
+
+    def test_unmeasured_profile_falls_through_to_builtin(self):
+        from repro.engine.autotune import STREAM_CACHE_FRACTION, auto_batch_size
+
+        measured = DEFAULT_HOST_PROFILE.replace(
+            stream_cache_fraction=STREAM_CACHE_FRACTION
         )
-
-    def test_unmeasured_profile_falls_through_to_env(self, monkeypatch):
-        from repro.engine.autotune import auto_batch_size
-
-        monkeypatch.setenv("REPRO_STREAM_CACHE_FRACTION", "1.0")
-        profile = DEFAULT_HOST_PROFILE  # stream_cache_fraction is None
         cfg = AmpedConfig(
-            out_of_core=True, shard_cache="x.npz", host_profile=profile
+            out_of_core=True, shard_cache="x.npz",
+            host_profile=DEFAULT_HOST_PROFILE,  # stream_cache_fraction None
         )
         assert cfg.resolved_batch_size(COST, 3) == auto_batch_size(
-            COST, 32, 3, cache_fraction=1.0
+            COST, 32, 3, profile=measured
         )
 
 
@@ -577,8 +572,9 @@ class TestMeasuredCodecRatioFeed:
         )
 
     def test_reader_and_source_expose_manifest_ratio(self, zlib_cache):
+        from repro.engine.plan import cache_plan_inputs
         from repro.engine.source import CompressedChunkSource
-        from repro.tensor.io import ChunkedCacheReader, shard_cache_codec_ratio
+        from repro.tensor.io import ChunkedCacheReader
 
         reader = ChunkedCacheReader(zlib_cache)
         try:
@@ -586,19 +582,20 @@ class TestMeasuredCodecRatioFeed:
         finally:
             reader.close()
         assert 0.0 < ratio < 1.0  # sorted int64/float64 columns compress
-        assert shard_cache_codec_ratio(zlib_cache) == pytest.approx(ratio)
+        _, planned = cache_plan_inputs(AmpedConfig(), zlib_cache)
+        assert planned == pytest.approx(ratio)
         src = CompressedChunkSource(zlib_cache, n_gpus=2, shards_per_gpu=2)
         try:
             assert src.codec_ratio == pytest.approx(ratio)
         finally:
             src.close()
 
-    def test_helper_returns_none_for_v1_and_missing(self, tmp_path, tensor):
-        from repro.tensor.io import shard_cache_codec_ratio, write_shard_cache
+    def test_plan_inputs_have_no_ratio_for_v1(self, tmp_path, tensor):
+        from repro.engine.plan import cache_plan_inputs
+        from repro.tensor.io import write_shard_cache
 
         v1 = write_shard_cache(tensor, tmp_path / "v1cache")
-        assert shard_cache_codec_ratio(v1) is None
-        assert shard_cache_codec_ratio(tmp_path / "missing.npz") is None
+        assert cache_plan_inputs(AmpedConfig(), v1)[1] is None
 
     def test_executor_feeds_measured_ratio_into_prediction(self, zlib_cache):
         from repro.engine.costmodel.timing import DEFAULT_CODEC_RATIO
@@ -607,7 +604,7 @@ class TestMeasuredCodecRatioFeed:
         ex = AmpedMTTKRP.from_shard_cache(zlib_cache, cfg, name="ratio")
         with ex:
             measured_ratio = ex.cache_codec_ratio
-            plan = ex.host_time_plan()
+            plan = ex.plan.time_plan
             default_plan = host_time_plan(ex.workload, ex.config, ex.cost)
         assert measured_ratio is not None
         assert measured_ratio != pytest.approx(DEFAULT_CODEC_RATIO["zlib"])
@@ -638,7 +635,7 @@ class TestMeasuredCodecRatioFeed:
         cfg = AmpedConfig(n_gpus=2, rank=8, shards_per_gpu=2, batch_size=256)
         ex = AmpedMTTKRP.from_shard_cache(cache, cfg, name="zstd")
         with ex:
-            plan = ex.host_time_plan()
+            plan = ex.plan.time_plan
             analytic = host_time_plan(ex.workload, ex.config, ex.cost)
             ratio = ex.cache_codec_ratio
         assert ratio is not None

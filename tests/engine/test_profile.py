@@ -147,7 +147,7 @@ def test_write_host_profile_quick(tmp_path):
 def test_profile_feeds_the_timing_model(measured):
     from repro.core.amped import AmpedMTTKRP
     from repro.core.config import AmpedConfig
-    from repro.core.simulate import host_time_plan
+    from repro.engine.costmodel import host_time_plan
     from repro.simgpu.kernel import KernelCostModel
     from repro.tensor.generate import zipf_coo
 

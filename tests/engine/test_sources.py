@@ -35,8 +35,13 @@ from repro.engine import (
     stream_cache_fraction,
     streamed_batch_bytes,
 )
-from repro.engine.autotune import MAX_AUTO_BATCH, MIN_AUTO_BATCH
+from repro.engine.autotune import (
+    MAX_AUTO_BATCH,
+    MIN_AUTO_BATCH,
+    STREAM_CACHE_FRACTION,
+)
 from repro.engine.batch import build_batch_plan
+from repro.engine.costmodel import DEFAULT_HOST_PROFILE
 from repro.errors import ReproError, TensorFormatError
 from repro.partition.plan import build_partition_plan
 from repro.simgpu.kernel import KernelCostModel
@@ -304,7 +309,7 @@ class TestKernelEquivalenceMatrix:
         monkeypatch.setenv(KERNEL_DISABLE_ENV, "numba,cc")
         refresh_kernel_registry()
         try:
-            for requested in ("numba", "cc", "auto"):
+            for requested in ("numba", "cc"):
                 engine = StreamingExecutor(
                     InMemorySource(plan), batch_size=7, kernel=requested
                 )
@@ -319,7 +324,13 @@ class TestKernelEquivalenceMatrix:
     def test_default_executor_stays_on_reference_path(self, plan):
         """No kernel argument means the numpy reference — the golden
         bit-identity contract of every pre-registry call site."""
-        assert StreamingExecutor(InMemorySource(plan)).kernel is None
+        assert StreamingExecutor(InMemorySource(plan)).kernel == "numpy"
+
+    def test_executor_refuses_auto_kernel(self, plan):
+        """Tier selection is the config's job (cost model); the executor
+        takes a concrete tier and names where "auto" belongs."""
+        with pytest.raises(ReproError, match=r'AmpedConfig\(kernel="auto"\)'):
+            StreamingExecutor(InMemorySource(plan), kernel="auto")
 
 
 class TestClusterCell:
@@ -899,32 +910,30 @@ class TestAutotune:
         with pytest.raises(ReproError, match="resolve"):
             StreamingExecutor(plan, batch_size="auto")
 
-    def test_cache_fraction_override_scales_batch(self):
+    def test_measured_cache_fraction_scales_batch(self):
         """A larger cache slice per lane means a larger auto batch."""
         cost = KernelCostModel()
         default = auto_batch_size(cost, 32, 3)
-        wide = auto_batch_size(cost, 32, 3, cache_fraction=1.0)
-        narrow = auto_batch_size(cost, 32, 3, cache_fraction=1 / 1024)
+        wide = auto_batch_size(
+            cost, 32, 3,
+            profile=DEFAULT_HOST_PROFILE.replace(stream_cache_fraction=1.0),
+        )
+        narrow = auto_batch_size(
+            cost, 32, 3,
+            profile=DEFAULT_HOST_PROFILE.replace(
+                stream_cache_fraction=1 / 1024
+            ),
+        )
         assert narrow <= default <= wide
         assert wide > default  # 1.0 is 32x the default slice
 
-    def test_cache_fraction_env_override(self, monkeypatch):
-        cost = KernelCostModel()
-        monkeypatch.setenv("REPRO_STREAM_CACHE_FRACTION", "1.0")
-        assert stream_cache_fraction() == 1.0
-        assert auto_batch_size(cost, 32, 3) == auto_batch_size(
-            cost, 32, 3, cache_fraction=1.0
+    def test_unmeasured_profile_keeps_builtin_fraction(self):
+        assert stream_cache_fraction() == STREAM_CACHE_FRACTION
+        assert stream_cache_fraction(DEFAULT_HOST_PROFILE) == (
+            STREAM_CACHE_FRACTION
         )
-        # explicit override beats the environment
-        assert stream_cache_fraction(0.5) == 0.5
-        monkeypatch.setenv("REPRO_STREAM_CACHE_FRACTION", "nonsense")
-        with pytest.raises(ReproError, match="REPRO_STREAM_CACHE_FRACTION"):
-            stream_cache_fraction()
-
-    @pytest.mark.parametrize("bad", [0, -0.5, 1.5, "lots"])
-    def test_cache_fraction_domain(self, bad):
-        with pytest.raises(ReproError, match="stream_cache_fraction"):
-            stream_cache_fraction(bad)
+        measured = DEFAULT_HOST_PROFILE.replace(stream_cache_fraction=0.5)
+        assert stream_cache_fraction(measured) == 0.5
 
 
 class TestAmpedIntegration:

@@ -18,7 +18,7 @@ Each case stores, in one ``.npz``:
   ``cpals_iters``), computed with the AMPED engine as the MTTKRP backend.
 
 It also pins the host-pipeline timing model: ``host_time_plan.json`` holds
-the exact :func:`repro.core.simulate.host_time_plan` output for the
+the exact :func:`repro.engine.costmodel.host_time_plan` output for the
 committed synthetic host profile (``host_profile.json``) over a matrix of
 backend/out-of-core configs on the ``zipf3`` workload — the model is pure
 arithmetic, so any diff is a deliberate cost-model change.
@@ -39,9 +39,8 @@ import numpy as np
 
 from repro.core.amped import AmpedMTTKRP
 from repro.core.config import AmpedConfig
-from repro.core.simulate import host_time_plan
 from repro.cpd.als import cp_als
-from repro.engine.costmodel import HostProfile, load_host_profile
+from repro.engine.costmodel import HostProfile, host_time_plan, load_host_profile
 from repro.tensor.coo import SparseTensorCOO
 from repro.tensor.generate import lowrank_coo, random_coo, zipf_coo
 

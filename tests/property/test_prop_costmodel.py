@@ -10,8 +10,9 @@ Invariants (satellite of the cost-model issue):
 * the reported total always equals the sum of its visible terms, and every
   term is finite and nonnegative (a model that returns NaN/negative time
   would silently corrupt ``backend="auto"`` ranking);
-* ``resolve_auto_backend`` always returns one of the three candidates it
-  ranked, and the candidate it returns has the smallest predicted total.
+* ``resolve_auto_execution`` with ``backend="auto"`` always returns one of
+  the three backend candidates it ranked, and the candidate it returns has
+  the smallest predicted total.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from repro.core.workload import ModeWorkload, TensorWorkload
 from repro.engine.costmodel import (
     DEFAULT_HOST_PROFILE,
     host_time_plan,
-    rank_backends,
-    resolve_auto_backend,
+    rank_executions,
+    resolve_auto_execution,
 )
 from repro.simgpu.kernel import KernelCostModel
 
@@ -172,8 +173,10 @@ def test_auto_backend_picks_the_ranked_minimum(nnz, workers, reduce_bw, task_s):
     )
     config = AmpedConfig(rank=8, n_gpus=2, backend="auto", workers=workers)
     workload = make_workload(nnz)
-    plans = rank_backends(workload, config, COST, profile)
-    choice = resolve_auto_backend(workload, config, COST, profile)
-    assert choice == (plans[0]["backend"], plans[0]["workers"])
-    assert plans[0]["total_s"] == min(p["total_s"] for p in plans)
-    assert choice[0] in ("serial", "thread", "process")
+    plans = rank_executions(workload, config, COST, profile)
+    choice = resolve_auto_execution(workload, config, COST, profile)
+    best = plans[0]
+    assert choice == (best["kernel"], best["backend"], best["workers"])
+    assert best["total_s"] == min(p["total_s"] for p in plans)
+    assert choice[0] == "numpy"  # the config's kernel is held fixed
+    assert choice[1] in ("serial", "thread", "process")

@@ -91,9 +91,17 @@ class TestJobSpec:
         with pytest.raises(ServiceError, match="unknown job fields"):
             JobSpec.from_payload({"rnak": 4})
 
-    def test_unknown_config_overrides_rejected(self):
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"host_profile": "x.json"},
+            {"cache_chunk_nnz": 64},
+            {"stream_cache_fraction": 0.5},
+        ],
+    )
+    def test_unknown_config_overrides_rejected(self, config):
         with pytest.raises(ServiceError, match="not accepted"):
-            JobSpec.from_payload({"config": {"host_profile": "x.json"}})
+            JobSpec.from_payload({"config": config})
 
     def test_malformed_values_rejected(self):
         with pytest.raises(ServiceError, match="malformed"):
