@@ -209,7 +209,10 @@ class HostProfile:
                     f"be positive, got {bw!r}"
                 )
         if self.stream_cache_fraction is not None:
-            frac = float(self.stream_cache_fraction)
+            try:
+                frac = float(self.stream_cache_fraction)
+            except (TypeError, ValueError):
+                frac = float("nan")
             if not 0.0 < frac <= 1.0:
                 raise ReproError(
                     f"host profile stream_cache_fraction must be in (0, 1] "

@@ -53,6 +53,10 @@ class TestAmpedConfig:
             {"cache_codec": ""},
             {"cache_chunk_nnz": 0},
             {"cache_chunk_nnz": -4},
+            {"kernel": "gpu"},
+            {"nodes": 0},
+            {"cluster_addresses": ()},
+            {"cluster_addresses": ("127.0.0.1:1",), "nodes": 2},
         ],
     )
     def test_invalid_rejected(self, kw):
@@ -234,6 +238,36 @@ class TestEnvValidationAtConstruction:
         monkeypatch.setenv("REPRO_HOST_PROFILE", str(tmp_path / "nope.json"))
         with pytest.raises(ReproError, match="cannot read host profile"):
             AmpedConfig()
+
+    @pytest.mark.parametrize("bad", [1.5, "lots"])
+    def test_profile_fraction_out_of_domain_rejected_eagerly(
+        self, monkeypatch, tmp_path, bad
+    ):
+        import json
+
+        from repro.engine.costmodel import DEFAULT_HOST_PROFILE
+
+        data = json.loads(DEFAULT_HOST_PROFILE.to_json())
+        data["stream_cache_fraction"] = bad
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(data))
+        monkeypatch.setenv("REPRO_HOST_PROFILE", str(path))
+        with pytest.raises(ReproError, match="stream_cache_fraction"):
+            AmpedConfig()
+
+    @pytest.mark.parametrize("value", ["lots", "1.5", "0", "-0.25", "nan"])
+    def test_retired_fraction_env_has_no_effect(self, monkeypatch, value):
+        """REPRO_STREAM_CACHE_FRACTION is no longer read: whatever a shell
+        still exports, construction succeeds and the auto batch is the one
+        of an unset environment."""
+        cost = KernelCostModel()
+        monkeypatch.delenv("REPRO_STREAM_CACHE_FRACTION", raising=False)
+        expected = AmpedConfig(
+            out_of_core=True, shard_cache="x.npz"
+        ).resolved_batch_size(cost, 3)
+        monkeypatch.setenv("REPRO_STREAM_CACHE_FRACTION", value)
+        cfg = AmpedConfig(out_of_core=True, shard_cache="x.npz")
+        assert cfg.resolved_batch_size(cost, 3) == expected
 
 
 class TestAutoBackendConfig:

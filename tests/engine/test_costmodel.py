@@ -74,6 +74,7 @@ class TestHostProfile:
             {"decompress_bandwidth": {"zlib": 0.0}},
             {"stream_cache_fraction": 0.0},
             {"stream_cache_fraction": 2.0},
+            {"stream_cache_fraction": "lots"},
             {"loopback_bandwidth": 0.0},
             {"loopback_latency_s": -1e-6},
         ],

@@ -935,6 +935,13 @@ class TestAutotune:
         measured = DEFAULT_HOST_PROFILE.replace(stream_cache_fraction=0.5)
         assert stream_cache_fraction(measured) == 0.5
 
+    @pytest.mark.parametrize("bad", [0, -0.5, 1.5, "lots"])
+    def test_cache_fraction_domain(self, bad):
+        """The one place a fraction enters is a host profile, which
+        rejects an out-of-domain value as a named ReproError."""
+        with pytest.raises(ReproError, match="stream_cache_fraction"):
+            DEFAULT_HOST_PROFILE.replace(stream_cache_fraction=bad)
+
 
 class TestAmpedIntegration:
     """AmpedMTTKRP over each source kind: identical bits, O(batch) residency."""
