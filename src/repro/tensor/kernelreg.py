@@ -19,16 +19,20 @@ how (or whether) it was compiled:
   deterministic and independent of the thread count). Available when the
   optional ``numba`` package imports *and* the JIT compiles — any failure
   downgrades to the numpy tier with the reason recorded.
-* ``"cc"`` — the same fused loops as portable C, compiled **at runtime**
-  with the host's C compiler (``cc``/``gcc``) into a content-addressed
-  shared object under ``~/.cache/repro/cc`` and loaded through
-  :mod:`ctypes`. Available when a compiler is on ``PATH`` and the probe
-  reduction matches the reference; no build-time dependency is added.
+* ``"cc"`` — one C call and one pass per batch: each element's indices
+  are bounds-checked before its factor rows are read, segments open where
+  the output-mode key changes, and the contribution is computed lanes-
+  innermost, with a dedicated body for the common ranks. Compiled **at
+  runtime** with the host's C compiler (``cc``/``gcc``) into a shared
+  object under ``~/.cache/repro/cc``, addressed by the hash of its build
+  command, and loaded through :mod:`ctypes`. Available when a compiler is
+  on ``PATH`` and the probe reduction matches the reference; no
+  build-time dependency is added.
 
 Tolerance policy
 ----------------
-Fused tiers accumulate each segment *sequentially* (and each scatter
-element in input order). ``np.add.reduceat`` does **not**: for 2-D
+Fused tiers accumulate each segment *sequentially*, element by element
+in input order. ``np.add.reduceat`` does **not**: for 2-D
 operands its accumulation order is an internal association tree (pairwise/
 SIMD-dependent), measured to differ from sequential accumulation at the
 last ulp on ~95% of multi-element segments. Replicating that tree portably
@@ -62,17 +66,13 @@ import shutil
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
 from repro.errors import TensorFormatError
 from repro.tensor.coo import INDEX_DTYPES
-from repro.tensor.kernels import (
-    ec_contributions,
-    scatter_rows_atomic,
-    segment_starts,
-)
+from repro.tensor.kernels import ec_contributions, segment_starts
 
 __all__ = [
     "AUTO_KERNEL",
@@ -102,10 +102,17 @@ KERNEL_PREFERENCE = ("numba", "cc", "numpy")
 KERNEL_DISABLE_ENV = "REPRO_KERNEL_DISABLE"
 
 #: Where the ``cc`` tier caches its compiled shared objects (overridable
-#: via ``REPRO_CC_CACHE_DIR``); objects are content-addressed by source
-#: hash, so stale builds can never be picked up.
+#: via ``REPRO_CC_CACHE_DIR``); objects are addressed by the hash of their
+#: build command (compiler, flags, source), so stale builds can never be
+#: picked up.
 CC_CACHE_ENV = "REPRO_CC_CACHE_DIR"
 DEFAULT_CC_CACHE_DIR = "~/.cache/repro/cc"
+
+#: The cc build flags: portable ``-O3`` (no ``-march=native``, so a cached
+#: object runs on any host of the architecture), and ``-ffp-contract=off``
+#: so that no compiler or target fuses the kernel's multiply and add into
+#: an FMA and changes a lane's rounding.
+_CC_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 #: Relative tolerance of the fused (non-bit-identical) tiers against the
 #: numpy reference — the documented tolerance tier. Fused ordering differs
@@ -127,6 +134,13 @@ _INT64_ONLY = (np.dtype(np.int64),)
 #: tier (no real dataset comes close).
 _CC_MAX_MODES = 16
 
+#: Ranks the cc reduce compiles a dedicated body for (rank a compile-time
+#: constant): CI's, the benchmark's and the config default. Any other rank
+#: takes the generic body, which walks the rank in fixed ``_CC_BLOCK``-lane
+#: blocks plus a one-lane tail.
+_CC_SPECIALIZED_RANKS = (4, 8, 16, 32)
+_CC_BLOCK = 8
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -135,18 +149,14 @@ class KernelSpec:
     ``reduce_batch(indices, values, factors, mode) -> (rows, partial)``
     is the engine hot path — the fused gather→Hadamard→segment-reduce of a
     mode-sorted batch (``rows`` are the distinct output indices, ``partial``
-    their summed contribution rows). ``scatter_batch(out, indices, values,
-    factors, mode) -> out`` is the fused gather→Hadamard→scatter-add used
-    by the elementwise (unsorted-batch) executors. ``bit_identical`` is
-    True when the tier reproduces the numpy reference bit-for-bit (the
-    golden contract); False marks a documented tolerance tier
-    (:data:`FUSED_RTOL`).
+    their summed contribution rows). ``bit_identical`` is True when the
+    tier reproduces the numpy reference bit-for-bit (the golden contract);
+    False marks a documented tolerance tier (:data:`FUSED_RTOL`).
     """
 
     name: str
     bit_identical: bool
     reduce_batch: Callable
-    scatter_batch: Callable
 
 
 # ----------------------------------------------------------------------
@@ -159,17 +169,22 @@ def _check_fused_shapes(
     mode: int,
 ) -> None:
     """The O(nmodes) named-error preconditions of every fused call: the
-    same shape/mode/rank checks ``ec_contributions`` performs. The O(nnz)
-    index-bounds sweep is *not* here — each compiled tier runs it as an
-    in-kernel validation pass (one cache-friendly scan at native speed,
-    before any factor dereference) and falls back to
-    :func:`_check_fused_bounds` only to name the offending column."""
+    same shape/mode/rank checks ``ec_contributions`` performs, plus one
+    value per element. The O(nnz) index-bounds check is *not* here — each
+    compiled tier checks every index in-kernel, before any factor row it
+    selects is read, and reports the first violation to
+    :func:`_raise_fused_bounds_error`."""
     nmodes = len(factors)
     if nmodes == 0:
         raise TensorFormatError("factors must be a non-empty list")
     if indices.ndim != 2 or indices.shape[1] != nmodes:
         raise TensorFormatError(
             f"indices shape {indices.shape} inconsistent with {nmodes} factors"
+        )
+    if values.shape != (indices.shape[0],):
+        raise TensorFormatError(
+            f"values shape {values.shape} inconsistent with "
+            f"{indices.shape[0]} elements"
         )
     if not 0 <= mode < nmodes:
         raise TensorFormatError(f"mode {mode} out of range")
@@ -182,56 +197,19 @@ def _check_fused_shapes(
             )
 
 
-def _check_fused_bounds(
-    indices: np.ndarray, factors: Sequence[np.ndarray]
-) -> None:
-    """The named-error index-bounds sweep — a compiled kernel dereferences
-    ``factors[w][indices[i, w]]`` directly, so an out-of-range index that
-    the numpy tier would turn into an ``IndexError`` must be rejected
-    instead of corrupting (or faulting on) arbitrary memory. Cold path
-    only: the hot path detects violations in-kernel and calls this to
-    produce the message."""
-    if indices.shape[0] == 0:
-        return
-    lo = indices.min(axis=0)
-    hi = indices.max(axis=0)
-    for w, f in enumerate(factors):
-        if lo[w] < 0 or hi[w] >= f.shape[0]:
-            raise TensorFormatError(
-                f"mode-{w} indices span [{lo[w]}, {hi[w]}] outside factor "
-                f"extent {f.shape[0]}"
-            )
-
-
-def _check_fused_operands(
-    indices: np.ndarray,
-    values: np.ndarray,
-    factors: Sequence[np.ndarray],
-    mode: int,
-) -> None:
-    """Full precondition sweep (shapes + bounds) for callers outside the
-    compiled hot path."""
-    _check_fused_shapes(indices, values, factors, mode)
-    _check_fused_bounds(indices, factors)
-
-
 def _raise_fused_bounds_error(
-    idx: np.ndarray,
-    facs: Sequence[np.ndarray],
-    mode: int,
-    out_rows: int | None = None,
-) -> None:
-    """Turn an in-kernel bounds flag into the named error (cold path)."""
-    _check_fused_bounds(idx, facs)
-    if out_rows is not None and idx.shape[0]:
-        worst = int(idx[:, mode].max())
-        if worst >= out_rows:
-            raise TensorFormatError(
-                f"row index {worst} out of range for out with "
-                f"{out_rows} rows"
-            )
-    raise TensorFormatError(  # pragma: no cover - kernel/sweep agree
-        "fused kernel bounds check failed"
+    idx: np.ndarray, facs: Sequence[np.ndarray], flat: int
+) -> NoReturn:
+    """Turn a kernel's bounds flag into the named error (cold path).
+
+    A compiled kernel reads ``factors[w][indices[i, w]]`` directly, so an
+    out-of-range index that the numpy tier would turn into an
+    ``IndexError`` is rejected before that row is read; ``flat`` is the
+    position ``i * nmodes + w`` of the first one."""
+    i, w = divmod(flat, idx.shape[1])
+    raise TensorFormatError(
+        f"mode-{w} index {idx[i, w]} of element {i} outside factor "
+        f"extent {facs[w].shape[0]}"
     )
 
 
@@ -269,23 +247,8 @@ def _numpy_reduce_batch(
     return keys[starts], np.add.reduceat(contrib, starts, axis=0)
 
 
-def _numpy_scatter_batch(
-    out: np.ndarray,
-    indices: np.ndarray,
-    values: np.ndarray,
-    factors: Sequence[np.ndarray],
-    mode: int,
-) -> np.ndarray:
-    """Gather→Hadamard→scatter-add of one (not necessarily sorted) batch."""
-    contrib = ec_contributions(indices, values, factors, mode)
-    return scatter_rows_atomic(out, np.asarray(indices[:, mode]), contrib)
-
-
 _NUMPY_SPEC = KernelSpec(
-    name="numpy",
-    bit_identical=True,
-    reduce_batch=_numpy_reduce_batch,
-    scatter_batch=_numpy_scatter_batch,
+    name="numpy", bit_identical=True, reduce_batch=_numpy_reduce_batch
 )
 
 
@@ -296,9 +259,8 @@ def _build_numba_spec() -> KernelSpec:
     """Compile (and probe) the fused numba kernels; raises on any failure."""
     import numba
 
-    # In-kernel bounds scan (mirrors the cc tier's check_bounds): one
-    # native-speed pass before any factor dereference, keeping the fused
-    # compute loops branch-free and the Python sweep off the hot path.
+    # In-kernel bounds scan: one native-speed pass before any factor
+    # dereference, keeping the fused compute loop branch-free.
     @numba.njit(fastmath=False, cache=False)
     def _bounds_violation(idx, bound):
         n = idx.shape[0]
@@ -331,33 +293,13 @@ def _build_numba_spec() -> KernelSpec:
                             c *= facs[w][idx[i, w], r]
                     partial[s, r] += c
 
-    @numba.njit(fastmath=False, cache=False)
-    def _fused_scatter(idx, val, facs, mode, out):
-        n = idx.shape[0]
-        rank = out.shape[1]
-        nmodes = idx.shape[1]
-        # scatter in input order: deterministic sequential adds
-        for i in range(n):
-            row = idx[i, mode]
-            v = val[i]
-            for r in range(rank):
-                c = v
-                for w in range(nmodes):
-                    if w != mode:
-                        c *= facs[w][idx[i, w], r]
-                out[row, r] += c
-
-    def _checked_bounds(idx, facs, mode, out_rows=None):
-        bound = np.array([f.shape[0] for f in facs], dtype=np.int64)
-        if out_rows is not None:
-            bound[mode] = min(bound[mode], out_rows)
-        if _bounds_violation(idx, bound) >= 0:
-            _raise_fused_bounds_error(idx, facs, mode, out_rows)
-
     def reduce_batch(indices, values, factors, mode):
         idx, val, facs = _fused_operands(indices, values, factors)
         _check_fused_shapes(idx, val, facs, mode)
-        _checked_bounds(idx, facs, mode)
+        bound = np.array([f.shape[0] for f in facs], dtype=np.int64)
+        bad = _bounds_violation(idx, bound)
+        if bad >= 0:
+            _raise_fused_bounds_error(idx, facs, bad)
         keys = idx[:, mode]
         starts = segment_starts(keys)
         starts_ext = np.empty(starts.size + 1, dtype=np.int64)
@@ -367,27 +309,8 @@ def _build_numba_spec() -> KernelSpec:
         _fused_reduce(idx, val, tuple(facs), mode, starts_ext, partial)
         return keys[starts], partial
 
-    def scatter_batch(out, indices, values, factors, mode):
-        idx, val, facs = _fused_operands(indices, values, factors)
-        _check_fused_shapes(idx, val, facs, mode)
-        if out.ndim != 2 or out.shape[1] != facs[0].shape[1]:
-            raise TensorFormatError(
-                f"out shape {out.shape} inconsistent with rank "
-                f"{facs[0].shape[1]}"
-            )
-        if not (out.flags.c_contiguous and out.dtype == np.float64):
-            raise TensorFormatError(
-                "fused scatter needs a C-contiguous float64 out array"
-            )
-        _checked_bounds(idx, facs, mode, out_rows=out.shape[0])
-        _fused_scatter(idx, val, tuple(facs), mode, out)
-        return out
-
     spec = KernelSpec(
-        name="numba",
-        bit_identical=False,
-        reduce_batch=reduce_batch,
-        scatter_batch=scatter_batch,
+        name="numba", bit_identical=False, reduce_batch=reduce_batch
     )
     _probe_spec(spec)
     return spec
@@ -400,86 +323,109 @@ _C_SOURCE = r"""
 #include <stdint.h>
 
 #define MAX_MODES %d
+#define BLOCK %d
+#define MAX_WIDTH %d
 
-/* The three kernels, written once over an index type T and instantiated
- * below for every index dtype a mode copy may hold, so a narrow batch is
- * reduced as it is stored (the instantiation lines are generated from
- * INDEX_DTYPES after this source). Each index is widened to int64 as it is read;
- * the floating-point operations are the same for every T.
- *
- * check_bounds: one cache-friendly scan of every index column against its
- * bound; returns -1 when clean, else the flat (i * nmodes + w) of the
- * first violation. Runs before either fused kernel dereferences a factor
- * row, so a bad index can never touch arbitrary memory — and the compute
- * loops stay branch-free. */
+/* One element's contribution to lanes [off, off + width) of its segment's
+ * row: c = v, then c *= b_w for every non-output mode w in order, then
+ * dst += c. Lanes are the innermost loop, so each step vectorizes across
+ * lanes, while every lane still does the same multiplies and adds in the
+ * same order as a lane-at-a-time loop (and -ffp-contract=off keeps a
+ * multiply and an add from fusing). width is a compile-time constant at
+ * every call site: a specialized rank, BLOCK, or 1 for the tail. */
+static inline __attribute__((always_inline)) void
+add_contribution(double *dst, const double *const *base, int64_t nw,
+                 double v, int64_t off, int64_t width)
+{
+    double c[MAX_WIDTH];
+    for (int64_t r = 0; r < width; ++r)
+        c[r] = v;
+    for (int64_t w = 0; w < nw; ++w) {
+        const double *b = base[w] + off;
+        for (int64_t r = 0; r < width; ++r)
+            c[r] *= b[r];
+    }
+    for (int64_t r = 0; r < width; ++r)
+        dst[off + r] += c[r];
+}
+
+/* fused_reduce: the whole reduction of one mode-sorted batch in one pass.
+ * Per element: check every index against bound[w] before any factor row
+ * is read (a violation returns -1 - (i * nmodes + w)); open a segment when
+ * the output-mode key changes (rows[nseg] = key, partial row zeroed; a
+ * segment past the cap rows of the buffers returns -1 - n * nmodes); add
+ * the contribution. Returns the segment count. It is written once over an
+ * index type T and instantiated below for every index dtype a mode copy
+ * may hold, so a narrow batch is reduced as it is stored; each index is
+ * widened to int64 as it is read, so the floating-point operations are the
+ * same for every T. The ranks in SPECIALIZED_RANKS get a body with that
+ * rank as a constant; any other rank runs in BLOCK-lane blocks plus a
+ * one-lane tail. */
+#define RANK_CASE(BODY, R)                                                 \
+    case R:                                                               \
+        return BODY(idx, n, nmodes, val, facs, mode, R, R, bound, cap,    \
+                    rows, partial);
+
 #define MTTKRP_KERNELS(T, SUFFIX)                                           \
-int64_t check_bounds_##SUFFIX(const T *idx, int64_t n, int64_t nmodes,    \
-                              const int64_t *bound)                       \
+static inline __attribute__((always_inline)) int64_t                        \
+reduce_##SUFFIX(const T *idx, int64_t n, int64_t nmodes,                  \
+                const double *val, const double **facs, int64_t mode,     \
+                int64_t rank, int64_t width, const int64_t *bound,         \
+                int64_t cap, T *rows, double *partial)                    \
 {                                                                         \
-    for (int64_t i = 0; i < n; ++i) {                                     \
-        const T *row = idx + i * nmodes;                                  \
-        for (int64_t w = 0; w < nmodes; ++w) {                            \
-            int64_t r = (int64_t)row[w];                                  \
-            if (r < 0 || r >= bound[w])                                   \
-                return i * nmodes + w;                                    \
-        }                                                                 \
-    }                                                                     \
-    return -1;                                                            \
-}                                                                         \
-                                                                          \
-void fused_reduce_##SUFFIX(const T *idx, int64_t nmodes,                  \
-                           const double *val, const double **facs,        \
-                           int64_t mode, int64_t rank,                    \
-                           const int64_t *starts, int64_t nseg,           \
-                           double *partial)                               \
-{                                                                         \
-    for (int64_t s = 0; s < nseg; ++s) {                                  \
-        int64_t lo = starts[s];                                           \
-        int64_t hi = starts[s + 1];                                       \
-        double *dst = partial + s * rank;                                 \
-        for (int64_t r = 0; r < rank; ++r)                                \
-            dst[r] = 0.0;                                                 \
-        for (int64_t i = lo; i < hi; ++i) {                               \
-            const T *row = idx + i * nmodes;                              \
-            const double *base[MAX_MODES];                                \
-            int64_t nw = 0;                                               \
-            for (int64_t w = 0; w < nmodes; ++w)                          \
-                if (w != mode)                                            \
-                    base[nw++] = facs[w] + (int64_t)row[w] * rank;        \
-            double v = val[i];                                            \
-            for (int64_t r = 0; r < rank; ++r) {                          \
-                double c = v;                                             \
-                for (int64_t w = 0; w < nw; ++w)                          \
-                    c *= base[w][r];                                      \
-                dst[r] += c;                                              \
-            }                                                             \
-        }                                                                 \
-    }                                                                     \
-}                                                                         \
-                                                                          \
-void fused_scatter_##SUFFIX(const T *idx, int64_t n, int64_t nmodes,      \
-                            const double *val, const double **facs,       \
-                            int64_t mode, int64_t rank, double *out)      \
-{                                                                         \
+    int64_t nseg = 0;                                                     \
+    int64_t key = 0;                                                      \
+    double *dst = partial;                                                \
     for (int64_t i = 0; i < n; ++i) {                                     \
         const T *row = idx + i * nmodes;                                  \
         const double *base[MAX_MODES];                                    \
         int64_t nw = 0;                                                   \
-        for (int64_t w = 0; w < nmodes; ++w)                              \
+        for (int64_t w = 0; w < nmodes; ++w) {                            \
+            int64_t r = (int64_t)row[w];                                  \
+            if (r < 0 || r >= bound[w])                                   \
+                return -1 - (i * nmodes + w);                             \
             if (w != mode)                                                \
-                base[nw++] = facs[w] + (int64_t)row[w] * rank;            \
-        double v = val[i];                                                \
-        double *dst = out + (int64_t)row[mode] * rank;                    \
-        for (int64_t r = 0; r < rank; ++r) {                              \
-            double c = v;                                                 \
-            for (int64_t w = 0; w < nw; ++w)                              \
-                c *= base[w][r];                                          \
-            dst[r] += c;                                                  \
+                base[nw++] = facs[w] + r * rank;                          \
         }                                                                 \
+        if (nseg == 0 || (int64_t)row[mode] != key) {                     \
+            if (nseg == cap)                                              \
+                return -1 - n * nmodes;                                   \
+            key = (int64_t)row[mode];                                     \
+            rows[nseg] = row[mode];                                       \
+            dst = partial + nseg * rank;                                  \
+            for (int64_t r = 0; r < rank; ++r)                            \
+                dst[r] = 0.0;                                             \
+            ++nseg;                                                       \
+        }                                                                 \
+        double v = val[i];                                                \
+        int64_t off = 0;                                                  \
+        for (; off + width <= rank; off += width)                         \
+            add_contribution(dst, base, nw, v, off, width);               \
+        for (; off < rank; ++off)                                         \
+            add_contribution(dst, base, nw, v, off, 1);                   \
+    }                                                                     \
+    return nseg;                                                          \
+}                                                                         \
+                                                                          \
+int64_t fused_reduce_##SUFFIX(const T *idx, int64_t n, int64_t nmodes,    \
+                              const double *val, const double **facs,     \
+                              int64_t mode, int64_t rank,                 \
+                              const int64_t *bound, int64_t cap, T *rows, \
+                              double *partial)                            \
+{                                                                         \
+    switch (rank) {                                                       \
+        SPECIALIZED_RANKS(reduce_##SUFFIX)                                \
+    default:                                                              \
+        return reduce_##SUFFIX(idx, n, nmodes, val, facs, mode, rank,     \
+                               BLOCK, bound, cap, rows, partial);         \
     }                                                                     \
 }
 
-""" % _CC_MAX_MODES + "".join(
+""" % (_CC_MAX_MODES, _CC_BLOCK, max(_CC_SPECIALIZED_RANKS)) + (
+    "#define SPECIALIZED_RANKS(BODY) "
+    + " ".join(f"RANK_CASE(BODY, {r})" for r in _CC_SPECIALIZED_RANKS)
+    + "\n"
+) + "".join(
     f"MTTKRP_KERNELS({'u' if dtype.kind == 'u' else ''}int"
     f"{dtype.itemsize * 8}_t, {suffix})\n"
     for dtype, suffix in _CC_INDEX_SUFFIX.items()
@@ -487,14 +433,16 @@ void fused_scatter_##SUFFIX(const T *idx, int64_t n, int64_t nmodes,      \
 
 
 def _compile_cc_library() -> ctypes.CDLL:
-    """Compile (or reuse) the content-addressed fused-kernel shared object."""
+    """Compile (or reuse) the fused-kernel shared object, addressed by the
+    hash of its whole build command: compiler, flags and source."""
     compiler = os.environ.get("CC") or "cc"
     cc = shutil.which(compiler) or shutil.which("gcc")
     if cc is None:
         raise RuntimeError(
             f"no C compiler on PATH (tried {compiler!r} and 'gcc')"
         )
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+    key = "\0".join((os.path.realpath(cc), *_CC_FLAGS, _C_SOURCE))
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     cache_dir = Path(
         os.environ.get(CC_CACHE_ENV) or DEFAULT_CC_CACHE_DIR
     ).expanduser()
@@ -507,7 +455,7 @@ def _compile_cc_library() -> ctypes.CDLL:
         # processes (e.g. spawn-context pool workers) race benignly.
         tmp_path = cache_dir / f".mttkrp_fused_{digest}.{os.getpid()}.so"
         proc = subprocess.run(
-            [cc, "-O3", "-fPIC", "-shared", "-o", str(tmp_path), str(src_path)],
+            [cc, *_CC_FLAGS, "-o", str(tmp_path), str(src_path)],
             capture_output=True,
             text=True,
             timeout=120,
@@ -524,45 +472,16 @@ def _build_cc_spec() -> KernelSpec:
     """Compile, bind, and probe the C tier; raises on any failure."""
     lib = _compile_cc_library()
     c_i64 = ctypes.c_int64
-    p_idx = ctypes.c_void_p  # the index block, in any instantiated dtype
-    p_i64 = ctypes.POINTER(ctypes.c_int64)
-    p_f64 = ctypes.POINTER(ctypes.c_double)
-    pp_f64 = ctypes.POINTER(p_f64)
-    # dtype -> (check_bounds, fused_reduce, fused_scatter) of that index type
+    ptr = ctypes.c_void_p
+    # dtype -> fused_reduce of that index type
     kernels = {}
     for dtype, suffix in _CC_INDEX_SUFFIX.items():
-        check = getattr(lib, f"check_bounds_{suffix}")
-        check.restype = c_i64
-        check.argtypes = [p_idx, c_i64, c_i64, p_i64]
-        reduce_fn = getattr(lib, f"fused_reduce_{suffix}")
-        reduce_fn.restype = None
-        reduce_fn.argtypes = [
-            p_idx, c_i64, p_f64, pp_f64, c_i64, c_i64, p_i64, c_i64, p_f64,
+        fn = getattr(lib, f"fused_reduce_{suffix}")
+        fn.restype = c_i64
+        fn.argtypes = [
+            ptr, c_i64, c_i64, ptr, ptr, c_i64, c_i64, ptr, c_i64, ptr, ptr,
         ]
-        scatter_fn = getattr(lib, f"fused_scatter_{suffix}")
-        scatter_fn.restype = None
-        scatter_fn.argtypes = [
-            p_idx, c_i64, c_i64, p_f64, pp_f64, c_i64, c_i64, p_f64,
-        ]
-        kernels[dtype] = (check, reduce_fn, scatter_fn)
-
-    def _factor_ptrs(facs):
-        return (p_f64 * len(facs))(
-            *[f.ctypes.data_as(p_f64) for f in facs]
-        )
-
-    def _checked_bounds(idx, facs, mode, out_rows=None):
-        bound = np.array([f.shape[0] for f in facs], dtype=np.int64)
-        if out_rows is not None:
-            bound[mode] = min(bound[mode], out_rows)
-        bad = kernels[idx.dtype][0](
-            idx.ctypes.data,
-            c_i64(idx.shape[0]),
-            c_i64(idx.shape[1]),
-            bound.ctypes.data_as(p_i64),
-        )
-        if bad >= 0:
-            _raise_fused_bounds_error(idx, facs, mode, out_rows)
+        kernels[dtype] = fn
 
     def reduce_batch(indices, values, factors, mode):
         if len(factors) > _CC_MAX_MODES:
@@ -571,62 +490,38 @@ def _build_cc_spec() -> KernelSpec:
             indices, values, factors, _CC_INDEX_SUFFIX
         )
         _check_fused_shapes(idx, val, facs, mode)
-        _checked_bounds(idx, facs, mode)
-        keys = idx[:, mode]
-        starts = segment_starts(keys)
-        starts_ext = np.empty(starts.size + 1, dtype=np.int64)
-        starts_ext[:-1] = starts
-        starts_ext[-1] = idx.shape[0]
+        n, nmodes = idx.shape
         rank = facs[0].shape[1]
-        partial = np.empty((starts.size, rank), dtype=np.float64)
-        kernels[idx.dtype][1](
-            idx.ctypes.data,
-            c_i64(idx.shape[1]),
-            val.ctypes.data_as(p_f64),
-            _factor_ptrs(facs),
-            c_i64(mode),
-            c_i64(rank),
-            starts_ext.ctypes.data_as(p_i64),
-            c_i64(starts.size),
-            partial.ctypes.data_as(p_f64),
-        )
-        return keys[starts], partial
-
-    def scatter_batch(out, indices, values, factors, mode):
-        if len(factors) > _CC_MAX_MODES:
-            return _numpy_scatter_batch(out, indices, values, factors, mode)
-        idx, val, facs = _fused_operands(
-            indices, values, factors, _CC_INDEX_SUFFIX
-        )
-        _check_fused_shapes(idx, val, facs, mode)
-        if out.ndim != 2 or out.shape[1] != facs[0].shape[1]:
-            raise TensorFormatError(
-                f"out shape {out.shape} inconsistent with rank "
-                f"{facs[0].shape[1]}"
+        fac_ptrs = (ptr * nmodes)(*[f.ctypes.data for f in facs])
+        bound = (c_i64 * nmodes)(*[f.shape[0] for f in facs])
+        overflow = -1 - n * nmodes
+        # A mode-sorted batch has at most one segment per output row, so
+        # the buffers stay small when the output mode is short; a batch
+        # with more key runs than that (unsorted) is rerun with one row
+        # per element.
+        for cap in (min(n, facs[mode].shape[0]), n):
+            rows = np.empty(cap, dtype=idx.dtype)
+            partial = np.empty((cap, rank), dtype=np.float64)
+            nseg = kernels[idx.dtype](
+                idx.ctypes.data,
+                n,
+                nmodes,
+                val.ctypes.data,
+                fac_ptrs,
+                mode,
+                rank,
+                bound,
+                cap,
+                rows.ctypes.data,
+                partial.ctypes.data,
             )
-        if not (out.flags.c_contiguous and out.dtype == np.float64):
-            raise TensorFormatError(
-                "fused scatter needs a C-contiguous float64 out array"
-            )
-        _checked_bounds(idx, facs, mode, out_rows=out.shape[0])
-        kernels[idx.dtype][2](
-            idx.ctypes.data,
-            c_i64(idx.shape[0]),
-            c_i64(idx.shape[1]),
-            val.ctypes.data_as(p_f64),
-            _factor_ptrs(facs),
-            c_i64(mode),
-            c_i64(facs[0].shape[1]),
-            out.ctypes.data_as(p_f64),
-        )
-        return out
+            if nseg != overflow:
+                break
+        if nseg < 0:
+            _raise_fused_bounds_error(idx, facs, -1 - nseg)
+        return rows[:nseg], partial[:nseg]
 
-    spec = KernelSpec(
-        name="cc",
-        bit_identical=False,
-        reduce_batch=reduce_batch,
-        scatter_batch=scatter_batch,
-    )
+    spec = KernelSpec(name="cc", bit_identical=False, reduce_batch=reduce_batch)
     _probe_spec(spec)
     return spec
 
@@ -635,12 +530,18 @@ def _build_cc_spec() -> KernelSpec:
 # Probe: a freshly built tier must agree with the reference before it is
 # ever dispatched to (a miscompiled kernel downgrades, never corrupts).
 # ----------------------------------------------------------------------
+#: Every compiled rank specialization plus one generic rank (one block
+#: and a tail), so that one miscompiled body downgrades the tier.
+_PROBE_RANKS = _CC_SPECIALIZED_RANKS + (_CC_BLOCK + 5,)
+
+
 def _probe_spec(spec: KernelSpec) -> None:
-    """Run ``spec`` on a small batch in every index dtype a mode copy may
-    hold (:data:`repro.tensor.coo.INDEX_DTYPES`) against the numpy
-    reference; a narrow batch must also give exactly the int64 batch's
-    bits. Raises on any disagreement, so one miscompiled instantiation
-    downgrades the tier."""
+    """Run ``spec`` on a small batch at every rank of :data:`_PROBE_RANKS`
+    and in every index dtype a mode copy may hold
+    (:data:`repro.tensor.coo.INDEX_DTYPES`) against the numpy reference; a
+    narrow batch must also give exactly the int64 batch's bits. Raises on
+    any disagreement, so one miscompiled instantiation downgrades the
+    tier."""
     rng = np.random.default_rng(12345)
     shape = (11, 7, 9)
     nnz = 64
@@ -649,37 +550,34 @@ def _probe_spec(spec: KernelSpec) -> None:
     ).astype(np.int64)
     indices = indices[np.argsort(indices[:, 0], kind="stable")]
     values = rng.random(nnz)
-    factors = [rng.random((s, 5)) for s in shape]
-    want_rows, want_partial = _numpy_reduce_batch(indices, values, factors, 0)
-    want_out = np.zeros((shape[1], 5))
-    _numpy_scatter_batch(want_out, indices, values, factors, 1)
-    bits = {}
-    for dtype in INDEX_DTYPES:
-        idx = indices.astype(dtype)
-        rows, partial = spec.reduce_batch(idx, values, factors, 0)
-        out = np.zeros_like(want_out)
-        spec.scatter_batch(out, idx, values, factors, 1)
-        if not (
-            np.array_equal(rows, want_rows)
-            and np.allclose(
-                partial, want_partial, rtol=FUSED_RTOL, atol=FUSED_ATOL
+    for rank in _PROBE_RANKS:
+        factors = [rng.random((s, rank)) for s in shape]
+        want_rows, want_partial = _numpy_reduce_batch(
+            indices, values, factors, 0
+        )
+        bits = {}
+        for dtype in INDEX_DTYPES:
+            rows, partial = spec.reduce_batch(
+                indices.astype(dtype), values, factors, 0
             )
-            and np.allclose(out, want_out, rtol=FUSED_RTOL, atol=FUSED_ATOL)
-        ):
-            raise RuntimeError(
-                f"{spec.name} kernel probe on {dtype} indices "
-                f"disagrees with the numpy reference"
-            )
-        bits[dtype] = (partial, out)
-    wide = bits[np.dtype(np.int64)]
-    for dtype, (partial, out) in bits.items():
-        if not (
-            np.array_equal(partial, wide[0]) and np.array_equal(out, wide[1])
-        ):
-            raise RuntimeError(
-                f"{spec.name} kernel probe on {dtype} indices "
-                f"differs from the same batch as int64"
-            )
+            if not (
+                np.array_equal(rows, want_rows)
+                and np.allclose(
+                    partial, want_partial, rtol=FUSED_RTOL, atol=FUSED_ATOL
+                )
+            ):
+                raise RuntimeError(
+                    f"{spec.name} kernel probe on {dtype} indices at rank "
+                    f"{rank} disagrees with the numpy reference"
+                )
+            bits[dtype] = partial
+        wide = bits[np.dtype(np.int64)]
+        for dtype, partial in bits.items():
+            if not np.array_equal(partial, wide):
+                raise RuntimeError(
+                    f"{spec.name} kernel probe on {dtype} indices at rank "
+                    f"{rank} differs from the same batch as int64"
+                )
 
 
 # ----------------------------------------------------------------------

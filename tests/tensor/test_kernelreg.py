@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TensorFormatError
+from repro.tensor.kernels import ec_contributions, segment_starts
 from repro.tensor.kernelreg import (
     AUTO_KERNEL,
     CC_CACHE_ENV,
@@ -139,6 +140,29 @@ class TestDisableAndFallback:
         assert "cc" in available_kernels()
         assert list(tmp_path.glob("mttkrp_fused_*.so"))
 
+    @pytest.mark.skipif(
+        "cc" not in available_kernels(),
+        reason="no C toolchain on this host",
+    )
+    def test_cc_build_flags_key_the_object(
+        self, tmp_path, monkeypatch, registry_guard
+    ):
+        """The object is addressed by its whole build command, so a change
+        of flags compiles afresh instead of reusing a stale object."""
+        from repro.tensor import kernelreg
+
+        monkeypatch.setenv(CC_CACHE_ENV, str(tmp_path))
+        refresh_kernel_registry()
+        assert "cc" in available_kernels()
+        first = set(tmp_path.glob("mttkrp_fused_*.so"))
+        monkeypatch.setattr(
+            kernelreg, "_CC_FLAGS", kernelreg._CC_FLAGS + ("-DPROBE_FLAG",)
+        )
+        refresh_kernel_registry()
+        assert "cc" in available_kernels()
+        second = set(tmp_path.glob("mttkrp_fused_*.so")) - first
+        assert len(first) == 1 and len(second) == 1
+
 
 class TestTierEquivalence:
     """Every available tier agrees with the reference on random batches:
@@ -164,22 +188,6 @@ class TestTierEquivalence:
             )
 
     @pytest.mark.parametrize("name", KERNEL_NAMES)
-    @pytest.mark.parametrize("mode", [0, 1, 2])
-    def test_scatter_matches_reference(self, name, mode):
-        if name not in available_kernels():
-            pytest.skip(f"{name} unavailable: {kernel_availability()[name]}")
-        indices, values, factors = _sorted_batch(seed=10 + mode)
-        spec = get_kernel(name)
-        out = np.zeros((factors[mode].shape[0], factors[0].shape[1]))
-        ref = np.zeros_like(out)
-        get_kernel("numpy").scatter_batch(ref, indices, values, factors, mode)
-        spec.scatter_batch(out, indices, values, factors, mode)
-        if spec.bit_identical:
-            assert np.array_equal(out, ref)
-        else:
-            assert np.allclose(out, ref, rtol=FUSED_RTOL, atol=FUSED_ATOL)
-
-    @pytest.mark.parametrize("name", KERNEL_NAMES)
     def test_tier_is_deterministic_across_calls(self, name):
         """The tolerance tier promises the *same bits on every call* (stable
         association order), even where it differs from numpy's."""
@@ -202,11 +210,6 @@ class TestTierEquivalence:
             np.empty((0, 3), dtype=np.int64), np.empty(0), factors, 0
         )
         assert rows.size == 0 and partial.shape == (0, 3)
-        out = np.zeros((4, 3))
-        spec.scatter_batch(
-            out, np.empty((0, 3), dtype=np.int64), np.empty(0), factors, 0
-        )
-        assert np.all(out == 0)
 
     @pytest.mark.parametrize("name", KERNEL_NAMES)
     def test_four_mode_batch(self, name):
@@ -254,6 +257,13 @@ class TestFusedPreconditions:
             spec.reduce_batch(indices, values, factors, 0)
 
     @pytest.mark.parametrize("name", FUSED_TIERS)
+    def test_values_length_mismatch_rejected(self, name):
+        spec = self._spec(name)
+        indices, values, factors = _sorted_batch(nnz=20)
+        with pytest.raises(TensorFormatError, match="values shape"):
+            spec.reduce_batch(indices, values[:-1], factors, 0)
+
+    @pytest.mark.parametrize("name", FUSED_TIERS)
     def test_empty_factors_rejected(self, name):
         spec = self._spec(name)
         with pytest.raises(TensorFormatError, match="non-empty"):
@@ -268,24 +278,6 @@ class TestFusedPreconditions:
         factors[1] = factors[1][:, :-1]  # rank 4 among rank-5 factors
         with pytest.raises(TensorFormatError, match="factor 1"):
             spec.reduce_batch(indices, values, factors, 0)
-
-    @pytest.mark.parametrize("name", FUSED_TIERS)
-    def test_scatter_out_too_small_rejected(self, name):
-        spec = self._spec(name)
-        indices, values, factors = _sorted_batch(nnz=20)
-        out = np.zeros((2, factors[0].shape[1]))  # rows exceed 2
-        with pytest.raises(TensorFormatError, match="out of range|outside"):
-            spec.scatter_batch(out, indices, values, factors, 0)
-
-    @pytest.mark.parametrize("name", FUSED_TIERS)
-    def test_scatter_non_contiguous_out_rejected(self, name):
-        spec = self._spec(name)
-        indices, values, factors = _sorted_batch(nnz=20)
-        rank = factors[0].shape[1]
-        wide = np.zeros((factors[0].shape[0], 2 * rank))
-        with pytest.raises(TensorFormatError, match="C-contiguous"):
-            spec.scatter_batch(wide[:, ::2], indices, values, factors, 0)
-
 
 NARROW_DTYPES = [np.uint32, np.uint16]
 
@@ -307,11 +299,6 @@ class TestNarrowIndexTypes:
         rows, partial = spec.reduce_batch(narrow, values, factors, 1)
         assert np.array_equal(rows, rows64)
         assert np.array_equal(partial, partial64)
-        out64 = np.zeros((factors[2].shape[0], factors[0].shape[1]))
-        out = np.zeros_like(out64)
-        spec.scatter_batch(out64, indices, values, factors, 2)
-        spec.scatter_batch(out, narrow, values, factors, 2)
-        assert np.array_equal(out, out64)
 
     @pytest.mark.skipif(
         "cc" not in available_kernels(), reason="no C toolchain on this host"
@@ -339,18 +326,114 @@ class TestNarrowIndexTypes:
             )
 
 
-def _bad_narrow_spec(dtype, nudge):
-    """The numpy tier, except that batches of ``dtype`` come out nudged by
-    ``nudge`` — a stand-in for one miscompiled index-type instantiation."""
+def _sequential_reference(indices, values, factors, mode):
+    """The cc tier's exact arithmetic, in numpy: ``ec_contributions`` forms
+    each element's product chain in the kernel's order (value, then every
+    non-output mode in turn), and each segment adds its elements one at a
+    time in input order."""
+    keys = np.asarray(indices[:, mode])
+    contrib = ec_contributions(indices, values, factors, mode)
+    starts = segment_starts(keys)
+    ends = np.append(starts[1:], keys.size)
+    partial = np.empty((starts.size, contrib.shape[1]))
+    for s, (lo, hi) in enumerate(zip(starts, ends)):
+        partial[s] = np.add.accumulate(contrib[lo:hi], axis=0)[-1]
+    return keys[starts], partial
+
+
+EXACT_SHAPE = (13, 9, 11, 7, 5)
+INDEX_TYPES = [np.int64, np.uint32, np.uint16]
+
+
+@pytest.mark.skipif(
+    "cc" not in available_kernels(), reason="no C toolchain on this host"
+)
+class TestCcExactBits:
+    """The cc tier's bits are pinned exactly, not just to the tolerance
+    tier: every rank (the compiled specializations and the generic path on
+    either side of them), index type and mode count gives the sequential
+    numpy reference's bits, and a bad index anywhere in a batch raises
+    the named error before any of its factor rows are read."""
+
+    def _check(self, indices, values, factors, mode):
+        rows, partial = get_kernel("cc").reduce_batch(
+            indices, values, factors, mode
+        )
+        want_rows, want_partial = _sequential_reference(
+            indices, values, factors, mode
+        )
+        assert np.array_equal(rows, want_rows)
+        assert rows.dtype == indices.dtype
+        assert partial.shape == want_partial.shape
+        assert np.array_equal(partial, want_partial)
+
+    @pytest.mark.parametrize("rank", [0, 1, 4, 8, 16, 32, 33])
+    @pytest.mark.parametrize("dtype", INDEX_TYPES)
+    @pytest.mark.parametrize("nmodes", [3, 4, 5])
+    def test_matches_sequential_reference(self, rank, dtype, nmodes):
+        mode = nmodes // 2
+        indices, values, factors = _sorted_batch(
+            seed=rank + nmodes, shape=EXACT_SHAPE[:nmodes], nnz=300,
+            rank=rank, mode=mode,
+        )
+        self._check(indices.astype(dtype), values, factors, mode)
+
+    @pytest.mark.parametrize("rank", [16, 33])
+    @pytest.mark.parametrize("dtype", INDEX_TYPES)
+    def test_edge_batches(self, rank, dtype):
+        indices, values, factors = _sorted_batch(seed=9, rank=rank)
+        indices = indices.astype(dtype)
+        keys = indices[:, 0].astype(np.int64)
+        # the first element that continues its predecessor's segment
+        mid = int(np.flatnonzero(keys[1:] == keys[:-1])[0]) + 1
+        for lo, hi in [(0, 0), (0, 1), (mid, indices.shape[0]), (mid, mid + 3)]:
+            self._check(indices[lo:hi], values[lo:hi], factors, 0)
+
+    @pytest.mark.parametrize("rank", [16, 5])
+    def test_unsorted_batch_with_more_runs_than_rows(self, rank):
+        """Key runs, not distinct keys, make segments: a batch that is not
+        sorted by its output mode still reduces run by run."""
+        indices, values, factors = _sorted_batch(
+            seed=11, shape=(3, 9, 11), nnz=60, rank=rank
+        )
+        indices[:, 0] = np.arange(60) % 3
+        self._check(indices, values, factors, 0)
+        indices[-1, 1] = factors[1].shape[0]
+        with pytest.raises(TensorFormatError, match="outside factor extent"):
+            get_kernel("cc").reduce_batch(indices, values, factors, 0)
+
+    @pytest.mark.parametrize("rank", [16, 5])
+    @pytest.mark.parametrize(
+        "where", ["last element", "output-mode column", "negative int64"]
+    )
+    def test_bad_index_rejected(self, rank, where):
+        indices, values, factors = _sorted_batch(nnz=40, rank=rank)
+        if where == "last element":
+            indices[-1, 2] = factors[2].shape[0]
+        elif where == "output-mode column":
+            indices[-1, 0] = factors[0].shape[0]
+        else:
+            indices[-1, 1] = -1
+        with pytest.raises(TensorFormatError, match="outside factor extent"):
+            get_kernel("cc").reduce_batch(indices, values, factors, 0)
+
+
+def _bad_spec(nudge, dtype=None, rank=None):
+    """The numpy tier, except that batches of ``dtype`` (any dtype when
+    None) at ``rank`` (any rank when None) come out nudged by ``nudge`` — a
+    stand-in for one miscompiled index-type or rank instantiation."""
     from repro.tensor.kernelreg import KernelSpec
 
     good = get_kernel("numpy")
 
     def reduce_batch(indices, values, factors, mode):
         rows, partial = good.reduce_batch(indices, values, factors, mode)
-        return rows, (nudge(partial) if indices.dtype == dtype else partial)
+        bad = dtype in (None, indices.dtype) and rank in (
+            None, partial.shape[1]
+        )
+        return rows, (nudge(partial) if bad else partial)
 
-    return KernelSpec("bad", False, reduce_batch, good.scatter_batch)
+    return KernelSpec("bad", False, reduce_batch)
 
 
 class TestProbeCoversEveryIndexType:
@@ -367,7 +450,15 @@ class TestProbeCoversEveryIndexType:
 
         dtype = np.dtype(dtype)
         with pytest.raises(RuntimeError, match=f"{dtype}.*{message}"):
-            _probe_spec(_bad_narrow_spec(dtype, nudge))
+            _probe_spec(_bad_spec(nudge, dtype))
+
+    def test_probe_rejects_one_bad_rank(self):
+        from repro.tensor.kernelreg import _probe_spec
+
+        with pytest.raises(
+            RuntimeError, match="rank 16 disagrees with the numpy reference"
+        ):
+            _probe_spec(_bad_spec(lambda p: p * (1 + 1e-6), rank=16))
 
     def test_bad_narrow_instantiation_downgrades_the_tier(
         self, monkeypatch, registry_guard
@@ -375,7 +466,7 @@ class TestProbeCoversEveryIndexType:
         from repro.tensor import kernelreg
 
         def build():
-            spec = _bad_narrow_spec(np.dtype(np.uint16), lambda p: p * 2.0)
+            spec = _bad_spec(lambda p: p * 2.0, np.dtype(np.uint16))
             kernelreg._probe_spec(spec)
             return spec
 
