@@ -36,12 +36,14 @@ Result exchange is the functional counterpart of :mod:`repro.comm`:
   chunk ``(g - z) mod M`` to rank ``(g + 1) mod M``). After ``M - 1`` steps
   every node holds every chunk; each node reports a digest of its assembled
   view (the coordinator cross-checks they are identical — the transport's
-  bit-identity oracle) and node 0 forwards the full set.
+  bit-identity oracle) and node 0 forwards the full set as its own frame.
 * ``allgather="direct"`` — the gather-merge path: every node sends its
   chunk straight to the coordinator, which drains them in rank order.
 
-Per call the nodes' measured exchange seconds and payload bytes accumulate
-into :attr:`ClusterBackend.comm_stats`, the measured side of the
+Per call the measured exchange seconds (the slowest node's ring, plus the
+coordinator's receive of the forwarded set or of each direct chunk) and
+the payload bytes accumulate into :attr:`ClusterBackend.comm_stats`, the
+measured side of the
 ``ring_allgather_time`` / ``host_gather_merge_time`` analytic models (see
 :func:`repro.engine.costmodel.cluster_time_plan`) — ``repro.comm`` keeps
 being the predicted-vs-measured oracle now that real bytes move.
@@ -296,13 +298,16 @@ def _node_reduce(msg, state):
             blob, state.rank, state.nodes, state.ring_prev, state.ring_next
         )
         digest = hashlib.sha256(b"".join(blobs)).hexdigest()
-        chunks = blobs if state.rank == 0 else None
-        return ("done", state.rank, comm_s, sent, digest, chunks), None
+        forward = None
+        if state.rank == 0:
+            forward = pickle.dumps(blobs, protocol=pickle.HIGHEST_PROTOCOL)
+        return ("done", state.rank, comm_s, sent, digest), forward
     # direct gather-merge: metadata travels in the reply, the raw chunk
     # follows as a separate frame (sent by the caller) so the coordinator
-    # can time the transfer alone, compute excluded
+    # can time the transfer alone, compute excluded; node 0's forward of
+    # the ring's assembled set travels the same way
     digest = hashlib.sha256(blob).hexdigest()
-    return ("done", state.rank, 0.0, len(blob), digest, None), blob
+    return ("done", state.rank, 0.0, len(blob), digest), blob
 
 
 def _node_loop(conn, authkey: bytes, ring_host: str) -> None:
@@ -631,23 +636,28 @@ class ClusterBackend(ExecutionBackend):
         ring = self.allgather == "ring" and self.nodes > 1
         blobs: list = [None] * self.nodes
         digests: list = [None] * self.nodes
-        comm_s, comm_bytes = 0.0, 0
+        ring_s, transfer_s, comm_bytes = 0.0, 0.0, 0
         for rank in range(self.nodes):
             msg = self._recv(rank)
             self._expect(msg, "done", rank)
-            _, node_rank, node_comm_s, node_bytes, digest, chunks = msg
-            comm_s = max(comm_s, float(node_comm_s))
+            _, node_rank, node_comm_s, node_bytes, digest = msg
+            ring_s = max(ring_s, float(node_comm_s))
             comm_bytes += int(node_bytes)
             digests[node_rank] = digest
+            if ring and node_rank != 0:
+                continue
+            # the raw chunk (in ring mode node 0's assembled set, the hop
+            # cluster_time_plan prices after the ring) follows the metadata
+            # as its own frame; time only this transfer (the node already
+            # computed)
+            t0 = time.perf_counter()
+            raw = self._recv_bytes(rank)
+            transfer_s += time.perf_counter() - t0
             if ring:
-                if chunks is not None:  # node 0's full assembled view
-                    blobs = chunks
+                blobs = pickle.loads(raw)
             else:
-                # the raw chunk follows the metadata as its own frame;
-                # time only this transfer (the node already computed)
-                t0 = time.perf_counter()
-                blobs[node_rank] = self._recv_bytes(rank)
-                comm_s += time.perf_counter() - t0
+                blobs[node_rank] = raw
+        comm_s = ring_s + transfer_s
         if ring:
             if len(set(digests)) != 1:
                 raise ClusterError(
