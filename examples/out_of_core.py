@@ -85,8 +85,9 @@ def main() -> None:
 
         # --- 4. the same decomposition, streamed out of core --------------
         # ... on the process-pool backend with prefetch: pool workers
-        # re-open the cache read-only (only (rows, partial) results cross
-        # the pipe); an mmap cache has no read-ahead of its own, so
+        # re-open the cache read-only and add their rows into a shared
+        # output block (nothing but task bounds crosses the pipe); an mmap
+        # cache has no read-ahead of its own, so
         # prefetch leaves its batches as they are.
         ooc_config = config.replace(backend="process", workers=2, prefetch=True)
         ooc = AmpedMTTKRP.from_shard_cache(cache_path, ooc_config, name="ooc")

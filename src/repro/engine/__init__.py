@@ -62,12 +62,17 @@ from repro.engine.backend import (
     validate_backend_name,
     validate_workers,
 )
-from repro.engine.batch import BatchPlan, ElementBatch, build_batch_plan, slice_segments
+from repro.engine.batch import (
+    BatchPlan,
+    ElementBatch,
+    build_batch_plan,
+    slice_segments,
+    split_contiguous,
+)
 from repro.engine.cluster import (
     ClusterBackend,
     parse_cluster_address,
     serve_node,
-    split_contiguous,
 )
 from repro.engine.costmodel import (
     DEFAULT_HOST_PROFILE,

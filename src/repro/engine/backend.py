@@ -16,16 +16,21 @@ results are computed. An :class:`ExecutionBackend` owns the "where":
   ``.npz`` shard cache read-only (:class:`repro.engine.source.MmapNpzSource`
   provides the attachment spec), or mapping
   :class:`multiprocessing.shared_memory` copies of a resident mode that the
-  coordinator publishes once. Factor matrices travel the same way (one
-  shared-memory publication per ``map_batches`` call). Only the reduced
-  ``(rows, partial)`` blocks cross the pipe back.
+  coordinator publishes once. Factor matrices live in persistent
+  shared-memory segments overwritten every call, and workers scatter-add
+  their rows straight into one shared output block, so no result crosses
+  the pipe either.
 
-**Determinism contract.** ``map_batches`` yields one ``(rows, partial)``
+**Determinism contract.** :meth:`ExecutionBackend.reduce_into` leaves
+``out`` exactly as ``out[rows] += partial`` applied batch by batch in plan
+order would — the base implementation does just that over
+:meth:`ExecutionBackend.map_batches`, which yields one ``(rows, partial)``
 pair per input batch, *in input order*, regardless of how the backend
-schedules the reductions. The coordinator scatter-adds the pairs as they
-arrive, so every backend produces bit-identical results: each output row is
-still one segmented reduction over the same elements in the same order, and
-the scatter-add order is fixed by the batch plan, not the scheduler.
+schedules the reductions. Every backend therefore produces bit-identical
+results: each output row is one segmented reduction over the same elements
+in the same order, added once to its starting value. Segment-aligned
+batches over shards with disjoint index ranges never share an output row,
+which is what lets :class:`ProcessBackend` apply the additions in any order.
 
 Worker validation (``1 <= workers <= MAX_WORKERS``) lives here once and is
 reused by :class:`repro.core.config.AmpedConfig`, the CLI, and
@@ -43,7 +48,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.engine.batch import ElementBatch
+from repro.engine.batch import ElementBatch, split_contiguous
 from repro.errors import ReproError
 from repro.tensor.kernelreg import get_kernel
 
@@ -75,6 +80,16 @@ BACKEND_NAMES = ("serial", "thread", "process", "cluster")
 #: attachments (worker side). Regenerating sources (SyntheticSource) produce
 #: fresh arrays per sweep; the cap keeps republication bounded.
 _SHM_CACHE_CAP = 8
+
+#: Cap on persistent factor segments and output blocks (coordinator side)
+#: and their attachments (worker side): one per factor position and one per
+#: output shape, so a tensor of up to 16 modes keeps all of them.
+_SEGMENT_CACHE_CAP = 32
+
+#: Contiguous batch runs per process worker in one ``reduce_into`` call:
+#: enough that idle workers pull the short runs while the largest one is
+#: still reducing, few enough that per-task dispatch stays negligible.
+_RUNS_PER_WORKER = 4
 
 
 def validate_workers(workers) -> int:
@@ -180,7 +195,8 @@ class ExecutionBackend(ABC):
 
     Lifecycle: backends are created once and reused across ``mttkrp``
     calls — :meth:`start` is idempotent (and called lazily by
-    :meth:`map_batches`), :meth:`close` releases pools and shared memory
+    :meth:`map_batches` and :meth:`reduce_into`), :meth:`close` releases
+    pools and shared memory
     deterministically. Both are safe to call repeatedly; backends are
     context managers.
     """
@@ -199,7 +215,7 @@ class ExecutionBackend(ABC):
 
     # ---- lifecycle ----------------------------------------------------
     def start(self) -> None:
-        """Acquire pools/shared state (idempotent; lazy via map_batches)."""
+        """Acquire pools/shared state (idempotent; called lazily)."""
         if self._closed:
             raise ReproError(
                 f"{type(self).__name__} is closed; create a new backend"
@@ -247,8 +263,35 @@ class ExecutionBackend(ABC):
         (default: the bit-exact numpy reference); process workers resolve
         the name in their own registry, so a tier that fails to build in a
         worker degrades to numpy there too. The iterator must be consumed
-        fully (the executor and grid always do).
+        fully (:meth:`reduce_into` and the cluster's nodes always do).
         """
+
+    def reduce_into(
+        self,
+        part,
+        factors: Sequence[np.ndarray],
+        mode: int,
+        items: Iterable,
+        out: np.ndarray,
+        *,
+        attach=None,
+        kernel: str = "numpy",
+    ) -> np.ndarray:
+        """Scatter-add the reduction of every item of ``items`` into ``out``.
+
+        The operation :class:`repro.engine.executor.StreamingExecutor` runs
+        per ``mttkrp`` call; arguments as for :meth:`map_batches`. This
+        implementation applies ``out[rows] += partial`` in item order, the
+        canonical arithmetic. An override may apply the additions in any
+        order, which is exact because ``items`` are segment-aligned batches
+        over shards with disjoint index ranges: no two share an output row.
+        Returns ``out``.
+        """
+        for rows, partial in self.map_batches(
+            part, factors, mode, items, attach=attach, kernel=kernel
+        ):
+            out[rows] += partial
+        return out
 
 
 class SerialBackend(ExecutionBackend):
@@ -320,11 +363,12 @@ class ThreadBackend(ExecutionBackend):
 # ----------------------------------------------------------------------
 # Process backend: shared-memory / mmap attachment
 # ----------------------------------------------------------------------
-def _attach_view(desc):
-    """Map a coordinator-published segment read-only; returns (array, closer).
+def _attach_view(desc, writable: bool = False):
+    """Map a coordinator-published segment; returns (array, closer).
 
     On Linux a shared-memory segment is a plain file under ``/dev/shm``, so
-    workers map it with :class:`numpy.memmap` — no
+    workers map it with :class:`numpy.memmap` (read-only unless
+    ``writable``) — no
     :class:`multiprocessing.shared_memory.SharedMemory` object is created in
     the worker, which keeps the resource tracker's bookkeeping entirely on
     the coordinator side (create registers, unlink unregisters; worker
@@ -335,7 +379,10 @@ def _attach_view(desc):
     path = os.path.join("/dev/shm", name)
     if os.path.exists(path):
         return (
-            np.memmap(path, dtype=np.dtype(dtype), mode="r", shape=tuple(shape)),
+            np.memmap(
+                path, dtype=np.dtype(dtype), mode="r+" if writable else "r",
+                shape=tuple(shape),
+            ),
             None,
         )
     from multiprocessing import shared_memory  # pragma: no cover - non-Linux
@@ -344,15 +391,22 @@ def _attach_view(desc):
     return _shm_view(shm, desc), shm  # pragma: no cover
 
 
-def _publish_array(arr: np.ndarray):
-    """Copy an array into a fresh shared-memory block; return (shm, desc)."""
+def _create_segment(shape, dtype):
+    """A fresh shared-memory block sized for ``(shape, dtype)``; returns
+    ``(shm, desc)``."""
     from multiprocessing import shared_memory
 
-    arr = np.ascontiguousarray(arr)
-    shm = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))
-    view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-    view[...] = arr
-    return shm, (shm.name, arr.shape, arr.dtype.str)
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
+    return shm, (shm.name, tuple(shape), dtype.str)
+
+
+def _publish_array(arr: np.ndarray):
+    """Copy an array into a fresh shared-memory block; return (shm, desc)."""
+    shm, desc = _create_segment(arr.shape, arr.dtype)
+    _shm_view(shm, desc)[...] = arr
+    return shm, desc
 
 
 def _shm_view(shm, desc) -> np.ndarray:
@@ -360,19 +414,36 @@ def _shm_view(shm, desc) -> np.ndarray:
     return np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
 
 
+def _largest_first_runs(sizes: Sequence[int], parts: int) -> list[tuple[int, int]]:
+    """Group items into at most ``parts`` size-balanced contiguous runs.
+
+    Returns the non-empty ``(start, stop)`` runs of
+    :func:`repro.engine.batch.split_contiguous`, largest total size first
+    (ties in item order), so a skewed shard is dispatched before the runs
+    idle workers can pull behind it.
+    """
+    runs = [r for r in split_contiguous(sizes, parts) if r[1] > r[0]]
+    return sorted(runs, key=lambda r: -sum(sizes[r[0]:r[1]]))
+
+
 # ---- worker-process state (module-level: workers import this module) ----
 _WORKER_ELEMENTS: "OrderedDict[tuple, tuple]" = OrderedDict()
-_WORKER_FACTORS: dict = {"call": None, "shms": [], "factors": None}
+# segment name -> (array, closer): factor segments and output blocks
+_WORKER_SEGMENTS: "OrderedDict[str, tuple]" = OrderedDict()
+
+
+def _close_shms(shms) -> None:
+    for shm in shms:
+        try:
+            shm.close()
+        except Exception:  # pragma: no cover - best-effort cleanup
+            pass
 
 
 def _evict_worker_elements() -> None:
     while len(_WORKER_ELEMENTS) > _SHM_CACHE_CAP:
         _, (_indices, _values, shms) = _WORKER_ELEMENTS.popitem(last=False)
-        for shm in shms:
-            try:
-                shm.close()
-            except Exception:  # pragma: no cover - best-effort cleanup
-                pass
+        _close_shms(shms)
 
 
 def _worker_elements(spec, mode: int) -> tuple[np.ndarray, np.ndarray]:
@@ -418,25 +489,27 @@ def _worker_elements(spec, mode: int) -> tuple[np.ndarray, np.ndarray]:
     return indices, values
 
 
-def _worker_factors(call_id, descs) -> list[np.ndarray]:
-    """Attach this call's factor publication (cached per call id)."""
-    if _WORKER_FACTORS["call"] != call_id:
-        for shm in _WORKER_FACTORS["shms"]:
-            try:
-                shm.close()
-            except Exception:  # pragma: no cover - best-effort cleanup
-                pass
-        attached = [_attach_view(d) for d in descs]
-        _WORKER_FACTORS.update(
-            call=call_id,
-            shms=[c for _, c in attached if c is not None],
-            factors=[arr for arr, _ in attached],
-        )
-    return _WORKER_FACTORS["factors"]
+def _worker_segment(desc, writable: bool = False) -> np.ndarray:
+    """A persistent segment's array, attached once per worker.
+
+    Segment names are unique for the segment's lifetime and the coordinator
+    overwrites a segment in place between calls, so a kept attachment
+    always sees the current contents.
+    """
+    name = desc[0]
+    if name in _WORKER_SEGMENTS:
+        _WORKER_SEGMENTS.move_to_end(name)
+        return _WORKER_SEGMENTS[name][0]
+    array, closer = _attach_view(desc, writable)
+    _WORKER_SEGMENTS[name] = (array, closer)
+    while len(_WORKER_SEGMENTS) > _SEGMENT_CACHE_CAP:
+        _, (_array, old) = _WORKER_SEGMENTS.popitem(last=False)
+        _close_shms([old] if old is not None else [])
+    return array
 
 
 def _process_reduce_task(task):
-    """Top-level worker entry point (must be picklable by name).
+    """Top-level worker entry point of ``map_batches`` (picklable by name).
 
     The kernel travels as its registry *name* (a short string), not a
     callable: each worker resolves it against its own lazily-probed
@@ -444,12 +517,30 @@ def _process_reduce_task(task):
     spawn re-probes (hitting the on-disk ``cc`` object cache) — and a tier
     that fails to build inside a worker degrades to numpy there.
     """
-    spec, mode, call_id, factor_descs, (lo, hi), kernel = task
+    spec, mode, factor_descs, (lo, hi), kernel = task
     indices, values = _worker_elements(spec, mode)
-    factors = _worker_factors(call_id, factor_descs)
+    factors = [_worker_segment(d) for d in factor_descs]
     return reduce_batch_arrays(
         indices[lo:hi], values[lo:hi], factors, mode, kernel
     )
+
+
+def _process_scatter_task(task) -> None:
+    """Top-level worker entry point of ``reduce_into``: reduce one run of
+    batches and scatter-add each into the shared output block.
+
+    ``block[rows] += partial`` is the serial path's arithmetic on every
+    row; no other task touches these rows (see the module docstring).
+    """
+    spec, mode, factor_descs, out_desc, bounds, kernel = task
+    indices, values = _worker_elements(spec, mode)
+    factors = [_worker_segment(d) for d in factor_descs]
+    block = _worker_segment(out_desc, writable=True)
+    for lo, hi in bounds:
+        rows, partial = reduce_batch_arrays(
+            indices[lo:hi], values[lo:hi], factors, mode, kernel
+        )
+        block[rows] += partial
 
 
 class ProcessBackend(ExecutionBackend):
@@ -459,30 +550,40 @@ class ProcessBackend(ExecutionBackend):
     shard cache is re-opened read-only inside each worker (``attach`` spec
     from :meth:`repro.engine.source.MmapNpzSource.process_attach_spec`),
     while a resident mode is published once into
-    :class:`multiprocessing.shared_memory` blocks the workers map. Factors
-    are published the same way, once per ``map_batches`` call. Each task is
-    therefore a few dozen bytes — ``(spec key, mode, call id, factor
-    descriptors, element bounds)`` — and only the reduced ``(rows,
-    partial)`` blocks travel back.
+    :class:`multiprocessing.shared_memory` blocks the workers map. Each
+    factor gets one persistent segment per ``(position, shape, dtype)``,
+    overwritten every call; workers keep their attachments.
+
+    :meth:`reduce_into` copies ``out`` into a shared output block (one per
+    ``(shape, dtype)``, reused across calls), groups the batches into
+    ``4 × workers`` nnz-balanced contiguous runs, dispatches them largest
+    first, and lets each worker scatter-add its rows into the block; once
+    every task is done the block is copied back into ``out``. A task is a
+    few dozen bytes — ``(spec key, mode, factor descriptors, block
+    descriptor, element bounds)`` — and nothing but a completion crosses
+    the pipe back. :meth:`map_batches` (the ``(rows, partial)`` stream
+    other callers consume) uses the same factor segments.
+
+    One call at a time: calls overwrite the same factor segments, so a
+    ``map_batches`` generator must be consumed before the next call.
     """
 
     name = "process"
     parallel = True
     crosses_processes = True
 
-    #: tasks batched per pipe message (amortizes IPC without hurting balance)
+    #: map_batches tasks batched per pipe message (amortizes IPC without
+    #: hurting balance)
     chunksize = 4
 
     def __init__(self, workers: int = 2) -> None:
         super().__init__(workers)
         self._pool = None
-        self._call_id = 0
         # (array ids) -> (spec, shm blocks, strong array refs pinning the ids)
         self._shm_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-        # factor publications of map_batches calls still in flight — close()
-        # releases them if a generator was abandoned mid-iteration (e.g. a
-        # worker exception unwound the consumer before GeneratorExit ran)
-        self._inflight_factors: list[list] = []
+        # (position | "out", shape, dtype) -> (shm, desc): factor segments
+        # and output blocks, created once and overwritten every call
+        self._segments: "OrderedDict[tuple, tuple]" = OrderedDict()
 
     def start(self) -> None:
         super().start()
@@ -499,8 +600,8 @@ class ProcessBackend(ExecutionBackend):
         once via a ``with`` block and again via
         :meth:`repro.core.amped.AmpedMTTKRP.close` — so teardown must stay
         idempotent, and a pool that fails to terminate must not keep the
-        shared-memory segments (mode copies *and* in-flight factor
-        publications) from being unlinked: leaked segments are what the
+        shared-memory segments (mode copies, factor segments and output
+        blocks) from being unlinked: leaked segments are what the
         ``resource_tracker`` warns about at interpreter exit.
         """
         pool, self._pool = self._pool, None
@@ -513,8 +614,9 @@ class ProcessBackend(ExecutionBackend):
         while self._shm_cache:
             _, (_spec, shms, _refs) = self._shm_cache.popitem(last=False)
             self._release(shms)
-        while self._inflight_factors:
-            self._release(self._inflight_factors.pop())
+        while self._segments:
+            _, (shm, _desc) = self._segments.popitem(last=False)
+            self._release([shm])
         super().close()
 
     def __del__(self):  # pragma: no cover - GC safety net for unclosed pools
@@ -525,19 +627,22 @@ class ProcessBackend(ExecutionBackend):
 
     @staticmethod
     def _release(shms) -> None:
+        """Unlink, then close: the name goes even while an array over the
+        block (say, one held by a traceback) keeps ``close`` from
+        unmapping it."""
         for shm in shms:
             try:
-                shm.close()
                 shm.unlink()
             except Exception:  # pragma: no cover - best-effort cleanup
                 pass
+        _close_shms(shms)
 
     def _shared_spec(self, part) -> tuple:
         """Publish (or reuse) shared-memory copies of a resident mode.
 
         The segments keep the mode copy's dtypes, so a plan's narrow index
         block is published as is: ``nnz * (nmodes * itemsize + 8)`` bytes
-        per mode, and the reduced ``rows`` come back narrow too.
+        per mode, and the reduced ``rows`` stay narrow too.
         """
         indices = part.tensor.indices
         values = part.tensor.values
@@ -554,41 +659,82 @@ class ProcessBackend(ExecutionBackend):
             self._release(shms)
         return spec
 
+    def _segment(self, tag, shape, dtype) -> tuple:
+        """The persistent segment for ``(tag, shape, dtype)``; returns
+        ``(shm, desc)``, creating it on first use."""
+        key = (tag, tuple(shape), np.dtype(dtype).str)
+        if key in self._segments:
+            self._segments.move_to_end(key)
+            return self._segments[key]
+        self._segments[key] = _create_segment(shape, dtype)
+        while len(self._segments) > _SEGMENT_CACHE_CAP:
+            _, (shm, _desc) = self._segments.popitem(last=False)
+            self._release([shm])
+        return self._segments[key]
+
+    def _publish_factors(self, factors) -> tuple:
+        """Overwrite each factor's persistent segment; returns descriptors.
+
+        Publication preserves dtype: workers must reduce with exactly the
+        factors the serial path would use, or bit-identity breaks for
+        non-float64 inputs.
+        """
+        descs = []
+        for position, f in enumerate(factors):
+            f = np.asarray(f)
+            shm, desc = self._segment(position, f.shape, f.dtype)
+            _shm_view(shm, desc)[...] = f
+            descs.append(desc)
+        return tuple(descs)
+
     @property
     def published_modes(self) -> int:
         """Resident modes currently published to shared memory (test hook:
         stays 0 when workers attach to an mmap shard cache instead)."""
         return len(self._shm_cache)
 
-    @property
-    def inflight_publications(self) -> int:
-        """Factor publications not yet released (test hook: 0 after every
-        fully consumed or abandoned ``map_batches`` call is cleaned up)."""
-        return len(self._inflight_factors)
-
     def map_batches(self, part, factors, mode, items, *, attach=None,
                     kernel="numpy"):
         self.start()
-        self._call_id += 1
-        call_id = self._call_id
         spec = attach if attach is not None else self._shared_spec(part)
-        # Publication preserves dtype: workers must reduce with exactly the
-        # factors the serial path would use, or bit-identity breaks for
-        # non-float64 inputs.
-        published = [_publish_array(np.asarray(f)) for f in factors]
-        factor_shms = [shm for shm, _ in published]
-        factor_descs = tuple(desc for _, desc in published)
-        self._inflight_factors.append(factor_shms)
-        try:
-            tasks = (
-                (spec, mode, call_id, factor_descs, _item_bounds(item), kernel)
-                for item in items
-            )
-            for rows, partial in self._pool.imap(
-                _process_reduce_task, tasks, chunksize=self.chunksize
-            ):
-                yield rows, partial
-        finally:
-            if factor_shms in self._inflight_factors:
-                self._inflight_factors.remove(factor_shms)
-                self._release(factor_shms)
+        factor_descs = self._publish_factors(factors)
+        tasks = (
+            (spec, mode, factor_descs, _item_bounds(item), kernel)
+            for item in items
+        )
+        yield from self._pool.imap(
+            _process_reduce_task, tasks, chunksize=self.chunksize
+        )
+
+    def reduce_into(self, part, factors, mode, items, out, *, attach=None,
+                    kernel="numpy"):
+        self.start()
+        bounds = [_item_bounds(item) for item in items]
+        runs = _largest_first_runs(
+            [hi - lo for lo, hi in bounds], _RUNS_PER_WORKER * self.workers
+        )
+        if not runs:
+            return out
+        spec = attach if attach is not None else self._shared_spec(part)
+        factor_descs = self._publish_factors(factors)
+        shm, out_desc = self._segment("out", out.shape, out.dtype)
+        block = _shm_view(shm, out_desc)
+        block[...] = out
+        tasks = [
+            (spec, mode, factor_descs, out_desc, tuple(bounds[i0:i1]), kernel)
+            for i0, i1 in runs
+        ]
+        results = self._pool.imap_unordered(_process_scatter_task, tasks)
+        failure = None
+        for _ in tasks:
+            # Wait for every task, even after one failed, so no worker is
+            # still writing into the block when this call returns.
+            try:
+                next(results)
+            except Exception as exc:  # a worker's exception, re-raised below
+                if failure is None:
+                    failure = exc
+        if failure is not None:
+            raise failure
+        out[...] = block
+        return out

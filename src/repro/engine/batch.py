@@ -28,7 +28,13 @@ from repro.errors import ReproError
 from repro.partition.sharding import ModePartition
 from repro.tensor.kernels import segment_starts
 
-__all__ = ["ElementBatch", "BatchPlan", "slice_segments", "build_batch_plan"]
+__all__ = [
+    "ElementBatch",
+    "BatchPlan",
+    "slice_segments",
+    "split_contiguous",
+    "build_batch_plan",
+]
 
 
 @dataclass(frozen=True)
@@ -169,6 +175,32 @@ def slice_segments(
             nxt = int(bounds[j])
         cuts.append(nxt)
         pos = nxt
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def split_contiguous(sizes: Sequence[int], parts: int) -> list[tuple[int, int]]:
+    """Split ``len(sizes)`` items into ``parts`` contiguous runs of
+    near-equal total size. Returns per-part ``(start, stop)`` index pairs
+    (possibly empty runs when there are more parts than items) covering the
+    items exactly once, in order. The cluster hands each node one run
+    (contiguity keeps concatenated results in input order); the process
+    backend hands each worker task one.
+    """
+    if parts < 1:
+        raise ReproError(f"need at least one part, got {parts}")
+    n = len(sizes)
+    prefix = np.cumsum(np.asarray(sizes, dtype=np.int64)) if n else np.array([])
+    total = int(prefix[-1]) if n else 0
+    cuts = [0]
+    for k in range(1, parts):
+        target = total * k / parts
+        cut = int(np.searchsorted(prefix, target, side="left"))
+        if cut < n and prefix[cut] - target <= target - (
+            prefix[cut - 1] if cut else 0
+        ):
+            cut += 1
+        cuts.append(min(n, max(cuts[-1], cut)))
+    cuts.append(n)
     return list(zip(cuts[:-1], cuts[1:]))
 
 

@@ -14,8 +14,9 @@ by nonzero count. Contiguity is what makes scale-out bit-identical: batches
 own disjoint output rows (the shard plan guarantees it), every node reduces
 its run with the unchanged local pipeline, and concatenating the per-node
 ``(rows, partial)`` chunks in node-rank order restores exactly the input
-order the determinism contract requires — the executor then scatter-adds
-the same blocks in the same order as a single-host run.
+order the determinism contract requires — the inherited
+:meth:`~repro.engine.backend.ExecutionBackend.reduce_into` then
+scatter-adds the same blocks in the same order as a single-host run.
 
 Each **node** owns a slice of the work per call. Element bytes reach it one
 of two ways: a shard-cache attachment spec (``("mmap_npz", path)`` /
@@ -66,7 +67,6 @@ import time
 import traceback
 from multiprocessing.connection import Client, Listener
 from types import SimpleNamespace
-from typing import Sequence
 
 import numpy as np
 
@@ -77,7 +77,7 @@ from repro.engine.backend import (
     create_backend,
     validate_workers,
 )
-from repro.engine.batch import ElementBatch
+from repro.engine.batch import ElementBatch, split_contiguous
 from repro.errors import ClusterError, ReproError
 
 __all__ = [
@@ -86,7 +86,6 @@ __all__ = [
     "ClusterBackend",
     "parse_cluster_address",
     "serve_node",
-    "split_contiguous",
 ]
 
 #: Node counts above this are almost certainly a configuration mistake.
@@ -184,31 +183,6 @@ def parse_cluster_address(spec) -> tuple[str, int]:
             f"got {spec!r}"
         )
     return host, port
-
-
-def split_contiguous(sizes: Sequence[int], parts: int) -> list[tuple[int, int]]:
-    """Split ``len(sizes)`` items into ``parts`` contiguous runs of
-    near-equal total size. Returns per-part ``(start, stop)`` index pairs
-    (possibly empty runs when there are more parts than items) covering the
-    items exactly once, in order — the slice-ownership rule of the cluster:
-    contiguity is what keeps concatenated results in input order.
-    """
-    if parts < 1:
-        raise ClusterError(f"need at least one part, got {parts}")
-    n = len(sizes)
-    prefix = np.cumsum(np.asarray(sizes, dtype=np.int64)) if n else np.array([])
-    total = int(prefix[-1]) if n else 0
-    cuts = [0]
-    for k in range(1, parts):
-        target = total * k / parts
-        cut = int(np.searchsorted(prefix, target, side="left"))
-        if cut < n and prefix[cut] - target <= target - (
-            prefix[cut - 1] if cut else 0
-        ):
-            cut += 1
-        cuts.append(min(n, max(cuts[-1], cut)))
-    cuts.append(n)
-    return list(zip(cuts[:-1], cuts[1:]))
 
 
 # ----------------------------------------------------------------------

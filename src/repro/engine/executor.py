@@ -27,8 +27,8 @@ instead of materializing whole shards, which
   in the same order, every source yields mode-sorted copies with identical
   coordinates (resident copies and v2 caches store them in the narrow
   ``index_dtype`` of the shape, v1 caches in int64: same values), and
-  every backend yields partial
-  results in batch order for the coordinator's deterministic scatter-add.
+  every backend adds each batch's partial results once to rows no other
+  batch touches.
 
 Batch-size tuning
 -----------------
@@ -50,9 +50,11 @@ Backends
 instance). Backends persist across ``mttkrp`` calls — pools are created
 once and closed deterministically (the executor is a context manager; see
 :meth:`StreamingExecutor.close`); ``workers`` sizes a backend named by
-string. Every batch is computed into private buffers and scatter-added by the
-coordinating thread in deterministic (shard, position) order, so the result
-is identical to the serial path regardless of scheduling.
+string. Every batch is reduced into private buffers and added to output
+rows no other batch touches — by the coordinating thread in (shard,
+position) order, or by process workers straight into a shared output
+block — so the result is identical to the serial path regardless of
+scheduling.
 """
 
 from __future__ import annotations
@@ -225,21 +227,18 @@ class StreamingExecutor:
     ) -> np.ndarray:
         """Stream the batches of ``mode`` into ``out``.
 
-        The scatter-add is applied in deterministic (shard, position) order;
-        parallel backends *compute* batches concurrently but the partial
-        results are still *applied* by this thread in batch order, so
-        results never depend on scheduling.
+        The backend's :meth:`~ExecutionBackend.reduce_into` adds each
+        batch's segment sums to its own output rows; batches are
+        segment-aligned and shards own disjoint index ranges, so no row is
+        added to twice and results never depend on scheduling.
         """
         batches = self.batch_plan(mode).batches
         if not batches:
             return out
-        part = self.source.partition(mode)
-        attach = self.source.process_attach_spec(mode)
-        for rows, partial in self.backend.map_batches(
-            part, factors, mode, batches, attach=attach, kernel=self.kernel
-        ):
-            out[rows] += partial
-        return out
+        return self.backend.reduce_into(
+            self.source.partition(mode), factors, mode, batches, out,
+            attach=self.source.process_attach_spec(mode), kernel=self.kernel,
+        )
 
     def mttkrp(self, factors: Sequence[np.ndarray], mode: int) -> np.ndarray:
         """Exact MTTKRP for ``mode`` over all shards of the source."""

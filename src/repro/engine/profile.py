@@ -18,10 +18,11 @@ model (:func:`repro.engine.costmodel.host_time_plan`), batch autotuning
   ``kernel="auto"`` rank tiers with measured rates instead of ties;
 * ``thread_efficiency`` — the realized speedup of running two of those
   reductions on a two-worker thread pool (GIL residue included);
-* ``process_efficiency`` — the realized speedup of streaming a small batch
+* ``process_efficiency`` — the realized speedup of reducing a small batch
   sweep through a real two-worker :class:`repro.engine.backend.ProcessBackend`
-  (shared-memory publication, task pickling, and result-pipe traffic all
-  included — this was a documented 0.70 default before profile version 2);
+  (factor-segment overwrite, task pickling, and the workers' scatter-add
+  into the shared output block all included — this was a documented 0.70
+  default before profile version 2);
 * ``mmap_read_bandwidth`` / ``chunk_read_bandwidth`` — memory-mapped vs
   explicit reads of a temporary file (page-cache-warm, like a hot run);
 * ``decompress_bandwidth`` — raw bytes/s per available v2 cache codec,
@@ -151,49 +152,41 @@ def _measure_thread_efficiency(nnz: int, repeats: int) -> float:
 def _measure_process_efficiency(nnz: int, repeats: int) -> float:
     """Realized extra-worker fraction of a real two-worker process pool.
 
-    Streams a small :class:`repro.engine.batch.ElementBatch` sweep through an
-    actual :class:`repro.engine.backend.ProcessBackend` — shared-memory
-    publication, per-call factor publication, task pickling, and the result
-    pipe are all on the clock, exactly as they are in a real run — and
-    compares against the same batches reduced serially in-process. Mirrors
-    :func:`_measure_thread_efficiency`:
+    Streams a small sweep of segment-aligned
+    :class:`repro.engine.batch.ElementBatch` slices through
+    :meth:`repro.engine.backend.ProcessBackend.reduce_into`, the path the
+    executor runs — factor-segment overwrite, task pickling, the workers'
+    scatter-add into the shared output block and its copy back are all on
+    the clock, exactly as they are in a real run — and compares against
+    :class:`repro.engine.backend.SerialBackend` reducing the same batches
+    into the same output. Mirrors :func:`_measure_thread_efficiency`:
     ``efficiency = speedup(2 workers) - 1``, clamped to ``(0.05, 1.0]``.
     """
     from types import SimpleNamespace
 
-    from repro.engine.backend import ProcessBackend
-    from repro.engine.batch import ElementBatch
+    from repro.engine.backend import ProcessBackend, SerialBackend
+    from repro.engine.batch import ElementBatch, slice_segments
 
     indices, values, factors = _reduce_case(nnz)
     part = SimpleNamespace(
         tensor=SimpleNamespace(indices=indices, values=values)
     )
-    n_batches = 8
-    step = nnz // n_batches
+    # whole segments only: no two batches may share an output row
     items = [
-        ElementBatch(
-            mode=0,
-            shard_id=0,
-            batch_id=i,
-            elements=slice(i * step, nnz if i == n_batches - 1 else (i + 1) * step),
-            nnz=(nnz - i * step) if i == n_batches - 1 else step,
+        ElementBatch(mode=0, shard_id=0, batch_id=i, elements=slice(lo, hi),
+                     nnz=hi - lo)
+        for i, (lo, hi) in enumerate(
+            slice_segments(indices[:, 0], max(1, nnz // 8))
         )
-        for i in range(n_batches)
     ]
+    out = np.zeros_like(factors[0])
 
-    def serial_pass():
-        for item in items:
-            reduce_batch_arrays(
-                indices[item.elements], values[item.elements], factors, 0
-            )
+    def sweep(backend):
+        return lambda: backend.reduce_into(part, factors, 0, items, out)
 
-    t_serial = _best(serial_pass, repeats)
-
+    t_serial = _best(sweep(SerialBackend()), repeats)
     with ProcessBackend(workers=2) as backend:
-        def pool_pass():
-            for _ in backend.map_batches(part, factors, 0, items):
-                pass
-
+        pool_pass = sweep(backend)
         pool_pass()  # warm: spawn workers, publish + map the shared mode
         t_pool = _best(pool_pass, repeats)
     return float(min(1.0, max(0.05, t_serial / t_pool - 1.0)))

@@ -550,8 +550,8 @@ class CompressedChunkSource(ShardSource):
 
     def process_attach_spec(self, mode: int):
         """Process workers re-open the v2 cache by path and decompress the
-        chunks their batches cover themselves — only ``(rows, partial)``
-        results cross the pipe, mirroring the mmap attachment."""
+        chunks their batches cover themselves — no element bytes cross
+        the pipe, mirroring the mmap attachment."""
         self._check_mode(mode)
         return ("chunked_v2", str(self.path))
 

@@ -18,6 +18,7 @@ import pytest
 from repro.engine import (
     BACKEND_NAMES,
     MAX_WORKERS,
+    CompressedChunkSource,
     InMemorySource,
     LoadedBatch,
     MmapNpzSource,
@@ -30,11 +31,13 @@ from repro.engine import (
     validate_backend_name,
     validate_workers,
 )
+from repro.engine.backend import _largest_first_runs
 from repro.engine.batch import build_batch_plan
 from repro.errors import ReproError
 from repro.partition.plan import build_partition_plan
 from repro.tensor.generate import zipf_coo
 from repro.tensor.io import write_shard_cache
+from repro.tensor.io_v2 import write_shard_cache_v2
 
 N_GPUS = 2
 SHARDS_PER_GPU = 3
@@ -279,6 +282,117 @@ class TestProcessAttachment:
             assert np.array_equal(out, eager[1])
 
 
+class TestSharedOutputBlock:
+    """Process workers scatter-add into one shared output block, largest
+    batch run first; the block must end up with the serial path's bits."""
+
+    SKEWED_MODE = 0
+
+    @pytest.fixture(scope="class")
+    def skewed(self, tmp_path_factory):
+        """A tensor whose mode 0 has one shard holding > 30% of the nnz,
+        as v1 and v2 (zlib, chunks smaller than a shard) caches too."""
+        tensor = zipf_coo((48, 20, 25), 1200, exponents=(1.4, 0.9, 1.0),
+                          seed=3)
+        plan = build_partition_plan(
+            tensor, N_GPUS, shards_per_gpu=SHARDS_PER_GPU
+        )
+        d = tmp_path_factory.mktemp("skewed")
+        return (
+            tensor,
+            plan,
+            write_shard_cache(tensor, d / "v1.npz"),
+            write_shard_cache_v2(tensor, d / "v2.npz", chunk_nnz=64),
+        )
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        with ProcessBackend(2) as backend:
+            yield backend
+
+    def test_fixture_is_skewed(self, skewed):
+        nnz = skewed[1].modes[self.SKEWED_MODE].shard_nnz()
+        assert nnz.max() > 0.3 * nnz.sum()
+
+    @pytest.mark.parametrize("kind", ["memory", "mmap", "chunked"])
+    @pytest.mark.parametrize("batch_size", [None, 32])
+    def test_bit_identical_to_serial(self, skewed, pool, kind, batch_size):
+        tensor, plan, v1, v2 = skewed
+        source = {
+            "memory": lambda: InMemorySource(plan),
+            "mmap": lambda: MmapNpzSource(
+                v1, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
+            ),
+            "chunked": lambda: CompressedChunkSource(
+                v2, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
+            ),
+        }[kind]()
+        rng = np.random.default_rng(41)
+        factors = [rng.random((s, 4)) for s in tensor.shape]
+        serial = StreamingExecutor(source, batch_size=batch_size)
+        engine = StreamingExecutor(source, batch_size=batch_size, backend=pool)
+        try:
+            for mode in range(tensor.nmodes):
+                assert np.array_equal(
+                    engine.mttkrp(factors, mode), serial.mttkrp(factors, mode)
+                )
+                # a nonzero starting ``out``: the block starts as a copy of it
+                start = rng.standard_normal((tensor.shape[mode], 4))
+                want = serial.mttkrp_into(factors, mode, start.copy())
+                got = engine.mttkrp_into(factors, mode, start.copy())
+                assert np.array_equal(got, want)
+        finally:
+            if kind != "memory":
+                source.close()
+
+    def test_more_workers_than_cores(self, skewed):
+        """Four workers on small batches, so runs of different workers
+        land on neighbouring rows of the block: a lost or doubled update
+        would break bit-identity with the serial path."""
+        tensor, plan = skewed[:2]
+        rng = np.random.default_rng(8)
+        serial = StreamingExecutor(plan, batch_size=4)
+        with StreamingExecutor(
+            plan, batch_size=4, backend="process", workers=4
+        ) as engine:
+            for call in range(12):
+                mode = call % tensor.nmodes
+                factors = [rng.random((s, 4)) for s in tensor.shape]
+                assert np.array_equal(
+                    engine.mttkrp(factors, mode), serial.mttkrp(factors, mode)
+                )
+
+    def test_largest_shard_run_dispatched_first(self, skewed):
+        part = skewed[1].modes[self.SKEWED_MODE]
+        sizes = [b.nnz for b in build_batch_plan(part, None).batches]
+        runs = _largest_first_runs(sizes, 8)
+        assert runs[0] == (int(np.argmax(sizes)), int(np.argmax(sizes)) + 1)
+
+    @pytest.mark.parametrize(
+        "sizes,parts",
+        [
+            ([5, 1, 9, 2, 2, 8, 1, 3], 1),
+            ([5, 1, 9, 2, 2, 8, 1, 3], 3),
+            ([5, 1, 9, 2, 2, 8, 1, 3], 8),
+            ([1, 1, 1, 100, 1, 1, 1, 1, 1, 1], 4),
+            ([3, 3, 3, 3], 8),
+            ([7], 4),
+        ],
+    )
+    def test_runs_cover_once_contiguous_largest_first(self, sizes, parts):
+        runs = _largest_first_runs(sizes, parts)
+        assert 1 <= len(runs) <= parts
+        # every item exactly once, each run a contiguous non-empty range
+        assert all(stop > start for start, stop in runs)
+        covered = [i for start, stop in sorted(runs) for i in range(start, stop)]
+        assert covered == list(range(len(sizes)))
+        totals = [sum(sizes[start:stop]) for start, stop in runs]
+        assert totals == sorted(totals, reverse=True)
+
+    def test_no_items_no_runs(self):
+        assert _largest_first_runs([], 4) == []
+
+
 class TestPrefetchingSource:
     def test_wraps_only_shard_sources(self):
         with pytest.raises(ReproError, match="ShardSource"):
@@ -406,28 +520,32 @@ class TestProcessTeardown:
         engine = StreamingExecutor(plan, batch_size=32, backend=backend)
         with pytest.raises(Exception):
             engine.mttkrp(poisoned, 0)
+        # every task was waited for: the pool still gives serial bits
+        serial = StreamingExecutor(plan, batch_size=32)
+        assert np.array_equal(
+            engine.mttkrp(factors, 0), serial.mttkrp(factors, 0)
+        )
         backend.close()
         backend.close()  # double-close must stay silent
         assert backend.closed
         assert backend.published_modes == 0
-        assert backend.inflight_publications == 0
         assert self._shm_segments() <= before
 
     def test_close_while_generator_suspended_releases_factors(
         self, plan, factors
     ):
         """close() with a map_batches generator still suspended (consumer
-        stopped pulling) must release the in-flight factor publication."""
+        stopped pulling) must unlink the factor segments it published."""
         before = self._shm_segments()
         backend = ProcessBackend(2)
         source = InMemorySource(plan)
         part = source.partition(0)
         batches = build_batch_plan(part, 32).batches
         it = backend.map_batches(part, factors, 0, batches)
-        next(it)  # generator now suspended holding its publication
-        assert backend.inflight_publications == 1
+        next(it)  # generator now suspended after publishing its factors
+        assert len(self._shm_segments() - before) == 2 + len(factors)
         backend.close()
-        assert backend.inflight_publications == 0
+        assert self._shm_segments() <= before
         it.close()  # late generator cleanup must not raise or double-free
         backend.close()
         assert self._shm_segments() <= before
@@ -445,6 +563,31 @@ class TestProcessTeardown:
             ex.mttkrp(factors, 0)
         ex.close()  # second close via the explicit path
         assert ex.engine.backend.closed
+        assert self._shm_segments() <= before
+
+    def test_segment_count_constant_across_calls(self, tensor, plan):
+        """Factor segments and output blocks are created once and
+        overwritten: 20 calls with fresh factors every time leave the
+        segment count where the first sweep put it, with serial bits."""
+        before = self._shm_segments()
+        rng = np.random.default_rng(5)
+        serial = StreamingExecutor(plan, batch_size=32)
+        backend = ProcessBackend(2)
+        with StreamingExecutor(plan, batch_size=32, backend=backend) as ex:
+            for mode in range(tensor.nmodes):
+                ex.mttkrp([rng.random((s, 3)) for s in tensor.shape], mode)
+            count = len(self._shm_segments() - before)
+            # mode copies (2 per mode), one segment per factor and one
+            # output block per mode
+            assert count == 4 * tensor.nmodes
+            for call in range(20):
+                mode = call % tensor.nmodes
+                factors = [rng.random((s, 3)) for s in tensor.shape]
+                assert np.array_equal(
+                    ex.mttkrp(factors, mode), serial.mttkrp(factors, mode)
+                )
+                assert len(self._shm_segments() - before) == count
+        backend.close()
         assert self._shm_segments() <= before
 
     def test_fresh_backend_close_without_start(self):
