@@ -216,8 +216,8 @@ def _measure_file_bandwidths(nbytes: int, repeats: int) -> tuple[float, float]:
 
 def _measure_decompress(nbytes: int, repeats: int, memcpy_bw: float) -> dict:
     """Raw bytes/s per available codec through the v2 reader's own frame
-    decode (decompress, then undo the frame filter) of a frame written at
-    the codec's default level; ``none`` frames are plain views."""
+    decode (decompress, then undo the frame filter) of a frame written as
+    a new cache writes it; ``none`` frames are plain views."""
     arr = np.arange(nbytes // 8, dtype=np.int64)
     rates = {"none": float(memcpy_bw)}
     for name in available_codecs():
@@ -225,7 +225,7 @@ def _measure_decompress(nbytes: int, repeats: int, memcpy_bw: float) -> dict:
             continue
         codec = _resolve_codec(name)
         filter_name = _frame_filter(codec)
-        frame, _ = _compress_frame(codec, codec.default_level, filter_name, arr)
+        frame, _ = _compress_frame(codec, filter_name, arr)
         rates[name] = arr.nbytes / _best(
             lambda: _decode_frame(
                 codec, filter_name, frame, arr.nbytes, arr.dtype, arr.shape

@@ -43,12 +43,14 @@ Manifest schema (canonical ``json.dumps(..., sort_keys=True)``)::
 
     {
       "format": "repro-shard-cache-v2",
-      "version": 4,                   # 2 (no "filter" key, raw frames)
-                                      # and 3 (filtered) are still read;
-                                      # both hold "<i8" coordinates
+      "version": 5,                   # 2 (no "filter" key, raw frames),
+                                      # 3 and 4 ("shuffle") are still
+                                      # read; 2 and 3 hold "<i8"
+                                      # coordinates
       "codec": "zstd" | "zlib" | "lzma" | "none",
-      "filter": "shuffle" | "none",   # "shuffle" for every real codec
-      "level": <int>,                 # resolved codec level
+      "filter": "colshuffle" | "shuffle" | "none",
+                                      # "colshuffle" for every real codec
+      "level": <int>,                 # the codec's level
       "chunk_nnz": <int>,             # target rows per chunk
       "shape": [I_0, ...],
       "nnz": <int>,
@@ -76,16 +78,25 @@ the width resident mode copies use. The reader accepts any dtype of
 :data:`repro.tensor.coo.INDEX_DTYPES` at least that wide, and refuses
 anything else by array name before a frame is decoded.
 
-**Frame filter.** With ``"filter": "shuffle"`` a frame's raw bytes are
-byte-shuffled before compression (Blosc's lossless filter): byte *k* of
-every ``dtype``-sized item comes first for *k* = 0, then *k* = 1, and so
-on. Index bytes are mostly high-order zeros, so the shuffled stream holds
-long zero runs that even zlib level 1 (the zlib default) compresses to a
-smaller frame, and several times faster, than level 6 does unshuffled.
-The reader undoes the shuffle after the CRC (which covers the compressed
+**Frame filter.** A frame's raw bytes are byte-shuffled before
+compression. With ``"filter": "shuffle"`` (versions 3 and 4; Blosc's
+lossless filter) byte *k* of every ``dtype``-sized item comes first for
+*k* = 0, then *k* = 1, and so on. ``"colshuffle"`` (version 5) shuffles a
+2-D ``mode{d}_indices`` frame column by column: byte *k* of column 0's
+items, then byte *k* of column 1's, and so on, so the sorted key column's
+runs are not interleaved with the unsorted columns; on a 1-D frame
+(values, keys) it emits exactly the ``shuffle`` bytes. Index bytes are
+mostly high-order zeros, so the shuffled stream holds long zero runs.
+Version-5 zlib frames are deflated with the ``Z_RLE`` strategy (run
+matches only), which the standard ``zlib.decompress`` inflates and which
+writes the same frame at every level. Against version 4 (``shuffle``,
+``zlib.compress`` at level 1) on the amazon generator's 65,536-row
+frames, index and value frames compress in about a third of the CPU, at
+ratios 0.485 → 0.273 and 0.859 → 0.848 (``docs/out_of_core.md``).
+The reader undoes the filter after the CRC (which covers the compressed
 frame), decompression and ``raw_nbytes`` checks. No delta step is taken:
 only the key column is sorted, and deltas of the other index columns
-sign-extend to 0xFF bytes that compress worse than shuffle alone.
+sign-extend to 0xFF bytes that compress worse than the shuffle alone.
 """
 
 from __future__ import annotations
@@ -131,18 +142,20 @@ __all__ = [
 ]
 
 #: manifest version the writer emits (3 added the frame ``filter``, 4 the
-#: narrow coordinate dtypes); the container (magic, header, frames,
-#: manifest) is still the v2 one
-SHARD_CACHE_V2_VERSION = 4
+#: narrow coordinate dtypes, 5 the ``colshuffle`` filter and ``Z_RLE`` zlib
+#: frames); the container (magic, header, frames, manifest) is still the
+#: v2 one
+SHARD_CACHE_V2_VERSION = 5
 SHARD_CACHE_V2_MAGIC = b"REPROSC2"
 
 #: manifest versions the reader accepts (2: no ``filter`` key, raw frames;
 #: 2 and 3: int64 coordinates)
-_READABLE_VERSIONS = (2, 3, 4)
+_READABLE_VERSIONS = (2, 3, 4, 5)
 
 #: frame filters a manifest may name: ``none`` stores a frame's raw
-#: C-order bytes, ``shuffle`` their byte shuffle (see the module docstring)
-FRAME_FILTERS = ("none", "shuffle")
+#: C-order bytes, ``shuffle`` their byte shuffle and ``colshuffle`` their
+#: byte shuffle column by column (see the module docstring)
+FRAME_FILTERS = ("none", "shuffle", "colshuffle")
 
 #: manifest pointer is a fixed-width field right after the magic
 _HEADER_BYTES = len(SHARD_CACHE_V2_MAGIC) + 8
@@ -177,7 +190,8 @@ _MAX_DECODE_WORKERS = 2
 @dataclass(frozen=True)
 class _Codec:
     name: str
-    default_level: int
+    #: level every frame is compressed at (the manifest records it)
+    level: int
     compress: Callable[[bytes, int], bytes]
     decompress: Callable[[bytes], bytes]
 
@@ -190,6 +204,15 @@ def _zstd_module():
     return zstandard
 
 
+def _deflate_rle(data: bytes, level: int) -> bytes:
+    """A standard zlib stream of ``data`` deflated with ``Z_RLE``: matches
+    are runs only, so every level in 1..9 gives the same bytes."""
+    deflate = zlib.compressobj(
+        level, zlib.DEFLATED, zlib.MAX_WBITS, 8, zlib.Z_RLE
+    )
+    return deflate.compress(data) + deflate.flush()
+
+
 def _make_codecs() -> dict[str, _Codec]:
     import lzma
 
@@ -198,7 +221,7 @@ def _make_codecs() -> dict[str, _Codec]:
         "zlib": _Codec(
             "zlib",
             1,
-            lambda data, level: zlib.compress(data, level),
+            _deflate_rle,
             zlib.decompress,
         ),
         "lzma": _Codec(
@@ -312,28 +335,46 @@ def _manifest_dtype(dtype: np.dtype) -> str:
 
 def _frame_filter(codec: _Codec) -> str:
     """The filter a new cache applies to ``codec`` frames."""
-    return "none" if codec.name == "none" else "shuffle"
+    return "none" if codec.name == "none" else "colshuffle"
 
 
-def _shuffle(arr: np.ndarray) -> bytes:
-    """Byte-shuffle ``arr``'s C-order items: byte 0 of every item, then
-    byte 1, and so on."""
-    items = np.ascontiguousarray(arr).reshape(-1)
-    return items.view(np.uint8).reshape(items.size, items.itemsize).T.tobytes()
+def _shuffle_grid(shape: tuple, filter_name: str) -> tuple[int, int]:
+    """(rows, columns) ``filter_name`` shuffles a frame of ``shape`` as:
+    ``colshuffle`` keeps a 2-D frame's columns apart, anything else is one
+    column of items."""
+    if filter_name == "colshuffle" and len(shape) == 2:
+        return int(shape[0]), int(shape[1])
+    return int(np.prod(shape, dtype=np.int64)), 1
 
 
-def _unshuffle(raw: bytes, dtype: np.dtype, shape: tuple) -> np.ndarray:
-    """Inverse of :func:`_shuffle`: the ``dtype`` array of ``shape``."""
-    planes = np.frombuffer(raw, dtype=np.uint8).reshape(dtype.itemsize, -1)
-    return np.ascontiguousarray(planes.T).view(dtype).reshape(shape)
+def _shuffle(arr: np.ndarray, filter_name: str) -> bytes:
+    """Byte-shuffle ``arr``'s C-order items column by column: byte 0 of
+    every item of column 0, then of column 1, ..., then byte 1, and so on
+    (``shuffle`` and every 1-D frame have one column)."""
+    items = np.ascontiguousarray(arr)
+    rows, cols = _shuffle_grid(items.shape, filter_name)
+    planes = items.view(np.uint8).reshape(rows, cols, items.itemsize)
+    return planes.transpose(2, 1, 0).tobytes()
+
+
+def _unshuffle(
+    raw: bytes, dtype: np.dtype, shape: tuple, filter_name: str
+) -> np.ndarray:
+    """Inverse of :func:`_shuffle`: the ``dtype`` array of ``shape``, made
+    by one transpose copy."""
+    rows, cols = _shuffle_grid(shape, filter_name)
+    planes = np.frombuffer(raw, dtype=np.uint8)
+    planes = planes.reshape(dtype.itemsize, cols, rows)
+    items = np.ascontiguousarray(planes.transpose(2, 1, 0))
+    return items.view(dtype).reshape(shape)
 
 
 def _compress_frame(
-    codec: _Codec, level: int, filter_name: str, arr: np.ndarray
+    codec: _Codec, filter_name: str, arr: np.ndarray
 ) -> tuple[bytes, int]:
     """One frame of ``arr`` and its CRC-32 (runs on a compress pool thread)."""
-    raw = _shuffle(arr) if filter_name == "shuffle" else arr.tobytes()
-    frame = codec.compress(raw, level)
+    raw = arr.tobytes() if filter_name == "none" else _shuffle(arr, filter_name)
+    frame = codec.compress(raw, codec.level)
     return frame, zlib.crc32(frame) & 0xFFFFFFFF
 
 
@@ -359,7 +400,7 @@ def _decode_frame(
     if filter_name == "none":
         return np.frombuffer(raw, dtype=dtype).reshape(shape)
     # read-only like the frombuffer view: cached chunks are shared
-    arr = _unshuffle(raw, dtype, shape)
+    arr = _unshuffle(raw, dtype, shape, filter_name)
     arr.flags.writeable = False
     return arr
 
@@ -403,7 +444,6 @@ class _V2Writer:
         *,
         codec: str = "zlib",
         chunk_nnz: int = DEFAULT_CHUNK_NNZ,
-        level: int | None = None,
     ) -> None:
         chunk_nnz = int(chunk_nnz)
         if chunk_nnz < 1:
@@ -417,7 +457,6 @@ class _V2Writer:
         #: dtype of every index and key frame (appended blocks are cast)
         self.index_dtype = index_dtype(self.shape)
         self.codec = _resolve_codec(codec)
-        self.level = self.codec.default_level if level is None else int(level)
         self.filter = _frame_filter(self.codec)
         self.chunk_nnz = chunk_nnz
         self._arrays: dict[str, dict] = {}
@@ -441,7 +480,7 @@ class _V2Writer:
 
     # -- frame plumbing -------------------------------------------------
     def _emit_frame(self, name: str, lo: int, hi: int, arr: np.ndarray) -> None:
-        args = (self.codec, self.level, self.filter, arr)
+        args = (self.codec, self.filter, arr)
         if self._pool is None:
             self._write_frame(name, lo, hi, arr.nbytes, *_compress_frame(*args))
             return
@@ -567,7 +606,7 @@ class _V2Writer:
             "version": SHARD_CACHE_V2_VERSION,
             "codec": self.codec.name,
             "filter": self.filter,
-            "level": self.level,
+            "level": self.codec.level,
             "chunk_nnz": self.chunk_nnz,
             "shape": list(self.shape),
             "nnz": self.nnz,
@@ -598,7 +637,6 @@ def write_shard_cache_v2(
     *,
     codec: str = "zlib",
     chunk_nnz: int = DEFAULT_CHUNK_NNZ,
-    level: int | None = None,
 ) -> Path:
     """Serialize ``tensor`` as a v2 chunked/compressed shard cache.
 
@@ -614,8 +652,7 @@ def write_shard_cache_v2(
     """
     out = _shard_cache_path(path)
     writer = _V2Writer(
-        out, tensor.shape, tensor.nnz,
-        codec=codec, chunk_nnz=chunk_nnz, level=level,
+        out, tensor.shape, tensor.nnz, codec=codec, chunk_nnz=chunk_nnz
     )
     try:
         # narrowed once, so every chunk gathers frame-width rows
@@ -839,7 +876,6 @@ def write_shard_cache_streaming(
     memory_budget: int,
     codec: str = "zlib",
     chunk_nnz: int = DEFAULT_CHUNK_NNZ,
-    level: int | None = None,
     shape: Sequence[int] | None = None,
     max_nnz: int | None = None,
     tmp_dir=None,
@@ -906,7 +942,7 @@ def write_shard_cache_streaming(
             source, shape, max_nnz, run_nnz, tmp, track
         )
         writer = _V2Writer(
-            out, out_shape, nnz, codec=codec, chunk_nnz=chunk_nnz, level=level
+            out, out_shape, nnz, codec=codec, chunk_nnz=chunk_nnz
         )
         n_runs = len(segments)
         for mode in range(len(out_shape)):

@@ -159,16 +159,16 @@ def test_profile_feeds_the_timing_model(measured):
 
 def test_decompress_rates_time_the_v2_frame_decode(monkeypatch):
     """Each codec is priced through the reader's own decode of a frame
-    written as a new cache writes it: default level, frame filter on."""
+    written as a new cache writes it: the codec's level, frame filter on."""
     from repro.engine import profile
     from repro.tensor import io_v2
 
     encoded, decoded = [], []
     compress, decode = profile._compress_frame, profile._decode_frame
 
-    def traced_compress(codec, level, filter_name, arr):
-        encoded.append((codec.name, level, filter_name))
-        return compress(codec, level, filter_name, arr)
+    def traced_compress(codec, filter_name, arr):
+        encoded.append((codec.name, codec.level, filter_name))
+        return compress(codec, filter_name, arr)
 
     def traced_decode(codec, filter_name, *args):
         decoded.append((codec.name, filter_name))
@@ -181,8 +181,8 @@ def test_decompress_rates_time_the_v2_frame_decode(monkeypatch):
     assert set(rates) == {"none", *codecs}
     assert rates["none"] == 1e10
     assert sorted(encoded) == sorted(
-        (c, io_v2._resolve_codec(c).default_level, "shuffle") for c in codecs
+        (c, io_v2._resolve_codec(c).level, "colshuffle") for c in codecs
     )
-    assert ("zlib", 1, "shuffle") in encoded
+    assert ("zlib", 1, "colshuffle") in encoded
     assert {c for c, _ in decoded} == set(codecs)
-    assert all(f == "shuffle" for _, f in decoded)
+    assert all(f == "colshuffle" for _, f in decoded)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.tensor import io_v2
-from repro.tensor.coo import SparseTensorCOO, stable_key_order
+from repro.tensor.coo import INDEX_DTYPES, SparseTensorCOO, stable_key_order
 from repro.tensor.formats.blco import BLCOTensor
 from repro.tensor.formats.csf import CSFTensor
 from repro.tensor.formats.hicoo import HiCOOTensor
@@ -213,6 +213,18 @@ def frame_arrays(draw):
     return arr
 
 
+@st.composite
+def index_frames(draw):
+    """``(rows, columns)`` index frames of every coordinate dtype, with 1-6
+    columns and 0, 1 or an odd number of rows."""
+    dtype = draw(st.sampled_from(INDEX_DTYPES))
+    odd = st.integers(1, 20).map(lambda h: 2 * h + 1)
+    rows = draw(st.one_of(st.sampled_from([0, 1]), odd))
+    cols = draw(st.integers(1, 6))
+    top = {2: 2**16 - 1, 4: 2**32 - 1, 8: 2**40}[dtype.itemsize]
+    return draw(arrays(dtype, (rows, cols), elements=st.integers(0, top)))
+
+
 class TestFrameFilterProperties:
     @given(
         frame_arrays(),
@@ -224,9 +236,7 @@ class TestFrameFilterProperties:
         """Encode then decode gives the same bytes, shape and dtype, for
         every codec (``none`` included) and filter."""
         codec = io_v2._resolve_codec(codec_name)
-        frame, crc = io_v2._compress_frame(
-            codec, codec.default_level, filter_name, arr
-        )
+        frame, crc = io_v2._compress_frame(codec, filter_name, arr)
         assert crc == zlib.crc32(frame)
         out = io_v2._decode_frame(
             codec, filter_name, frame, arr.nbytes, arr.dtype, arr.shape
@@ -240,12 +250,93 @@ class TestFrameFilterProperties:
     def test_shuffle_groups_byte_k_of_every_item(self, arr):
         size = arr.dtype.itemsize
         items = np.frombuffer(arr.tobytes(), dtype=np.uint8).reshape(-1, size)
-        shuffled = io_v2._shuffle(arr)
+        shuffled = io_v2._shuffle(arr, "shuffle")
         planes = np.frombuffer(shuffled, dtype=np.uint8).reshape(size, -1)
         for k in range(size):
             assert planes[k].tobytes() == items[:, k].tobytes()
-        restored = io_v2._unshuffle(shuffled, arr.dtype, arr.shape)
+        restored = io_v2._unshuffle(shuffled, arr.dtype, arr.shape, "shuffle")
         assert restored.tobytes() == arr.tobytes()
+
+    @given(index_frames())
+    @settings(max_examples=150, deadline=None)
+    def test_column_shuffle_groups_byte_k_of_each_column(self, arr):
+        """``colshuffle`` of an index frame is byte k of column 0's items,
+        then of column 1's, ..., for k = 0, 1, ...; it round-trips bit for
+        bit at the frame's shape and dtype."""
+        rows, cols = arr.shape
+        size = arr.dtype.itemsize
+        shuffled = io_v2._shuffle(arr, "colshuffle")
+        assert len(shuffled) == arr.nbytes
+        planes = np.frombuffer(shuffled, dtype=np.uint8)
+        planes = planes.reshape(size, cols, rows)
+        items = arr.view(np.uint8).reshape(rows, cols, size)
+        for k in range(size):
+            for c in range(cols):
+                assert planes[k, c].tobytes() == items[:, c, k].tobytes()
+        restored = io_v2._unshuffle(shuffled, arr.dtype, arr.shape, "colshuffle")
+        assert restored.dtype == arr.dtype and restored.shape == arr.shape
+        assert restored.tobytes() == arr.tobytes()
+
+    @given(index_frames(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_column_shuffle_of_1d_frame_is_the_v4_shuffle(self, arr, key):
+        """On a 1-D frame (a value frame, or a key column like the writer's
+        strided ``indices[:, m]`` view) ``colshuffle`` writes exactly the
+        bytes version 4's ``shuffle`` wrote."""
+        flat = arr[:, 0] if key else arr.reshape(-1)
+        items = np.ascontiguousarray(flat)
+        v4 = items.view(np.uint8).reshape(items.size, items.itemsize).T
+        assert io_v2._shuffle(flat, "colshuffle") == v4.tobytes()
+        assert io_v2._shuffle(flat, "shuffle") == v4.tobytes()
+        restored = io_v2._unshuffle(
+            v4.tobytes(), flat.dtype, flat.shape, "colshuffle"
+        )
+        assert restored.tobytes() == items.tobytes()
+
+    @given(
+        index_frames(),
+        st.sampled_from(io_v2.available_codecs()),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_builders_write_identical_version_5_files(
+        self, idx, codec, chunk_nnz
+    ):
+        """Over every coordinate width and 1-6 modes, the in-memory and the
+        external-sort builders write the same version-5 bytes, which read
+        back the tensor's sorted copies."""
+        rows, nmodes = idx.shape
+        # the first extent makes index_dtype(shape) the frame's dtype
+        floor = {2: 2**16, 4: 2**32, 8: 2**32 + 1}[idx.dtype.itemsize]
+        shape = tuple(
+            max(floor if m == 0 else 1, int(idx[:, m].max(initial=0)) + 1)
+            for m in range(nmodes)
+        )
+        t = SparseTensorCOO(
+            idx.astype(np.int64), np.arange(rows, dtype=np.float64) - 2.5, shape
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            mem = io_v2.write_shard_cache_v2(
+                t, Path(tmp) / "mem.npz", codec=codec, chunk_nnz=chunk_nnz
+            )
+            ext = io_v2.write_shard_cache_streaming(
+                t, Path(tmp) / "ext.npz", codec=codec, chunk_nnz=chunk_nnz,
+                memory_budget=2 * (nmodes + 3) * 8,
+            )
+            assert ext.path.read_bytes() == mem.read_bytes()
+            with io_v2.load_shard_cache_v2(mem) as reader:
+                assert reader.manifest["version"] == 5
+                assert reader.filter == (
+                    "none" if codec == "none" else "colshuffle"
+                )
+                for m in range(nmodes):
+                    s = t.sorted_by_mode(m)
+                    got = np.asarray(reader.array(f"mode{m}_indices"))
+                    assert got.dtype == idx.dtype
+                    assert np.array_equal(got, s.indices)
+                    assert np.array_equal(
+                        np.asarray(reader.array(f"mode{m}_values")), s.values
+                    )
 
     @given(
         coo_tensors(max_nnz=30),

@@ -449,6 +449,11 @@ FIXTURE_V2 = Path(__file__).parent / "data" / "cache_v2_zlib.npz"
 #: frames, int64 coordinates (written before coordinates were narrowed)
 FIXTURE_V3 = Path(__file__).parent / "data" / "cache_v3_zlib.npz"
 
+#: :func:`_fixture_tensor` as a version-4 cache: uint16 coordinates,
+#: ``shuffle`` frames deflated by ``zlib.compress`` at level 1 (written
+#: before the column shuffle and ``Z_RLE``)
+FIXTURE_V4 = Path(__file__).parent / "data" / "cache_v4_zlib.npz"
+
 
 def _fixture_tensor() -> SparseTensorCOO:
     """The tensor in :data:`FIXTURE_V2`: arithmetic, no RNG, so every
@@ -472,9 +477,11 @@ def _rewrite_manifest(path, arrays=None, **fields):
     path.write_bytes(raw[:moff] + json.dumps(manifest).encode("utf-8"))
 
 
-def _assert_fixture_reads(fixture, *, version, filter_name, level):
+def _assert_fixture_reads(
+    fixture, *, version, filter_name, level, coords=np.int64
+):
     """A committed fixture reads back :func:`_fixture_tensor`'s sorted
-    copies, with the int64 coordinates every pre-4 version stores."""
+    copies, with its coordinates at ``coords`` (int64 before version 4)."""
     tensor = _fixture_tensor()
     with load_shard_cache_v2(fixture) as reader:
         assert reader.manifest["version"] == version
@@ -487,7 +494,7 @@ def _assert_fixture_reads(fixture, *, version, filter_name, level):
             idx = np.asarray(reader.array(f"mode{m}_indices"))
             val = np.asarray(reader.array(f"mode{m}_values"))
             keys = np.asarray(reader.array(f"mode{m}_keys"))
-            assert idx.dtype == keys.dtype == np.int64
+            assert idx.dtype == keys.dtype == coords
             assert np.array_equal(idx, s.indices)
             assert np.array_equal(val, s.values)
             assert np.array_equal(keys, s.indices[:, m])
@@ -513,16 +520,23 @@ def _assert_fixture_mttkrp(fixture, prefetch):
 
 
 class TestShardCacheV2Compat:
-    """Version-4 manifests record narrow coordinates and version-3 ones the
-    frame filter; version-3 caches (int64 coordinates) and version-2 caches
-    (no filter, raw frames) keep reading, and anything else is refused by
-    name."""
+    """Version-5 manifests record the column shuffle, version-4 ones narrow
+    coordinates and version-3 ones the frame filter; version-4 caches
+    (``shuffle``), version-3 caches (int64 coordinates) and version-2
+    caches (no filter, raw frames) keep reading, and anything else is
+    refused by name."""
 
     def test_version_2_fixture_reads(self):
         _assert_fixture_reads(FIXTURE_V2, version=2, filter_name="none", level=6)
 
     def test_version_3_fixture_reads(self):
         _assert_fixture_reads(FIXTURE_V3, version=3, filter_name="shuffle", level=1)
+
+    def test_version_4_fixture_reads(self):
+        _assert_fixture_reads(
+            FIXTURE_V4, version=4, filter_name="shuffle", level=1,
+            coords=np.uint16,
+        )
 
     @pytest.mark.parametrize("prefetch", [False, True])
     def test_version_2_mttkrp_bit_identical_to_in_memory(self, prefetch):
@@ -532,6 +546,10 @@ class TestShardCacheV2Compat:
     def test_version_3_mttkrp_bit_identical_to_in_memory(self, prefetch):
         _assert_fixture_mttkrp(FIXTURE_V3, prefetch)
 
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_version_4_mttkrp_bit_identical_to_in_memory(self, prefetch):
+        _assert_fixture_mttkrp(FIXTURE_V4, prefetch)
+
     @pytest.mark.parametrize("codec", available_codecs())
     def test_new_caches_record_their_filter(self, tmp_path, codec):
         tensor = _fixture_tensor()
@@ -540,8 +558,10 @@ class TestShardCacheV2Compat:
         )
         with load_shard_cache_v2(path) as reader:
             manifest = reader.manifest
-            assert manifest["version"] == io_v2.SHARD_CACHE_V2_VERSION == 4
-            assert manifest["filter"] == ("none" if codec == "none" else "shuffle")
+            assert manifest["version"] == io_v2.SHARD_CACHE_V2_VERSION == 5
+            assert manifest["filter"] == (
+                "none" if codec == "none" else "colshuffle"
+            )
             if codec == "zlib":
                 assert manifest["level"] == 1
                 chunk = manifest["arrays"]["mode0_indices"]["chunks"][0]
@@ -549,16 +569,19 @@ class TestShardCacheV2Compat:
                     chunk["offset"] : chunk["offset"] + chunk["nbytes"]
                 ]
                 rows = tensor.sorted_by_mode(0).indices[chunk["lo"] : chunk["hi"]]
-                # byte k of every uint16 item, k = 0..1
-                items = rows.astype(np.uint16).reshape(-1)
-                shuffled = items.view(np.uint8).reshape(-1, 2).T
-                assert zlib.decompress(frame) == shuffled.tobytes()
+                # byte k of column c's uint16 items, c = 0..2 within k = 0..1
+                items = rows.astype(np.uint16).view(np.uint8)
+                planes = items.reshape(-1, 3, 2).transpose(2, 1, 0)
+                assert zlib.decompress(frame) == planes.tobytes()
+                # a Z_RLE stream: what the strategy writes at any level
+                rle = zlib.compressobj(9, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
+                assert frame == rle.compress(planes.tobytes()) + rle.flush()
         assert detect_shard_cache_version(path) == 2  # the container
 
     @pytest.mark.parametrize(
         "fields, named",
         [
-            ({"version": 5}, "version 5 unsupported"),
+            ({"version": 6}, "version 6 unsupported"),
             ({"version": "3"}, "version '3' unsupported"),
             ({"filter": "bogus"}, "frame filter 'bogus'"),
             ({"version": 2, "filter": "bogus"}, "frame filter 'bogus'"),
