@@ -10,12 +10,13 @@ streaming batched executor is bit-identical to the eager path and within
 kernel tier (numpy, cc, numba) reduces int64, uint32 and uint16 mode copies
 to the same bits with neither narrow cell beyond 1.2x of the int64 one,
 then repeats the check
-out of core — a memory-mapped shard cache must match the in-memory bits at
-every probed batch size, and the cache-model ``auto`` batch must land within
-1.2x of the best manually tuned one — and finally sweeps the execution
-backends: the process pool (attached to the mmap cache, with and without
-prefetch) must be bit-identical, and the persistent thread pool must stay
-within 1.2x of the serial backend's wall time. The backend sweep ends with
+out of core — a memory-mapped ``codec="none"`` shard cache must match the
+in-memory bits at every probed batch size, and the cache-model ``auto``
+batch must land within 1.2x of the best manually tuned one — and finally
+sweeps the execution backends: the process pool (attached to the mapped
+cache, with and without prefetch) must be bit-identical, and the
+persistent thread pool must stay within 1.2x of the serial backend's wall
+time. The backend sweep ends with
 the host-pipeline timing-model gate: a quick host calibration
 (``repro.engine.profile``) feeds ``host_time_plan``, whose predicted
 serial-vs-thread ordering must match the measured one (ties near parity
@@ -29,7 +30,6 @@ import pytest
 
 from repro.engine import (
     CompressedChunkSource,
-    MmapNpzSource,
     ProcessBackend,
     StreamingExecutor,
     ThreadBackend,
@@ -38,7 +38,7 @@ from repro.engine import (
 )
 from repro.partition.plan import build_partition_plan
 from repro.simgpu.kernel import KernelCostModel
-from repro.tensor.io import write_shard_cache, write_shard_cache_streaming
+from repro.tensor.io import write_shard_cache_streaming, write_shard_cache_v2
 from repro.tensor.formats.csf import CSFTensor
 from repro.tensor.generate import zipf_coo
 from repro.tensor.kernels import (
@@ -146,10 +146,10 @@ def test_streaming_engine_prefetch(benchmark, kernel_data, engine_plan):
 
 
 def test_streaming_engine_mmap(benchmark, kernel_data, tmp_path):
-    """Throughput of the out-of-core path on a warm page cache."""
+    """Throughput of the mapped out-of-core path on a warm page cache."""
     tensor, factors = kernel_data
-    cache = write_shard_cache(tensor, tmp_path / "bench.npz")
-    source = MmapNpzSource(cache, n_gpus=4, shards_per_gpu=8)
+    cache = write_shard_cache_v2(tensor, tmp_path / "bench.npz", codec="none")
+    source = CompressedChunkSource(cache, n_gpus=4, shards_per_gpu=8)
     engine = StreamingExecutor(
         source, batch_size=auto_batch_size(KernelCostModel(), 32, tensor.nmodes)
     )
@@ -382,8 +382,9 @@ def _run_compressed_smoke(tensor, factors, eager_out) -> int:
     Builds the v2 cache with the external-sort streaming builder under a
     memory budget smaller than the tensor's element footprint (so the
     external sort genuinely runs), then requires the compressed source —
-    with and without prefetch (chunk read-ahead) — to reproduce the v1/mmap
-    bits exactly. Correctness gate only: decompression cost is the price
+    with and without prefetch (chunk read-ahead) — to reproduce the
+    in-memory bits exactly. Correctness gate only: decompression cost is
+    the price
     of cold storage and is reported, not bounded.
     """
     import tempfile
@@ -422,7 +423,7 @@ def _run_compressed_smoke(tensor, factors, eager_out) -> int:
                     print(
                         f"SMOKE FAIL: v2 compressed cache "
                         f"(prefetch={prefetch}) mode {m} differs from "
-                        f"the v1/mmap bits"
+                        f"the in-memory bits"
                     )
                     return 1
         times = _best_wall_times(
@@ -441,8 +442,8 @@ def _run_compressed_smoke(tensor, factors, eager_out) -> int:
             f"compressed-cache smoke (zlib, external sort {res.n_runs} runs, "
             f"peak {res.peak_run_nnz} elems): {size / raw:.2f}x of raw bytes; "
             f"plain {times[False] * 1e3:.1f} ms, "
-            f"prefetch {times[True] * 1e3:.1f} ms; v2+prefetch bit-identical "
-            f"to v1 mmap"
+            f"prefetch {times[True] * 1e3:.1f} ms; zlib+prefetch "
+            f"bit-identical to in-memory"
         )
     return 0
 
@@ -450,8 +451,9 @@ def _run_compressed_smoke(tensor, factors, eager_out) -> int:
 def _run_backend_smoke(tensor, factors, plan, eager_out, batch_size) -> int:
     """Execution-backend gate: process bit-identity + thread parity.
 
-    The process pool — attached to a memory-mapped shard cache, with and
-    without prefetch — must reproduce the eager bits exactly; the
+    The process pool — attached to a memory-mapped ``codec="none"`` shard
+    cache, with and without prefetch — must reproduce the eager bits
+    exactly; the
     persistent thread pool must additionally land within SMOKE_RATIO_LIMIT
     of the serial backend's wall time (threads only pay pool bookkeeping:
     NumPy releases the GIL inside the kernels).
@@ -460,8 +462,10 @@ def _run_backend_smoke(tensor, factors, plan, eager_out, batch_size) -> int:
     from pathlib import Path
 
     with tempfile.TemporaryDirectory() as tmp:
-        cache = write_shard_cache(tensor, Path(tmp) / "backend_smoke.npz")
-        source = MmapNpzSource(cache, n_gpus=4, shards_per_gpu=8)
+        cache = write_shard_cache_v2(
+            tensor, Path(tmp) / "backend_smoke.npz", codec="none"
+        )
+        source = CompressedChunkSource(cache, n_gpus=4, shards_per_gpu=8)
         with ProcessBackend(2) as process:
             for prefetch in (False, True):
                 engine = StreamingExecutor(
@@ -480,7 +484,7 @@ def _run_backend_smoke(tensor, factors, plan, eager_out, batch_size) -> int:
             if process.published_modes != 0:
                 print(
                     "SMOKE FAIL: process backend copied tensor bytes into "
-                    "shared memory despite the mmap cache attachment"
+                    "shared memory despite the mapped cache attachment"
                 )
                 return 1
         source.close()
@@ -506,7 +510,7 @@ def _run_backend_smoke(tensor, factors, plan, eager_out, batch_size) -> int:
     print(
         f"backend smoke: serial {t_serial * 1e3:.1f} ms, "
         f"thread(workers=2) {t_thread * 1e3:.1f} ms, ratio {ratio:.3f}x; "
-        f"process backend bit-identical (mmap attach, prefetch on/off)"
+        f"process backend bit-identical (mapped cache attach, prefetch on/off)"
     )
     if ratio > SMOKE_RATIO_LIMIT:
         print(
@@ -537,8 +541,10 @@ def _run_out_of_core_smoke(tensor, factors, eager_out, t_eager: float) -> int:
         )
         return 1
     with tempfile.TemporaryDirectory() as tmp:
-        cache = write_shard_cache(tensor, Path(tmp) / "smoke.npz")
-        source = MmapNpzSource(cache, n_gpus=4, shards_per_gpu=8)
+        cache = write_shard_cache_v2(
+            tensor, Path(tmp) / "smoke.npz", codec="none"
+        )
+        source = CompressedChunkSource(cache, n_gpus=4, shards_per_gpu=8)
         candidates: dict[str, int | None] = {
             "eager": None,
             "4096": 4096,
@@ -554,7 +560,7 @@ def _run_out_of_core_smoke(tensor, factors, eager_out, t_eager: float) -> int:
             for m, (a, o) in enumerate(zip(eager_out, outs)):
                 if not np.array_equal(a, o):
                     print(
-                        f"SMOKE FAIL: mmap batch_size={label} mode {m} "
+                        f"SMOKE FAIL: mapped batch_size={label} mode {m} "
                         f"differs from in-memory"
                     )
                     return 1
@@ -569,14 +575,14 @@ def _run_out_of_core_smoke(tensor, factors, eager_out, t_eager: float) -> int:
             for label, t in times.items()
         )
         print(
-            f"out-of-core smoke (mmap, vs in-memory eager "
+            f"out-of-core smoke (mapped none cache, vs in-memory eager "
             f"{t_eager * 1e3:.1f} ms): {summary}"
         )
         auto_label = f"auto={auto_b}"
         best_manual = min(t for label, t in times.items() if label != auto_label)
         auto_ratio = times[auto_label] / best_manual
         print(
-            f"auto batch {auto_b}: {auto_ratio:.3f}x of best manual mmap time"
+            f"auto batch {auto_b}: {auto_ratio:.3f}x of best manual time"
         )
         if auto_ratio > SMOKE_RATIO_LIMIT:
             print(

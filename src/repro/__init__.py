@@ -9,8 +9,8 @@ Public API highlights:
   engine (cache-sized element batches, pluggable serial/thread/process
   execution backends, double-buffered prefetch) AMPED runs on;
 * :mod:`repro.engine` shard sources — :class:`repro.engine.InMemorySource`,
-  :class:`repro.engine.MmapNpzSource` (out-of-core memory-mapped shard
-  caches), :class:`repro.engine.SyntheticSource`;
+  :class:`repro.engine.CompressedChunkSource` (out-of-core shard caches,
+  memory-mapped or compressed), :class:`repro.engine.SyntheticSource`;
 * :mod:`repro.cpd` — CP-ALS tensor decomposition on any MTTKRP backend;
 * :mod:`repro.baselines` — BLCO, MM-CSF, HiCOO-GPU, FLYCOO-GPU and the
   equal-nonzero multi-GPU strawman, on the same simulated platform;
@@ -45,7 +45,6 @@ from repro.engine.prefetch import PrefetchingSource
 from repro.engine.source import (
     CompressedChunkSource,
     InMemorySource,
-    MmapNpzSource,
     ShardSource,
     SyntheticSource,
     open_shard_source,
@@ -67,7 +66,6 @@ __all__ = [
     "StreamingExecutor",
     "ShardSource",
     "InMemorySource",
-    "MmapNpzSource",
     "CompressedChunkSource",
     "SyntheticSource",
     "open_shard_source",

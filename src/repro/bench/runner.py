@@ -41,11 +41,12 @@ SMOKE_SWEEP: dict = {
     "repeats": 3,
 }
 
-#: The committed-trajectory matrix: every source kind (resident, v1 mmap,
-#: v2 compressed), every backend including the process pool and auto
-#: resolution, both the auto-resolved and pinned-numpy kernel tiers
-#: (auto cells keep pre-registry cell keys, so trajectory comparison
-#: against older files sees the compiled tier as an in-place improvement),
+#: The committed-trajectory matrix: every source kind (resident, mapped
+#: ``codec="none"`` cache, compressed cache), every backend including the
+#: process pool and auto resolution, both the auto-resolved and
+#: pinned-numpy kernel tiers (auto cells keep pre-registry cell keys, so
+#: trajectory comparison against older files sees the compiled tier as an
+#: in-place improvement),
 #: with and without prefetch, plus the 2-node loopback cluster column
 #: (only cluster cells grow the ``/n2`` key segment, so every
 #: pre-cluster cell key stays byte-identical and comparable).

@@ -65,12 +65,13 @@ class TrialSpec:
     """One fully-specified benchmark cell (what to run, how many times).
 
     ``source`` selects element delivery: ``inmem`` (resident
-    :class:`~repro.engine.InMemorySource`), ``mmap`` (v1 shard cache via
-    ``write_shard_cache``), or ``chunked`` (v2 compressed cache via
-    ``write_shard_cache_v2`` with ``codec``). ``codec`` is only meaningful
-    for ``chunked``. The identity fields (everything except
-    ``warmup``/``repeats``/``seed``) define the :attr:`cell` key that
-    trajectory comparison matches across runs.
+    :class:`~repro.engine.InMemorySource`), ``mmap`` (a memory-mapped
+    ``codec="none"`` shard cache; the name predates it and is kept so cell
+    keys compare with older trajectories), or ``chunked`` (a compressed
+    cache with ``codec``). ``codec`` is only meaningful for ``chunked``.
+    The identity fields (everything except ``warmup``/``repeats``/``seed``)
+    define the :attr:`cell` key that trajectory comparison matches across
+    runs.
     """
 
     dataset: str = "twitch"
@@ -274,16 +275,12 @@ def _symmetric_ratio_error(predicted: float, measured: float) -> float:
 def _build_executor(spec: TrialSpec, tensor, config, workdir: Path):
     """The executor for a trial's source kind (caches land in ``workdir``)."""
     from repro.core.amped import AmpedMTTKRP
-    from repro.tensor.io import write_shard_cache, write_shard_cache_v2
+    from repro.tensor.io import write_shard_cache_v2
 
     if spec.source == "inmem":
         return AmpedMTTKRP(tensor, config, name=spec.cell)
-    if spec.source == "mmap":
-        cache = write_shard_cache(tensor, workdir / "trial_cache")
-    else:  # chunked
-        cache = write_shard_cache_v2(
-            tensor, workdir / "trial_cache", codec=spec.codec or "zlib"
-        )
+    codec = "none" if spec.source == "mmap" else spec.codec or "zlib"
+    cache = write_shard_cache_v2(tensor, workdir / "trial_cache", codec=codec)
     config = config.replace(out_of_core=True, shard_cache=str(cache))
     return AmpedMTTKRP.from_shard_cache(cache, config, name=spec.cell)
 
@@ -390,7 +387,7 @@ def run_trial(
             "batch_size", "n_batches",
         )},
         "predicted_total_s": predicted_s,
-        "prediction_error": (predicted_s - measured_s) / measured_s,
+        "prediction_error": _symmetric_ratio_error(predicted_s, measured_s),
         "comm": comm,
         "codec_ratio": None if codec_ratio is None else float(codec_ratio),
         "peak_rss_bytes": _peak_rss_bytes(),

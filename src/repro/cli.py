@@ -147,9 +147,9 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--prefetch",
         action="store_true",
-        help="overlap element staging with compute: decode the next v2 "
-        "cache chunks on a small decode pool while the current batch "
-        "reduces (a no-op for resident tensors and v1 mmap caches)",
+        help="overlap element staging with compute: decode the next "
+        "compressed cache chunks on a small decode pool while the current "
+        "batch reduces (a no-op for resident tensors and codec=none caches)",
     )
     parser.add_argument(
         "--shard-cache",
@@ -221,9 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="existing shard cache whose real layout feeds the host-pipeline "
-        "prediction: a v2 cache contributes its codec, chunk size, and the "
-        "manifest's measured compressed/raw ratio (instead of the analytic "
-        "per-codec default); a v1 cache prices uncompressed mmap staging",
+        "prediction: its codec, chunk size, and the manifest's measured "
+        "compressed/raw ratio (instead of the analytic per-codec default); "
+        "a codec=none cache prices mapped staging",
     )
 
     p_dec = sub.add_parser("decompose", help="CP-ALS on a tensor")
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_cache = sub.add_parser(
-        "cache", help="build an out-of-core shard cache (.npz) from a tensor"
+        "cache", help="build an out-of-core shard cache from a tensor"
     )
     csrc = p_cache.add_mutually_exclusive_group(required=True)
     csrc.add_argument("--tns", help="FROSTT .tns file to convert")
@@ -254,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["amazon", "patents", "reddit", "twitch"],
         help="scaled synthetic instance of a Table 3 dataset",
     )
-    p_cache.add_argument("output", help="output .npz path")
+    p_cache.add_argument(
+        "output", help="output path (.npz is appended when it has no suffix)"
+    )
     p_cache.add_argument("--nnz", type=int, default=100_000, help="scaled nnz")
     p_cache.add_argument("--seed", type=int, default=0)
     p_cache.add_argument(
@@ -266,28 +268,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument(
         "--codec",
         choices=["none", "zlib", "lzma", "zstd"],
-        default=None,
-        help="build a v2 chunked/compressed cache with this codec instead "
-        "of the v1 raw mmap .npz (zstd needs the optional 'zstandard' "
-        "package; readers autodetect the format)",
+        default="none",
+        help="frame codec: none (default) stores raw frames a reader "
+        "memory-maps; zlib/lzma/zstd compress every chunk for cold "
+        "storage (zstd needs the optional 'zstandard' package)",
     )
     p_cache.add_argument(
         "--chunk-nnz",
         type=_chunk_nnz_arg,
         default=None,
-        help="nonzeros per compressed chunk of a v2 cache (default: "
-        "65536); implies a v2 build",
+        help="nonzeros per chunk, the unit of CRC checks and of "
+        "decompression (default: 65536)",
     )
     p_cache.add_argument(
         "--memory-budget",
         type=_size_arg,
         default=None,
         metavar="BYTES",
-        help="build the (v2) cache with the external-sort streaming "
+        help="build the cache with the external-sort streaming "
         "builder under this peak element budget (suffixes k/M/G); with "
         "--tns the input is never materialized, so .tns files larger "
         "than RAM convert fine (--dataset instances are generated in "
-        "memory first, then streamed); implies a v2 build",
+        "memory first, then streamed)",
     )
 
     p_prof = sub.add_parser(
@@ -665,8 +667,8 @@ def _resident_tensor(args, cache):
 def _cmd_decompose(args) -> int:
     from repro.core.amped import AmpedMTTKRP
     from repro.cpd.als import cp_als
-    from repro.errors import ConfigConflictError
-    from repro.tensor.io import write_shard_cache
+    from repro.errors import ConfigConflictError, TensorFormatError
+    from repro.tensor.io import write_shard_cache_v2
     from repro.util.humanize import format_seconds
 
     try:
@@ -678,10 +680,17 @@ def _cmd_decompose(args) -> int:
     tensor = name = None
     if cache is not None and not cache_exists:
         tensor, name = _load_cli_tensor(args)
-        cache = write_shard_cache(tensor, cache)
-        print(f"wrote shard cache {cache} (nnz={tensor.nnz})")
+        cache = write_shard_cache_v2(tensor, cache, codec="none")
+        print(f"wrote shard cache {cache} (nnz={tensor.nnz}, codec=none)")
+    try:
+        if args.out_of_core:
+            ex = AmpedMTTKRP.from_shard_cache(cache, config, name="cli")
+        elif tensor is None:
+            tensor, name = _resident_tensor(args, cache)
+    except TensorFormatError as exc:  # say, a version-1 cache
+        print(f"--shard-cache: {exc}")
+        return 2
     if args.out_of_core:
-        ex = AmpedMTTKRP.from_shard_cache(cache, config, name="cli")
         tensor = ex.tensor
         name = f"{cache} (out-of-core, {type(ex.source).__name__})"
         print(
@@ -690,8 +699,6 @@ def _cmd_decompose(args) -> int:
             f"{config.batch_size!r})"
         )
     else:
-        if tensor is None:
-            tensor, name = _resident_tensor(args, cache)
         ex = AmpedMTTKRP(tensor, config, name="cli")
     print(f"tensor: {name}, shape={tensor.shape}, nnz={tensor.nnz}")
     # The executor's ExecutionPlan carries the concrete backend even when
@@ -724,7 +731,7 @@ def _cmd_decompose(args) -> int:
         kernel_note = f" (fallback: {args.kernel!r} unavailable on this host)"
     print(f"engine kernel: {resolved_kernel}{kernel_note}")
     print(f"plan fingerprint: {ex.plan.fingerprint}")
-    with ex:  # close pools / shared memory / mmap views deterministically
+    with ex:  # close pools / shared memory / cache maps deterministically
         res = cp_als(
             tensor, rank=args.rank, n_iters=args.iters, seed=args.seed,
             mttkrp=ex.mttkrp,
@@ -846,17 +853,11 @@ def _cmd_plan(args) -> int:
 def _cmd_cache(args) -> int:
     from repro.tensor.io import (
         DEFAULT_CHUNK_NNZ,
-        write_shard_cache,
         write_shard_cache_streaming,
         write_shard_cache_v2,
     )
 
-    v2 = (
-        args.codec is not None
-        or args.chunk_nnz is not None
-        or args.memory_budget is not None
-    )
-    codec = args.codec or "zlib"
+    codec = args.codec
     chunk_nnz = args.chunk_nnz or DEFAULT_CHUNK_NNZ
     if args.memory_budget is not None:
         # External-sort streaming build. A .tns input streams straight off
@@ -875,7 +876,7 @@ def _cmd_cache(args) -> int:
             max_nnz=args.max_nnz,
         )
         print(
-            f"wrote v2 shard cache {res.path} for {name}: shape={res.shape}, "
+            f"wrote shard cache {res.path} for {name}: shape={res.shape}, "
             f"nnz={res.nnz} (codec={codec}, chunk_nnz={chunk_nnz}; "
             f"external sort: {res.n_runs} run(s) of <= {res.run_nnz} "
             f"elements, peak {res.peak_run_nnz} resident)"
@@ -883,17 +884,13 @@ def _cmd_cache(args) -> int:
         path = res.path
     else:
         tensor, name = _load_cli_tensor(args)
-        if v2:
-            path = write_shard_cache_v2(
-                tensor, args.output, codec=codec, chunk_nnz=chunk_nnz
-            )
-            label = f"v2 shard cache (codec={codec}, chunk_nnz={chunk_nnz})"
-        else:
-            path = write_shard_cache(tensor, args.output)
-            label = "shard cache"
+        path = write_shard_cache_v2(
+            tensor, args.output, codec=codec, chunk_nnz=chunk_nnz
+        )
         print(
-            f"wrote {label} {path} for {name}: shape={tensor.shape}, "
-            f"nnz={tensor.nnz} ({tensor.nmodes} mode-sorted copies)"
+            f"wrote shard cache {path} for {name}: shape={tensor.shape}, "
+            f"nnz={tensor.nnz} ({tensor.nmodes} mode-sorted copies; "
+            f"codec={codec}, chunk_nnz={chunk_nnz})"
         )
     print(
         f"stream it with: repro decompose --shard-cache {path} --out-of-core"

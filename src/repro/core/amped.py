@@ -93,7 +93,8 @@ class AmpedMTTKRP:
             if tensor is None:
                 raise ReproError(
                     "pass a tensor (resident execution) or a source "
-                    "(e.g. MmapNpzSource for out-of-core shard caches)"
+                    "(e.g. CompressedChunkSource for out-of-core shard "
+                    "caches)"
                 )
             self._plan: PartitionPlan | None = build_partition_plan(
                 tensor,
@@ -118,11 +119,11 @@ class AmpedMTTKRP:
                     f"config requests {self.config.n_gpus}"
                 )
             # Normalize so autotuning, host accounting, and the execution
-            # plan all see the streaming residency and the v2 codec.
+            # plan all see the streaming residency and the cache codec.
             self.config = normalize_source_config(self.config, source)
             # No whole-plan materialization: the workload comes straight off
             # the source's key columns and shard metadata, so lazy sources
-            # (mmap, synthetic) keep their residency guarantees.
+            # (shard caches, synthetic) keep their residency guarantees.
             self._plan = None
             self.tensor = source.tensor_view()
             self.workload = TensorWorkload.from_source(
@@ -130,10 +131,10 @@ class AmpedMTTKRP:
             )
         self.source = source
         self._owns_source = False
-        # A v2 source's manifest records the real on-disk compressed/raw
+        # A shard cache's manifest records the real on-disk compressed/raw
         # ratio; the execution plan below (the auto resolution and its
         # time_plan) prices with it instead of the analytic per-codec
-        # default. None for v1/in-memory sources.
+        # default. None for in-memory sources.
         self.cache_codec_ratio = getattr(source, "codec_ratio", None)
         # Resolve -> price -> build, once, through the plan layer: any
         # "auto" axis is decided against this actual workload (measured
@@ -197,12 +198,11 @@ class AmpedMTTKRP:
     ) -> "AmpedMTTKRP":
         """Open a shard cache and stream it out of core.
 
-        The cache format is autodetected: a v1 mmap ``.npz``
-        (``repro.tensor.io.write_shard_cache``) opens as
-        :class:`repro.engine.MmapNpzSource`, a v2 chunked/compressed cache
-        (``write_shard_cache_v2`` / ``write_shard_cache_streaming``) as
-        :class:`repro.engine.CompressedChunkSource` — both stream
-        bit-identically to the in-memory path.
+        The cache (``write_shard_cache_v2`` /
+        ``write_shard_cache_streaming``, CLI ``repro cache``) opens as
+        :class:`repro.engine.CompressedChunkSource`, memory-mapped for
+        ``codec="none"``, and streams bit-identically to the in-memory
+        path. A version-1 ``.npz`` cache is refused by name.
         """
         config = config or AmpedConfig()
         source = open_shard_source(

@@ -98,22 +98,21 @@ class AmpedConfig:
         deleting or editing it afterwards cannot change or break this
         config.
     out_of_core: stream element batches from an on-disk shard cache
-        (:class:`repro.engine.MmapNpzSource` for the v1 mmap format,
-        :class:`repro.engine.CompressedChunkSource` for the v2 chunked/
-        compressed format) instead of a resident partition plan; requires
+        (:class:`repro.engine.CompressedChunkSource`) instead of a
+        resident partition plan; requires
         ``shard_cache``. Bounds the host-resident tensor footprint at
         O(batch_size) — see :func:`repro.core.simulate.host_memory_plan`.
     shard_cache: path of the shard cache written by
-        :func:`repro.tensor.io.write_shard_cache` (v1) or
         :func:`repro.tensor.io.write_shard_cache_v2` /
-        :func:`repro.tensor.io.write_shard_cache_streaming` (v2); the CLI
-        (``repro cache``) and :meth:`AmpedMTTKRP.from_shard_cache`
-        autodetect the format.
-    cache_codec: compression codec of a v2 shard cache (``"none"`` |
-        ``"zlib"`` | ``"lzma"`` | ``"zstd"``); ``None`` means the v1 raw
-        mmap format. Normalized from the cache manifest by
-        :meth:`AmpedMTTKRP.from_shard_cache`; drives the decompression
-        staging term of :func:`repro.core.simulate.host_memory_plan`.
+        :func:`repro.tensor.io.write_shard_cache_streaming` (CLI:
+        ``repro cache``).
+    cache_codec: compression codec of the shard cache (``"none"`` |
+        ``"zlib"`` | ``"lzma"`` | ``"zstd"``); ``None`` until it is
+        normalized from the cache manifest by
+        :meth:`AmpedMTTKRP.from_shard_cache`, and priced like ``"none"``
+        (a mapped cache, nothing decompressed). Drives the decompression
+        staging term of :func:`repro.core.simulate.host_memory_plan` and
+        the staging terms of :func:`repro.engine.costmodel.host_time_plan`.
     cache_chunk_nnz: rows per compressed chunk of a v2 cache (``None``:
         the format default). Accepts the same literals as the CLI's
         ``--chunk-nnz`` — a positive int or a string with a binary k/M/G
@@ -232,8 +231,8 @@ class AmpedConfig:
                 )
         if self.out_of_core and not self.shard_cache:
             raise ReproError(
-                "out_of_core=True requires shard_cache: point it at a .npz "
-                "shard cache written by repro.tensor.io.write_shard_cache "
+                "out_of_core=True requires shard_cache: point it at a "
+                "shard cache written by repro.tensor.io.write_shard_cache_v2 "
                 "(CLI: `repro cache`, then pass --shard-cache)"
             )
         if self.cache_codec is not None:
@@ -242,7 +241,8 @@ class AmpedConfig:
             if self.cache_codec not in CODEC_NAMES:
                 raise ReproError(
                     f"cache_codec must be one of {list(CODEC_NAMES)} (or "
-                    f"None for the v1 mmap format), got {self.cache_codec!r}"
+                    f"None before the manifest is read), got "
+                    f"{self.cache_codec!r}"
                 )
         if self.cache_chunk_nnz is not None:
             # The one chunk-size parser, shared with the CLI's --chunk-nnz:

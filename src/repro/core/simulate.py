@@ -100,15 +100,14 @@ def host_memory_plan(
     defaults (serial backend, no prefetch, double buffering) this is the
     classic two windows.
 
-    A **v2 chunked/compressed cache** (``config.cache_codec`` set to a
-    real codec) additionally charges *decompression staging*: every stream
+    A **compressed cache** (``config.cache_codec`` set to a real codec)
+    additionally charges *decompression staging*: every stream
     lane double-buffers two decompressed chunks of its mode's indices and
     values — ``2 * cache_chunk_nnz`` elements per lane — still O(chunk),
     never O(nnz). :class:`repro.engine.CompressedChunkSource` caps its
     reader-wide chunk cache inside that: 2 chunk pairs, plus 2 read-ahead
-    pairs when prefetch runs in the coordinator. The raw v1 mmap format (and
-    ``codec="none"`` frames, which decompress in place as views) charge
-    nothing here.
+    pairs when prefetch runs in the coordinator. A ``codec="none"`` cache
+    (served as memory-mapped views) charges nothing here.
 
     Either way the host also pins every factor matrix (the functional
     engine gathers from them on every batch).

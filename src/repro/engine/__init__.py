@@ -3,24 +3,24 @@
 * :mod:`batch` — segment-aligned slicing of shard tables into fixed-size
   element batches (:class:`ElementBatch` / :class:`BatchPlan`);
 * :mod:`source` — where batches come from: :class:`ShardSource` and its
-  resident (:class:`InMemorySource`), memory-mapped out-of-core
-  (:class:`MmapNpzSource`), chunked/compressed out-of-core
-  (:class:`CompressedChunkSource`, explicit double-buffered chunk reads
-  for cold storage), and generator-backed (:class:`SyntheticSource`)
-  implementations — :func:`open_shard_source` autodetects a cache file's
-  format;
+  resident (:class:`InMemorySource`), out-of-core shard-cache
+  (:class:`CompressedChunkSource`: memory-mapped for ``codec="none"``,
+  explicit double-buffered chunk reads for compressed cold storage), and
+  generator-backed (:class:`SyntheticSource`) implementations —
+  :func:`open_shard_source` opens a cache file;
 * :mod:`backend` — where batch reductions run: :class:`ExecutionBackend`
   and its serial (:class:`SerialBackend`), persistent-thread-pool
   (:class:`ThreadBackend`), and shared-memory process-pool
-  (:class:`ProcessBackend`) implementations;
+  (:class:`ProcessBackend`) implementations; the in-process ones (and the
+  cluster) stream ``(rows, partial)`` pairs (:class:`PairStreamBackend`);
 * :mod:`cluster` — :class:`ClusterBackend`, the multi-node execution
   backend: N node processes over sockets (loopback-spawned or remote
   ``repro cluster node`` servers via :func:`serve_node`), each running its
   own local pipeline, exchanging factor-row partials with a real ring
   all-gather;
 * :mod:`prefetch` — :class:`PrefetchingSource`, the view that reduces a
-  source's own read-ahead partition (v2 chunk read-ahead; a pass-through
-  for other sources);
+  source's own read-ahead partition (compressed-cache chunk read-ahead; a
+  pass-through for other sources);
 * :mod:`autotune` — cache-model batch sizing behind ``batch_size="auto"``;
 * :mod:`costmodel` — the measured host-pipeline cost model:
   :class:`HostProfile` (versioned per-host calibration JSON),
@@ -55,6 +55,7 @@ from repro.engine.backend import (
     BACKEND_NAMES,
     MAX_WORKERS,
     ExecutionBackend,
+    PairStreamBackend,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
@@ -104,7 +105,6 @@ from repro.engine.source import (
     CompressedChunkSource,
     COOView,
     InMemorySource,
-    MmapNpzSource,
     ShardSource,
     SyntheticSource,
     open_shard_source,
@@ -120,12 +120,12 @@ __all__ = [
     "reduce_batch_arrays",
     "ShardSource",
     "InMemorySource",
-    "MmapNpzSource",
     "CompressedChunkSource",
     "SyntheticSource",
     "open_shard_source",
     "COOView",
     "ExecutionBackend",
+    "PairStreamBackend",
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",

@@ -12,8 +12,8 @@ results are computed. An :class:`ExecutionBackend` owns the "where":
   being rebuilt per call;
 * :class:`ProcessBackend` — a persistent :mod:`multiprocessing` pool for
   true multi-core scaling. Workers never receive tensor bytes through the
-  task pipe: they *attach* to the element data — re-opening a memory-mapped
-  ``.npz`` shard cache read-only (:class:`repro.engine.source.MmapNpzSource`
+  task pipe: they *attach* to the element data — re-opening the shard
+  cache read-only (:class:`repro.engine.source.CompressedChunkSource`
   provides the attachment spec), or mapping
   :class:`multiprocessing.shared_memory` copies of a resident mode that the
   coordinator publishes once. Factor matrices live in persistent
@@ -23,8 +23,8 @@ results are computed. An :class:`ExecutionBackend` owns the "where":
 
 **Determinism contract.** :meth:`ExecutionBackend.reduce_into` leaves
 ``out`` exactly as ``out[rows] += partial`` applied batch by batch in plan
-order would — the base implementation does just that over
-:meth:`ExecutionBackend.map_batches`, which yields one ``(rows, partial)``
+order would. The in-process backends and the cluster do just that over
+:meth:`PairStreamBackend.map_batches`, which yields one ``(rows, partial)``
 pair per input batch, *in input order*, regardless of how the backend
 schedules the reductions. Every backend therefore produces bit-identical
 results: each output row is one segmented reduction over the same elements
@@ -59,6 +59,7 @@ __all__ = [
     "validate_backend_name",
     "create_backend",
     "ExecutionBackend",
+    "PairStreamBackend",
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
@@ -195,7 +196,7 @@ class ExecutionBackend(ABC):
 
     Lifecycle: backends are created once and reused across ``mttkrp``
     calls — :meth:`start` is idempotent (and called lazily by
-    :meth:`map_batches` and :meth:`reduce_into`), :meth:`close` releases
+    :meth:`reduce_into`), :meth:`close` releases
     pools and shared memory
     deterministically. Both are safe to call repeatedly; backends are
     context managers.
@@ -242,30 +243,6 @@ class ExecutionBackend(ABC):
 
     # ---- the one operation --------------------------------------------
     @abstractmethod
-    def map_batches(
-        self,
-        part,
-        factors: Sequence[np.ndarray],
-        mode: int,
-        items: Iterable,
-        *,
-        attach=None,
-        kernel: str = "numpy",
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(rows, partial)`` for every item of ``items``, in order.
-
-        ``items`` are :class:`ElementBatch` slices of ``part``. ``attach`` is
-        the source's process-attachment spec
-        (:meth:`repro.engine.source.ShardSource.process_attach_spec`) —
-        in-process backends ignore it; :class:`ProcessBackend` uses it to
-        reach the element bytes without pickling them. ``kernel`` names the
-        :mod:`repro.tensor.kernelreg` tier every reduction dispatches to
-        (default: the bit-exact numpy reference); process workers resolve
-        the name in their own registry, so a tier that fails to build in a
-        worker degrades to numpy there too. The iterator must be consumed
-        fully (:meth:`reduce_into` and the cluster's nodes always do).
-        """
-
     def reduce_into(
         self,
         part,
@@ -280,13 +257,42 @@ class ExecutionBackend(ABC):
         """Scatter-add the reduction of every item of ``items`` into ``out``.
 
         The operation :class:`repro.engine.executor.StreamingExecutor` runs
-        per ``mttkrp`` call; arguments as for :meth:`map_batches`. This
-        implementation applies ``out[rows] += partial`` in item order, the
-        canonical arithmetic. An override may apply the additions in any
-        order, which is exact because ``items`` are segment-aligned batches
-        over shards with disjoint index ranges: no two share an output row.
-        Returns ``out``.
+        per ``mttkrp`` call. ``items`` are :class:`ElementBatch` slices of
+        ``part``. ``attach`` is the source's process-attachment spec
+        (:meth:`repro.engine.source.ShardSource.process_attach_spec`) —
+        in-process backends ignore it; :class:`ProcessBackend` uses it to
+        reach the element bytes without pickling them. ``kernel`` names the
+        :mod:`repro.tensor.kernelreg` tier every reduction dispatches to
+        (default: the bit-exact numpy reference); process workers resolve
+        the name in their own registry, so a tier that fails to build in a
+        worker degrades to numpy there too. The result equals
+        ``out[rows] += partial`` in item order (the module docstring says
+        why any order of the additions is exact). Returns ``out``.
         """
+
+
+class PairStreamBackend(ExecutionBackend):
+    """A backend whose reductions come back to this process as a stream of
+    ``(rows, partial)`` pairs, added to ``out`` in item order."""
+
+    @abstractmethod
+    def map_batches(
+        self,
+        part,
+        factors: Sequence[np.ndarray],
+        mode: int,
+        items: Iterable,
+        *,
+        attach=None,
+        kernel: str = "numpy",
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield ``(rows, partial)`` for every item of ``items``, in order
+        (arguments as for :meth:`reduce_into`). The iterator must be
+        consumed fully (:meth:`reduce_into` and the cluster's nodes always
+        do)."""
+
+    def reduce_into(self, part, factors, mode, items, out, *, attach=None,
+                    kernel="numpy"):
         for rows, partial in self.map_batches(
             part, factors, mode, items, attach=attach, kernel=kernel
         ):
@@ -294,7 +300,7 @@ class ExecutionBackend(ABC):
         return out
 
 
-class SerialBackend(ExecutionBackend):
+class SerialBackend(PairStreamBackend):
     """Reduce every batch in the calling thread — the canonical order."""
 
     name = "serial"
@@ -316,7 +322,7 @@ class SerialBackend(ExecutionBackend):
             yield reduce_batch(part, item, factors, mode, kernel)
 
 
-class ThreadBackend(ExecutionBackend):
+class ThreadBackend(PairStreamBackend):
     """A persistent thread pool.
 
     The pool is created once at :meth:`start` and reused by every
@@ -449,12 +455,10 @@ def _evict_worker_elements() -> None:
 def _worker_elements(spec, mode: int) -> tuple[np.ndarray, np.ndarray]:
     """The (indices, values) arrays a worker reduces — attached, never piped.
 
-    ``("mmap_npz", path)`` re-opens the shard cache read-only (the arrays
-    are ``np.memmap`` views over the same on-disk bytes the coordinator
-    maps; the page cache is shared, so nothing is copied).
-    ``("chunked_v2", path)`` re-opens a v2 chunked/compressed cache: the
+    ``("chunked_v2", path)`` re-opens the shard cache read-only: the
     arrays are lazy :class:`repro.tensor.io_v2.ChunkedArray` views, so each
-    worker reads and decompresses only the chunks its batches cover.
+    worker maps (``codec="none"``: the page cache is shared, nothing is
+    copied) or reads and decompresses only the chunks its batches cover.
     ``("shm", idx_desc, val_desc)`` maps the coordinator's shared-memory
     copies of a resident mode.
     """
@@ -464,20 +468,13 @@ def _worker_elements(spec, mode: int) -> tuple[np.ndarray, np.ndarray]:
         indices, values, _shms = _WORKER_ELEMENTS[key]
         return indices, values
     kind = spec[0]
-    if kind == "mmap_npz":
-        from repro.tensor.io import load_shard_cache
-
-        arrays = load_shard_cache(spec[1], mmap=True)
-        indices = arrays[f"mode{mode}_indices"]
-        values = arrays[f"mode{mode}_values"]
-        shms: tuple = ()
-    elif kind == "chunked_v2":
+    if kind == "chunked_v2":
         from repro.tensor.io_v2 import load_shard_cache_v2
 
         reader = load_shard_cache_v2(spec[1])
         indices = reader.array(f"mode{mode}_indices")
         values = reader.array(f"mode{mode}_values")
-        shms = ()
+        shms: tuple = ()
     elif kind == "shm":
         indices, idx_closer = _attach_view(spec[1])
         values, val_closer = _attach_view(spec[2])
@@ -508,29 +505,17 @@ def _worker_segment(desc, writable: bool = False) -> np.ndarray:
     return array
 
 
-def _process_reduce_task(task):
-    """Top-level worker entry point of ``map_batches`` (picklable by name).
-
-    The kernel travels as its registry *name* (a short string), not a
-    callable: each worker resolves it against its own lazily-probed
-    registry, so a fork inherits the coordinator's compiled state while a
-    spawn re-probes (hitting the on-disk ``cc`` object cache) — and a tier
-    that fails to build inside a worker degrades to numpy there.
-    """
-    spec, mode, factor_descs, (lo, hi), kernel = task
-    indices, values = _worker_elements(spec, mode)
-    factors = [_worker_segment(d) for d in factor_descs]
-    return reduce_batch_arrays(
-        indices[lo:hi], values[lo:hi], factors, mode, kernel
-    )
-
-
 def _process_scatter_task(task) -> None:
     """Top-level worker entry point of ``reduce_into``: reduce one run of
     batches and scatter-add each into the shared output block.
 
     ``block[rows] += partial`` is the serial path's arithmetic on every
-    row; no other task touches these rows (see the module docstring).
+    row; no other task touches these rows (see the module docstring). The
+    kernel travels as its registry *name*: each worker resolves it against
+    its own lazily-probed registry, so a fork inherits the coordinator's
+    compiled state while a spawn re-probes (hitting the on-disk ``cc``
+    object cache) — and a tier that fails to build inside a worker
+    degrades to numpy there.
     """
     spec, mode, factor_descs, out_desc, bounds, kernel = task
     indices, values = _worker_elements(spec, mode)
@@ -548,7 +533,8 @@ class ProcessBackend(ExecutionBackend):
 
     Element data reaches workers by *attachment*: an out-of-core source's
     shard cache is re-opened read-only inside each worker (``attach`` spec
-    from :meth:`repro.engine.source.MmapNpzSource.process_attach_spec`),
+    from
+    :meth:`repro.engine.source.CompressedChunkSource.process_attach_spec`),
     while a resident mode is published once into
     :class:`multiprocessing.shared_memory` blocks the workers map. Each
     factor gets one persistent segment per ``(position, shape, dtype)``,
@@ -561,20 +547,15 @@ class ProcessBackend(ExecutionBackend):
     every task is done the block is copied back into ``out``. A task is a
     few dozen bytes — ``(spec key, mode, factor descriptors, block
     descriptor, element bounds)`` — and nothing but a completion crosses
-    the pipe back. :meth:`map_batches` (the ``(rows, partial)`` stream
-    other callers consume) uses the same factor segments.
+    the pipe back.
 
-    One call at a time: calls overwrite the same factor segments, so a
-    ``map_batches`` generator must be consumed before the next call.
+    One call at a time: calls overwrite the same factor segments and
+    output block.
     """
 
     name = "process"
     parallel = True
     crosses_processes = True
-
-    #: map_batches tasks batched per pipe message (amortizes IPC without
-    #: hurting balance)
-    chunksize = 4
 
     def __init__(self, workers: int = 2) -> None:
         super().__init__(workers)
@@ -690,21 +671,8 @@ class ProcessBackend(ExecutionBackend):
     @property
     def published_modes(self) -> int:
         """Resident modes currently published to shared memory (test hook:
-        stays 0 when workers attach to an mmap shard cache instead)."""
+        stays 0 when workers attach to a shard cache instead)."""
         return len(self._shm_cache)
-
-    def map_batches(self, part, factors, mode, items, *, attach=None,
-                    kernel="numpy"):
-        self.start()
-        spec = attach if attach is not None else self._shared_spec(part)
-        factor_descs = self._publish_factors(factors)
-        tasks = (
-            (spec, mode, factor_descs, _item_bounds(item), kernel)
-            for item in items
-        )
-        yield from self._pool.imap(
-            _process_reduce_task, tasks, chunksize=self.chunksize
-        )
 
     def reduce_into(self, part, factors, mode, items, out, *, attach=None,
                     kernel="numpy"):

@@ -15,16 +15,16 @@ own disjoint output rows (the shard plan guarantees it), every node reduces
 its run with the unchanged local pipeline, and concatenating the per-node
 ``(rows, partial)`` chunks in node-rank order restores exactly the input
 order the determinism contract requires — the inherited
-:meth:`~repro.engine.backend.ExecutionBackend.reduce_into` then
+:meth:`~repro.engine.backend.PairStreamBackend.reduce_into` then
 scatter-adds the same blocks in the same order as a single-host run.
 
 Each **node** owns a slice of the work per call. Element bytes reach it one
-of two ways: a shard-cache attachment spec (``("mmap_npz", path)`` /
-``("chunked_v2", path)``, re-opened read-only node-side through the same
+of two ways: a shard-cache attachment spec (``("chunked_v2", path)``,
+re-opened read-only node-side through the same
 :func:`repro.engine.backend._worker_elements` cache the process pool uses —
 this assumes a shared filesystem across nodes), or, for resident sources,
 the coordinator ships the run's element window inline. The node reduces its
-batches through a *local sub-backend* (serial / thread / process — any
+batches through a *local in-process sub-backend* (serial or thread — any
 kernel tier), so a node is a full single-host streaming pipeline.
 
 Collectives
@@ -71,7 +71,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.engine.backend import (
-    ExecutionBackend,
+    PairStreamBackend,
     _item_bounds,
     _worker_elements,
     create_backend,
@@ -366,7 +366,7 @@ def serve_node(host: str, port: int, *, authkey=None) -> None:
 # ----------------------------------------------------------------------
 # Coordinator side
 # ----------------------------------------------------------------------
-class ClusterBackend(ExecutionBackend):
+class ClusterBackend(PairStreamBackend):
     """Execute batch reductions across N socket-connected node processes.
 
     ``nodes`` — node count for loopback mode (the coordinator spawns that
@@ -414,10 +414,10 @@ class ClusterBackend(ExecutionBackend):
             )
         if sub_backend is None:
             sub_backend = "thread" if self.workers > 1 else "serial"
-        if sub_backend not in ("serial", "thread", "process"):
+        if sub_backend not in ("serial", "thread"):
             raise ClusterError(
-                f"sub_backend must be serial/thread/process, "
-                f"got {sub_backend!r}"
+                f"sub_backend must be 'serial' or 'thread' (a node reduces "
+                f"in process and streams its pairs back), got {sub_backend!r}"
             )
         self.nodes = nodes
         self.sub_backend = sub_backend

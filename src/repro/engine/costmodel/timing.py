@@ -16,14 +16,15 @@ summed over modes:
   reduced ``(rows, partial)`` blocks back through the pool pipe. Tensor
   bytes never cross the pipe (workers attach), so this term counts segment
   rows, not elements;
-* **staging** — out-of-core only: faulting the batch window in from a v1
-  mmap cache, or explicitly reading + decompressing v2 chunk frames (the
-  codec's measured throughput and compression ratio);
+* **staging** — out-of-core only: faulting the batch window in from a
+  mapped ``codec="none"`` cache, or explicitly reading + decompressing
+  compressed chunk frames (the codec's measured throughput and
+  compression ratio);
 * **prefetch overlap** — with ``config.prefetch`` staging runs ahead of
   the consumer, so only the part of staging that exceeds compute +
   dispatch stalls it (classic double-buffer overlap), at a small per-batch
-  handoff overhead. Only a v2 cache reads ahead; for other sources prefetch
-  is a pass-through, and the handoff term overprices it (see
+  handoff overhead. Only a compressed cache reads ahead; for other sources
+  prefetch is a pass-through, and the handoff term overprices it (see
   ``docs/cost_model.md``).
 
 Every term is linear (or a max of linear terms) in nnz and in the codec's
@@ -68,7 +69,7 @@ __all__ = [
 #: no measured ratio from an actual cache manifest (pass ``codec_ratio`` to
 #: override). Ratios are data-dependent; these sit in the middle of the
 #: sorted-element caches the test matrix builds.
-DEFAULT_CODEC_RATIO = {"none": 1.0, "zlib": 0.55, "lzma": 0.45, "zstd": 0.50}
+DEFAULT_CODEC_RATIO = {"zlib": 0.55, "lzma": 0.45, "zstd": 0.50}
 
 #: Worker count ``backend="auto"`` considers for the parallel candidates
 #: when the config leaves ``workers`` at its default of 1 (a deterministic
@@ -132,8 +133,9 @@ def host_time_plan(
         config's ``kernel`` (where present; the reference ``numpy``
         otherwise); like the backend it must be concrete — resolve
         ``"auto"`` with :func:`resolve_auto_execution` first.
-    codec_ratio: measured compressed/raw byte ratio of the v2 cache;
+    codec_ratio: measured compressed/raw byte ratio of a compressed cache;
         ``None`` uses :data:`DEFAULT_CODEC_RATIO` for the config's codec.
+        A ``"none"`` cache is mapped, not read, so it takes no ratio.
 
     Returns a dict of named seconds terms plus the resolved granularity:
     ``compute_s``, ``dispatch_s``, ``ipc_s``, ``staging_read_s``,
@@ -219,7 +221,7 @@ def host_time_plan(
     decompress_s = 0.0
     codec = getattr(config, "cache_codec", None)
     if config.out_of_core:
-        if codec is None:
+        if codec in (None, "none"):  # mapped: page faults, nothing decoded
             staging_read_s = raw_bytes / profile.mmap_read_bandwidth
         else:
             ratio = (

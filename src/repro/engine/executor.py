@@ -8,9 +8,9 @@ instead of materializing whole shards, which
   shards stream through a cache-sized window);
 * decouples the engine from where the elements live: a resident
   :class:`repro.partition.plan.PartitionPlan`
-  (:class:`repro.engine.source.InMemorySource`), a memory-mapped shard
-  cache on disk (:class:`repro.engine.source.MmapNpzSource` — tensors
-  larger than host RAM), or a deterministic generator
+  (:class:`repro.engine.source.InMemorySource`), a shard cache on disk
+  (:class:`repro.engine.source.CompressedChunkSource`, memory-mapped or
+  compressed — tensors larger than host RAM), or a deterministic generator
   (:class:`repro.engine.source.SyntheticSource`);
 * decouples the engine from where the reductions run: batches are mapped
   through a pluggable :class:`repro.engine.backend.ExecutionBackend` —
@@ -18,15 +18,16 @@ instead of materializing whole shards, which
   to the element data instead of receiving it through a pipe;
 * optionally double-buffers batch delivery
   (:class:`repro.engine.prefetch.PrefetchingSource`): a source that reads
-  ahead on its own (a v2 chunked cache) decodes the next chunks on its
+  ahead on its own (a compressed cache) decodes the next chunks on its
   decode pool while the current batch reduces; for every other source
   prefetch is a pass-through;
 * keeps the result **bit-identical** to the eager whole-shard reduction for
   every ``(source, batch_size, backend, prefetch)`` combination — each
   output row is produced by one segmented reduction over the same elements
   in the same order, every source yields mode-sorted copies with identical
-  coordinates (resident copies and v2 caches store them in the narrow
-  ``index_dtype`` of the shape, v1 caches in int64: same values), and
+  coordinates (resident copies and caches store them in the narrow
+  ``index_dtype`` of the shape, caches before manifest version 4 in
+  int64: same values), and
   every backend adds each batch's partial results once to rows no other
   batch touches.
 
@@ -116,7 +117,7 @@ class StreamingExecutor:
         only 1).
     prefetch:
         Reduce the source's read-ahead partition, so a source that reads
-        ahead on its own (a v2 chunked cache) decodes the next chunks in
+        ahead on its own (a compressed shard cache) decodes the next chunks in
         the background (see :mod:`repro.engine.prefetch`); a pass-through
         for every other source. Equivalent to wrapping ``source`` in a
         :class:`PrefetchingSource`.

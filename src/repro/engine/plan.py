@@ -222,8 +222,9 @@ def normalize_source_config(config, source):
 
     An out-of-core source forces the ``out_of_core``/``shard_cache``
     spelling (so batch autotuning and host-residency accounting see the
-    streaming residency), and a v2 chunked source records its manifest
-    codec/chunk size so the staging pricing charges decompression. This
+    streaming residency), and a shard-cache source records its manifest
+    codec/chunk size, so the staging pricing charges a mapped read for a
+    ``"none"`` cache and a read plus decompression for any other. This
     is the one normalization every path shares — ``AmpedMTTKRP``,
     :func:`plan_shard_cache`, and the CLI all call it, so a plan made
     without building an executor fingerprints identically to the
@@ -246,23 +247,18 @@ def normalize_source_config(config, source):
 def cache_plan_inputs(config, cache):
     """``(annotated config, measured codec_ratio)`` for an on-disk cache.
 
-    Marks the config out-of-core against ``cache`` and, for a v2 chunked
-    cache, records the manifest's codec/chunk size and returns its
-    measured compressed/raw byte ratio so the staging-read term prices
-    real on-disk bytes. A v1 mmap cache (stored uncompressed) returns
-    ``None`` — the analytic default applies. This annotates *without
-    opening shard views*, for model-scale pricing paths
-    (``repro simulate``) that never touch elements.
+    Marks the config out-of-core against ``cache``, records the manifest's
+    codec/chunk size and returns its measured compressed/raw byte ratio so
+    the staging-read term prices real on-disk bytes. This annotates
+    *without building shard tables*, for model-scale pricing paths
+    (``repro simulate``) that never touch elements. A version-1 ``.npz``
+    cache is refused by name.
     """
-    from repro.tensor.io import detect_shard_cache_version, shard_cache_path
-    from repro.tensor.io_v2 import ChunkedCacheReader
+    from repro.tensor.io_v2 import ChunkedCacheReader, shard_cache_path
 
     cache = shard_cache_path(cache)
-    version = detect_shard_cache_version(cache)
-    config = config.replace(out_of_core=True, shard_cache=str(cache))
-    if version != 2:
-        return config, None
     reader = ChunkedCacheReader(cache)
+    config = config.replace(out_of_core=True, shard_cache=str(cache))
     try:
         config = config.replace(
             cache_codec=reader.codec_name, cache_chunk_nnz=reader.chunk_nnz

@@ -3,11 +3,12 @@
 :class:`PrefetchingSource` wraps a :class:`repro.engine.source.ShardSource`
 and hands out the source's read-ahead partition
 (:meth:`repro.engine.source.ShardSource.read_ahead_partition`) where it has
-one. A v2 chunked cache does: reaching a chunk starts the next chunks
-decoding on the reader's decode pool, so decompression overlaps the current
-batch's reduction — the host-side mirror of the simulator's H2D/compute
-double-buffering (``AmpedConfig.double_buffer``). Every other source
-(resident, v1 mmap, synthetic) has no read-ahead of its own, and the view
+one. A compressed shard cache does: reaching a chunk starts the next
+chunks decoding on the reader's decode pool, so decompression overlaps the
+current batch's reduction — the host-side mirror of the simulator's
+H2D/compute double-buffering (``AmpedConfig.double_buffer``). Every other
+source (resident, a mapped ``codec="none"`` cache, synthetic) has no
+read-ahead of its own, and the view
 is a pass-through: staging a copy of the next batch on a loader thread
 measured slower than slicing in place on every such source.
 

@@ -8,30 +8,28 @@ behind the batches so the same executor can stream from
 
 * :class:`InMemorySource` — today's resident ``PartitionPlan`` (the default;
   wraps a plan, zero copies);
-* :class:`MmapNpzSource` — a memory-mapped shard cache on disk
-  (:func:`repro.tensor.io.write_shard_cache`), where slicing a batch faults
-  in only that batch's pages: the resident tensor footprint is O(batch), not
-  O(nnz), which is what opens tensors larger than host memory;
-* :class:`SyntheticSource` — a deterministic generator, for tests and
-  benchmarks that want engine-scale inputs without materializing (and
-  keeping) every mode copy at once;
-* :class:`CompressedChunkSource` — a v2 chunked/compressed shard cache
-  (:func:`repro.tensor.io.write_shard_cache_v2`) for cold-storage tensors:
-  instead of mmap's page faulting, batches are served by explicit
-  double-buffered chunk reads + decompression — with prefetch on
+* :class:`CompressedChunkSource` — a shard cache on disk
+  (:func:`repro.tensor.io.write_shard_cache_v2`). A ``codec="none"`` cache
+  is memory-mapped, so slicing a batch faults in only that batch's pages;
+  a compressed one serves batches by explicit double-buffered chunk reads
+  + decompression, and with prefetch on
   (:class:`repro.engine.prefetch.PrefetchingSource`) the next chunks
   decompress on the reader's decode pool while the current batch reduces.
+  Either way the resident tensor footprint is O(batch), not O(nnz), which
+  is what opens tensors larger than host memory;
+* :class:`SyntheticSource` — a deterministic generator, for tests and
+  benchmarks that want engine-scale inputs without materializing (and
+  keeping) every mode copy at once.
 
-:func:`open_shard_source` sniffs a cache file's format (v1 mmap ``.npz``
-vs v2 chunked) and opens the matching source.
+:func:`open_shard_source` opens a cache file as its source.
 
 The contract all sources share: for one logical tensor, every source yields
 **mode-sorted copies with identical coordinates** — resident copies and
-v2 caches store them in the narrowest index dtype of the shape
-(:func:`repro.tensor.coo.index_dtype`), v1 caches in int64, with the
-same values — hence the same shard tables, the same segment-aligned
-:class:`repro.engine.batch.BatchPlan` boundaries, and bit-identical MTTKRP
-results — the source/equivalence test matrix in
+caches store them in the narrowest index dtype of the shape
+(:func:`repro.tensor.coo.index_dtype`; caches before manifest version 4 in
+int64), with the same values — hence the same shard tables, the same
+segment-aligned :class:`repro.engine.batch.BatchPlan` boundaries, and
+bit-identical MTTKRP results — the source/equivalence test matrix in
 ``tests/engine/test_sources.py`` and ``tests/golden/`` pins this.
 """
 
@@ -47,18 +45,16 @@ from repro.partition.balance import assign_shards
 from repro.partition.plan import PartitionPlan, build_partition_plan
 from repro.partition.sharding import ModePartition, Shard, shard_table
 from repro.tensor.coo import SparseTensorCOO
-from repro.tensor.io import load_shard_cache, shard_cache_path
 from repro.tensor.io_v2 import (
     DEFAULT_CHUNK_CACHE,
     READ_AHEAD_CHUNKS,
-    detect_shard_cache_version,
     load_shard_cache_v2,
+    shard_cache_path,
 )
 
 __all__ = [
     "ShardSource",
     "InMemorySource",
-    "MmapNpzSource",
     "CompressedChunkSource",
     "SyntheticSource",
     "COOView",
@@ -213,9 +209,10 @@ class ShardSource(ABC):
 
         ``None`` (the default) means "no out-of-band attachment": the
         backend publishes shared-memory copies of the resident mode arrays
-        instead. :class:`MmapNpzSource` overrides this with its cache path
-        so workers re-open the ``.npz`` read-only — zero tensor bytes are
-        copied anywhere (the OS page cache is shared across processes).
+        instead. :class:`CompressedChunkSource` overrides this with its
+        cache path so workers re-open the cache read-only — for a mapped
+        ``codec="none"`` cache zero tensor bytes are copied anywhere (the
+        OS page cache is shared across processes).
         """
         return None
 
@@ -317,126 +314,23 @@ class InMemorySource(ShardSource):
         return self._plan
 
 
-class MmapNpzSource(ShardSource):
-    """Out-of-core source over a memory-mapped shard cache.
-
-    Opening the cache reads only zip metadata and array headers; shard
-    tables come from binary searches over the (contiguous, mapped) key
-    columns. Element pages are faulted in batch by batch as the executor
-    slices them and are evictable page cache, so the resident tensor
-    footprint is O(batch_size), independent of nnz — the out-of-core scaling
-    property the paper's sharded layout enables and
-    :func:`repro.core.simulate.host_memory_plan` accounts for.
-
-    Parameters mirror :func:`repro.partition.plan.build_partition_plan` so a
-    cache-backed run shards (and therefore batches, and therefore reduces)
-    bit-identically to the in-memory path.
-    """
-
-    is_out_of_core = True
-
-    def __init__(
-        self,
-        path,
-        *,
-        n_gpus: int = 4,
-        shards_per_gpu: int = 16,
-        policy: str = "lpt",
-    ) -> None:
-        self.path = shard_cache_path(path)
-        self._arrays: dict[str, np.ndarray] | None = load_shard_cache(
-            self.path, mmap=True
-        )
-        self._shape = tuple(int(s) for s in np.asarray(self._arrays["shape"]))
-        missing = [
-            key
-            for key in ["nnz"]
-            + [
-                f"mode{m}_{part}"
-                for m in range(len(self._shape))
-                for part in ("indices", "values", "keys")
-            ]
-            if key not in self._arrays
-        ]
-        if missing:
-            raise ReproError(
-                f"{self.path}: shard cache is missing arrays {missing}; "
-                f"rebuild with write_shard_cache()"
-            )
-        self._nnz = int(np.asarray(self._arrays["nnz"]).ravel()[0])
-        self._build_layout(
-            self.mode_keys,
-            n_gpus=n_gpus, shards_per_gpu=shards_per_gpu, policy=policy,
-        )
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self._shape
-
-    @property
-    def nnz(self) -> int:
-        return self._nnz
-
-    def _array(self, key: str) -> np.ndarray:
-        if self._arrays is None:
-            raise ReproError(
-                f"{self.path}: shard source is closed; reopen it with "
-                f"MmapNpzSource({str(self.path)!r})"
-            )
-        return self._arrays[key]
-
-    def mode_keys(self, mode: int) -> np.ndarray:
-        return self._array(f"mode{self._check_mode(mode)}_keys")
-
-    def partition(self, mode: int) -> ModePartition:
-        mode = self._check_mode(mode)
-        view = COOView(
-            self._array(f"mode{mode}_indices"),
-            self._array(f"mode{mode}_values"),
-            self._shape,
-        )
-        return ModePartition(mode=mode, tensor=view, shards=self._shards[mode])
-
-    def process_attach_spec(self, mode: int):
-        """Process workers re-open this cache read-only by path (zero-copy:
-        both sides map the same on-disk bytes through the page cache)."""
-        self._check_mode(mode)
-        return ("mmap_npz", str(self.path))
-
-    def close(self) -> None:
-        """Drop the memory-mapped views (and with them the open file).
-
-        Views already handed out (e.g. a live ``partition()``) keep their
-        mappings until garbage collected; new accesses raise a
-        :class:`ReproError`.
-        """
-        self._arrays = None
-
-    def __enter__(self) -> "MmapNpzSource":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"MmapNpzSource({str(self.path)!r}, shape={self._shape}, "
-            f"nnz={self._nnz}, n_gpus={self._n_gpus})"
-        )
-
-
 class CompressedChunkSource(ShardSource):
-    """Out-of-core source over a v2 chunked/compressed shard cache.
+    """Out-of-core source over a shard cache (:mod:`repro.tensor.io_v2`).
 
-    Where :class:`MmapNpzSource` trades on the OS page cache (raw bytes,
-    4 KiB-granular faults), this source trades on **explicit reads**: every
-    mode-sorted array lives as independently compressed chunk frames
-    (:mod:`repro.tensor.io_v2`), and slicing a batch reads, CRC-checks, and
+    Opening reads the manifest; shard tables come from the key columns.
+    A ``codec="none"`` cache trades on the OS page cache: every array is
+    memory-mapped, a batch slice faults in only its pages, and each chunk's
+    CRC is checked the first time a batch reaches it. A compressed cache
+    trades on **explicit reads**: slicing a batch reads, CRC-checks, and
     decompresses only the chunks the batch overlaps, keeping
     ``cache_chunks`` (default 2 — classic double buffering) decoded chunks
     of a mode's indices and values in one reader-wide cache. That is the
     right trade for cold storage, where bytes moved dominate and mmap
     would fault far more than a batch needs.
+
+    Parameters mirror :func:`repro.partition.plan.build_partition_plan` so a
+    cache-backed run shards (and therefore batches, and therefore reduces)
+    bit-identically to the in-memory path.
 
     With prefetch on, the source reads ahead itself
     (:meth:`read_ahead_partition`): a chunk the consumer reaches starts
@@ -549,9 +443,9 @@ class CompressedChunkSource(ShardSource):
         return ModePartition(mode=mode, tensor=view, shards=self._shards[mode])
 
     def process_attach_spec(self, mode: int):
-        """Process workers re-open the v2 cache by path and decompress the
-        chunks their batches cover themselves — no element bytes cross
-        the pipe, mirroring the mmap attachment."""
+        """Process workers re-open the cache by path and map (or
+        decompress) the chunks their batches cover themselves — no element
+        bytes cross the pipe."""
         self._check_mode(mode)
         return ("chunked_v2", str(self.path))
 
@@ -588,16 +482,13 @@ def open_shard_source(
     shards_per_gpu: int = 16,
     policy: str = "lpt",
 ) -> ShardSource:
-    """Open a shard cache with format autodetection (v1 mmap vs v2 chunked).
+    """Open a shard cache as its out-of-core source.
 
-    Sniffs the file's magic bytes (:func:`repro.tensor.io.detect_shard_cache_version`)
-    and returns the matching out-of-core source. This is what
-    :meth:`repro.core.amped.AmpedMTTKRP.from_shard_cache` and the CLI use,
-    so ``--shard-cache`` accepts either format transparently.
+    What :meth:`repro.core.amped.AmpedMTTKRP.from_shard_cache`, the plan
+    layer, the service's source pool and the CLI call. A version-1 ``.npz``
+    cache is refused by name (:class:`repro.errors.TensorFormatError`).
     """
-    version = detect_shard_cache_version(path)
-    cls = MmapNpzSource if version == 1 else CompressedChunkSource
-    return cls(
+    return CompressedChunkSource(
         path, n_gpus=n_gpus, shards_per_gpu=shards_per_gpu, policy=policy
     )
 

@@ -102,9 +102,8 @@ def shard_table(
 
     ``keys`` is the mode-``mode`` index column of the sorted tensor copy; a
     memory-mapped column works too — the binary searches touch only
-    ``O(n_shards log nnz)`` pages, which is what lets out-of-core sources
-    (:class:`repro.engine.MmapNpzSource`) build their shard tables without
-    reading the element data.
+    ``O(n_shards log nnz)`` pages, so a shard table never needs the
+    element data.
     """
     if n_shards <= 0:
         raise PartitionError("n_shards must be positive")

@@ -1,19 +1,18 @@
 """Shared read-only shard-source pool of the decomposition service.
 
 Out-of-core jobs stream from on-disk shard caches. Opening a cache is not
-free (v1 maps every array, v2 reads and validates the manifest), and two
+free (it reads and validates the manifest and builds shard tables), and two
 concurrent jobs over the same cache would otherwise each hold their own
 handle and chunk staging. The pool keeps **one open
 :class:`repro.engine.ShardSource` per (cache path, sharding geometry)** —
-opened through the same :func:`repro.engine.open_shard_source` autodetect
-every other entry point uses — refcounted by lease: the first acquiring
+opened through the same :func:`repro.engine.open_shard_source` every
+other entry point uses — refcounted by lease: the first acquiring
 job opens it, overlapping jobs share it, and the last release closes it.
 
-Sharing is safe because service reads are strictly read-only and both
-source classes tolerate concurrent readers: :class:`MmapNpzSource` is
-stateless after construction (mmap page faults), and
-:class:`CompressedChunkSource` guards its chunk staging with the reader's
-lock and swaps its key cache atomically. The geometry is part of the key
+Sharing is safe because service reads are strictly read-only and
+:class:`CompressedChunkSource` tolerates concurrent readers: mapped arrays
+are read-only page-cache views, chunk staging is guarded by the reader's
+lock, and the key cache is swapped atomically. The geometry is part of the key
 because shard tables are built at open time — two jobs wanting different
 ``n_gpus``/``shards_per_gpu``/``policy`` need different shard tables and
 therefore different entries.

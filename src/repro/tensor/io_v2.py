@@ -1,28 +1,26 @@
-"""Shard cache v2: chunked, compressed frames for cold-storage tensors.
+"""Shard cache v2: the on-disk format out-of-core tensors stream from.
 
-The v1 cache (:mod:`repro.tensor.io`) stores raw bytes in an uncompressed
-``.npz`` so every array can be memory-mapped — the right trade when the
-tensor lives on fast local storage and the OS page cache does the staging.
-Cold-storage tensors (object stores, network filesystems, spinning disks)
-invert the trade: bytes are expensive, seeks are expensive, and mmap's
-4 KiB-granular faulting reads far more than a batch needs. The v2 format
-targets that regime:
+Every mode-sorted array of a tensor is cut into **fixed-``chunk_nnz`` row
+chunks**, each stored as one frame with its **CRC-32** in a **JSON
+manifest** (written after the frames, located by a fixed header pointer),
+so corruption is caught and named before wrong numbers can propagate. The
+codec picks how frames hold their rows:
 
-* every mode-sorted array is cut into **fixed-``chunk_nnz`` row chunks**,
-  each compressed independently into one frame (``zstd``/``zlib``/``lzma``,
-  or ``none`` for raw frames), so a streamed batch decompresses only the
-  chunks it overlaps;
-* a **JSON manifest** (written after the frames, located by a fixed header
-  pointer) carries the format version, codec, per-chunk row boundaries,
-  byte offsets, and **per-chunk CRC-32 checksums** — corruption is caught
-  and named before wrong numbers can propagate;
-* readers hand back :class:`ChunkedArray` views that materialize only the
-  chunks a slice covers, through a small reader-wide LRU (double buffer by
-  default) — the explicit-read analogue of v1's faulted pages; a
-  read-ahead view also decodes the next chunks on a small thread pool
-  while the consumer works on the current one.
+* ``codec="none"`` (``repro cache``'s default) stores raw C-order bytes,
+  and the writer lays each array's chunks out back to back in one
+  8-byte-aligned region. A reader maps such an array once, read-only, and
+  hands out slices of the map: no read, copy or cache per batch, and
+  the OS page cache does the staging. Each chunk's CRC is checked the
+  first time the reader serves any of its bytes.
+* ``zstd``/``zlib``/``lzma`` compress each frame independently, for cold
+  storage (object stores, network filesystems, spinning disks) where bytes
+  moved dominate: a streamed batch decompresses only the chunks it
+  overlaps, through a small reader-wide LRU (double buffer by default),
+  and a read-ahead view also decodes the next chunks on a small thread
+  pool while the consumer works on the current one. Each load checks its
+  frame's CRC.
 
-Construction no longer needs the tensor resident either:
+Construction never needs the tensor resident:
 :func:`write_shard_cache_streaming` is an **external-sort builder** — it
 ingests ``.tns`` text or a COO tensor in bounded-memory runs, stable-sorts
 each run, spills it to disk, and k-way-merges the runs straight into the
@@ -36,7 +34,10 @@ On-disk layout::
 
     bytes 0..8    magic  b"REPROSC2"
     bytes 8..16   little-endian uint64: manifest byte offset
-    bytes 16..M   concatenated compressed chunk frames
+    bytes 16..M   chunk frames: compressed frames back to back, or for
+                  codec "none" one region per array (mode 0's indices,
+                  values, keys, then mode 1's, ...), each starting on an
+                  8-byte boundary and holding its chunks in row order
     bytes M..EOF  canonical JSON manifest (utf-8)
 
 Manifest schema (canonical ``json.dumps(..., sort_keys=True)``)::
@@ -97,6 +98,14 @@ The reader undoes the filter after the CRC (which covers the compressed
 frame), decompression and ``raw_nbytes`` checks. No delta step is taken:
 only the key column is sorted, and deltas of the other index columns
 sign-extend to 0xFF bytes that compress worse than the shuffle alone.
+
+**Mapped arrays.** A reader maps an array when its manifest says its
+frames are raw (codec and filter ``none``), its chunks cover its rows in
+order at ``offset = region + lo * row bytes`` with the region aligned to
+the dtype and inside the file. Anything else, such as a ``none`` cache
+written before regions existed (its frames are interleaved), is served by
+chunk loads as compressed caches are. The choice follows from the offsets
+alone, so the schema and version did not change.
 """
 
 from __future__ import annotations
@@ -106,6 +115,7 @@ import json
 import os
 import threading
 import zlib
+from bisect import bisect_right
 from collections import OrderedDict, deque
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -132,7 +142,7 @@ __all__ = [
     "CODEC_NAMES",
     "available_codecs",
     "codec_available",
-    "detect_shard_cache_version",
+    "shard_cache_path",
     "write_shard_cache_v2",
     "write_shard_cache_streaming",
     "load_shard_cache_v2",
@@ -159,6 +169,10 @@ FRAME_FILTERS = ("none", "shuffle", "colshuffle")
 
 #: manifest pointer is a fixed-width field right after the magic
 _HEADER_BYTES = len(SHARD_CACHE_V2_MAGIC) + 8
+
+#: byte boundary every ``codec="none"`` array region starts on (the header
+#: is a multiple of it, so the first region starts right after it)
+_REGION_ALIGN = 8
 
 #: default rows per compressed chunk — a few batches' worth at the
 #: cache-model auto batch size, so one staged batch touches 1-2 frames
@@ -272,39 +286,36 @@ def _resolve_codec(name, origin: str = "codec") -> _Codec:
     return built[name]
 
 
-def _shard_cache_path(path) -> Path:
-    # same normalization as the v1 writer so both formats resolve paths
-    # identically (import deferred: repro.tensor.io re-exports this module)
-    from repro.tensor.io import shard_cache_path
+def shard_cache_path(path) -> Path:
+    """A cache path as the writers write it: ``.npz`` appended to a path
+    without that suffix. Every consumer (readers, the CLI, the plan layer)
+    resolves user-supplied paths through this so writer and readers
+    agree."""
+    path = Path(path)
+    if path.suffix == ".npz":
+        return path
+    return path.with_name(path.name + ".npz")
 
-    return shard_cache_path(path)
 
-
-# ----------------------------------------------------------------------
-# Format detection
-# ----------------------------------------------------------------------
-def detect_shard_cache_version(path) -> int:
-    """Sniff a shard-cache file: 1 (v1 mmap ``.npz``) or 2 (v2 chunked).
-
-    Detection is by content (zip magic vs the v2 magic), never by suffix,
-    so ``AmpedMTTKRP.from_shard_cache`` and the CLI can open either format
-    transparently. Anything else raises a :class:`TensorFormatError`.
-    """
-    path = _shard_cache_path(path)
+def _check_magic(path: Path) -> None:
+    """Refuse, by name, a path that is not a v2 cache: a missing file, a
+    version-1 ``.npz`` archive (zip magic), or anything else."""
     if not path.is_file():
         raise TensorFormatError(
             f"shard cache {path} does not exist; build it with "
-            f"write_shard_cache() / write_shard_cache_v2() (CLI: `repro cache`)"
+            f"write_shard_cache_v2() (CLI: `repro cache`)"
         )
     with open(path, "rb") as f:
         head = f.read(len(SHARD_CACHE_V2_MAGIC))
     if head == SHARD_CACHE_V2_MAGIC:
-        return 2
+        return
     if head[:4] == b"PK\x03\x04":
-        return 1
+        raise TensorFormatError(
+            f"{path}: shard cache version 1 (an .npz archive) is no longer "
+            f"read; rebuild it with `repro cache`"
+        )
     raise TensorFormatError(
-        f"{path}: not a shard cache (neither a v1 .npz archive nor a v2 "
-        f"chunked cache); rebuild with `repro cache`"
+        f"{path}: not a shard cache; rebuild it with `repro cache`"
     )
 
 
@@ -433,7 +444,9 @@ class _V2Writer:
     Frames are filtered and compressed on a small thread pool (see
     :func:`_codec_workers`) and written in submission order, so the file
     does not depend on the pool size; at most ``2 * workers`` raw frames
-    are in flight.
+    are in flight. ``codec="none"`` frames are written into per-array
+    regions reserved at :meth:`begin_mode` (sizes follow from ``nnz``), so
+    every array's rows lie contiguous in the file.
     """
 
     def __init__(
@@ -460,6 +473,8 @@ class _V2Writer:
         self.filter = _frame_filter(self.codec)
         self.chunk_nnz = chunk_nnz
         self._arrays: dict[str, dict] = {}
+        # array name -> byte offset of its region (codec "none" only)
+        self._regions: dict[str, int] = {}
         self._file = open(self.path, "wb")
         self._file.write(SHARD_CACHE_V2_MAGIC + b"\x00" * 8)
         self._offset = _HEADER_BYTES
@@ -496,18 +511,24 @@ class _V2Writer:
     def _write_frame(
         self, name: str, lo: int, hi: int, raw_nbytes: int, frame: bytes, crc: int
     ) -> None:
-        self._arrays[name]["chunks"].append(
+        meta = self._arrays[name]
+        if name in self._regions:
+            offset = self._regions[name] + lo * _row_nbytes(meta)
+            self._file.seek(offset)
+        else:
+            offset = self._offset
+            self._offset += len(frame)
+        meta["chunks"].append(
             {
                 "lo": lo,
                 "hi": hi,
-                "offset": self._offset,
+                "offset": offset,
                 "nbytes": len(frame),
                 "raw_nbytes": raw_nbytes,
                 "crc32": crc,
             }
         )
         self._file.write(frame)
-        self._offset += len(frame)
 
     def _join_pool(self) -> None:
         if self._pool is not None:
@@ -573,11 +594,13 @@ class _V2Writer:
             ("values", "<f8", [self.nnz]),
             ("keys", coords, [self.nnz]),
         ):
-            self._arrays[f"mode{mode}_{part}"] = {
-                "dtype": dtype,
-                "shape": shape,
-                "chunks": [],
-            }
+            name = f"mode{mode}_{part}"
+            self._arrays[name] = {"dtype": dtype, "shape": shape, "chunks": []}
+            if self.codec.name == "none":
+                start = -(-self._offset // _REGION_ALIGN) * _REGION_ALIGN
+                self._regions[name] = start
+                row = _row_nbytes(self._arrays[name])
+                self._offset = start + self.nnz * row
 
     def append(self, indices: np.ndarray, values: np.ndarray) -> None:
         """Append the next block of the current mode's sorted element list
@@ -616,6 +639,7 @@ class _V2Writer:
             manifest, sort_keys=True, separators=(",", ":")
         ).encode("utf-8")
         manifest_offset = self._offset
+        self._file.seek(manifest_offset)
         self._file.write(payload)
         self._file.seek(len(SHARD_CACHE_V2_MAGIC))
         self._file.write(manifest_offset.to_bytes(8, "little"))
@@ -638,19 +662,18 @@ def write_shard_cache_v2(
     codec: str = "zlib",
     chunk_nnz: int = DEFAULT_CHUNK_NNZ,
 ) -> Path:
-    """Serialize ``tensor`` as a v2 chunked/compressed shard cache.
+    """Serialize ``tensor`` as a v2 shard cache.
 
-    The logical content matches :func:`repro.tensor.io.write_shard_cache`
-    exactly — one stable-mode-sorted element list plus a contiguous key
-    column per mode — so a v2-backed run is bit-identical to both the v1
-    mmap path and the in-memory path. Only the container differs: chunked
-    compressed frames + JSON manifest instead of raw ``.npy`` members.
+    For every mode the cache holds the stable mode-sorted element list
+    (exactly the bytes :meth:`SparseTensorCOO.sorted_by_mode` produces, at
+    the cache's index dtype) plus a contiguous key column, so a cache-backed
+    run is bit-identical to the in-memory path.
 
     Returns the path actually written (``.npz`` suffix appended when the
-    given path has no suffix, mirroring the v1 writer's normalization —
-    readers detect the format by content, not by suffix).
+    given path has no suffix — :func:`shard_cache_path`;
+    readers check the content, not the suffix).
     """
-    out = _shard_cache_path(path)
+    out = shard_cache_path(path)
     writer = _V2Writer(
         out, tensor.shape, tensor.nnz, codec=codec, chunk_nnz=chunk_nnz
     )
@@ -914,7 +937,7 @@ def write_shard_cache_streaming(
         raise TensorFormatError(
             f"memory_budget must be a positive byte count, got {memory_budget}"
         )
-    out = _shard_cache_path(path)
+    out = shard_cache_path(path)
     if isinstance(source, SparseTensorCOO) and shape is None:
         shape = source.shape  # preserve trailing empty slices exactly
     track = _PeakTracker()
@@ -995,15 +1018,17 @@ def write_shard_cache_streaming(
 # Reader
 # ----------------------------------------------------------------------
 class ChunkedArray:
-    """Lazy array view over one manifest entry's compressed chunks.
+    """Lazy array view over one manifest entry's chunks.
 
-    Slicing materializes only the chunks the row range covers (through the
-    reader's LRU — double-buffered by default), so a streamed batch
-    decompresses O(batch) bytes. With ``read_ahead`` set, a chunk that is
-    not yet decoded also starts the next ``read_ahead`` chunks decoding in
-    the background (see :meth:`ChunkedCacheReader.array`). ``np.asarray``
-    materializes the whole array (planning-time key columns use this once
-    per mode).
+    A mapped array (see the module docstring) hands out read-only slices of
+    its map, after checking the CRC of every chunk the slice reaches that
+    this reader has not served before. Otherwise slicing materializes only
+    the chunks the row range covers (through the reader's LRU —
+    double-buffered by default), so a streamed batch decompresses O(batch)
+    bytes; with ``read_ahead`` set, a chunk that is not yet decoded also
+    starts the next ``read_ahead`` chunks decoding in the background (see
+    :meth:`ChunkedCacheReader.array`). ``np.asarray`` gives the whole array
+    (planning-time key columns use this once per mode).
     """
 
     def __init__(
@@ -1020,7 +1045,8 @@ class ChunkedArray:
         self.shape = tuple(int(s) for s in meta["shape"])
         self._chunks = meta["chunks"]
         # hi row of every chunk, for row -> chunk binary search
-        self._his = np.array([c["hi"] for c in self._chunks], dtype=np.int64)
+        self._his = [int(c["hi"]) for c in self._chunks]
+        self._map = reader._maps.get(name)
 
     @property
     def ndim(self) -> int:
@@ -1040,8 +1066,11 @@ class ChunkedArray:
         hi = max(lo, min(hi, n))
         if hi == lo:
             return np.empty((0,) + self.shape[1:], dtype=self.dtype)
-        first = int(np.searchsorted(self._his, lo, side="right"))
-        last = int(np.searchsorted(self._his, hi - 1, side="right"))
+        first = bisect_right(self._his, lo)
+        last = bisect_right(self._his, hi - 1)
+        if self._map is not None:
+            self._reader._verify(self.name, first, last)
+            return self._map[lo:hi]
         if first == last:  # a view of the one cached chunk
             base = int(self._chunks[first]["lo"])
             chunk = self._reader._chunk(self.name, first, self.read_ahead)
@@ -1093,13 +1122,15 @@ class ChunkedArray:
 class ChunkedCacheReader:
     """Open v2 cache: manifest + checksum-verified lazy chunk access.
 
-    Opening reads only the header and the JSON manifest; chunk frames are
-    read, CRC-checked, and decompressed on demand. Decoded chunks live in
-    one reader-wide LRU capped at ``cache_chunks`` chunks of a mode's
-    indices and values (2 == the chunk being reduced plus the next one —
-    explicit double buffering, the cold-storage analogue of v1's page
-    cache). A read-ahead view (:meth:`array` with ``read_ahead``) decodes
-    the next chunks of its array on a decode pool of at most
+    Opening reads only the header and the JSON manifest, and maps the
+    arrays whose raw chunks lie contiguous (see the module docstring): a
+    mapped array's chunk is CRC-checked once, the first time a slice
+    reaches it. Every other chunk frame is read, CRC-checked, and
+    decompressed on demand. Decoded chunks live in one reader-wide LRU
+    capped at ``cache_chunks`` chunks of a mode's indices and values (2 ==
+    the chunk being reduced plus the next one — explicit double
+    buffering). A read-ahead view (:meth:`array` with ``read_ahead``)
+    decodes the next chunks of its array on a decode pool of at most
     :data:`_MAX_DECODE_WORKERS` threads, created on first use; those
     chunks count inside the cap, which grows by ``read_ahead`` chunks for
     that view's reads. Thread-safe: backend worker threads and the decode
@@ -1113,16 +1144,9 @@ class ChunkedCacheReader:
             raise TensorFormatError(
                 f"cache_chunks must be >= 1, got {cache_chunks}"
             )
-        self.path = _shard_cache_path(path)
+        self.path = shard_cache_path(path)
         self.cache_chunks = cache_chunks
-        version = detect_shard_cache_version(self.path)
-        if version != 2:
-            raise TensorFormatError(
-                f"{self.path}: found shard cache version {version} (v1 mmap "
-                f".npz), not a v2 chunked cache; open it with MmapNpzSource "
-                f"/ load_shard_cache(), or rebuild with `repro cache "
-                f"--codec zstd` (AmpedMTTKRP.from_shard_cache autodetects)"
-            )
+        _check_magic(self.path)
         self._file = open(self.path, "rb")
         self._lock = threading.Lock()
         header = self._file.read(_HEADER_BYTES)
@@ -1188,6 +1212,55 @@ class ChunkedCacheReader:
         )
         self._decode_workers = _codec_workers(self._codec, _MAX_DECODE_WORKERS)
         self._pool: ThreadPoolExecutor | None = None
+        # name -> read-only view of a mapped array's region, and a byte per
+        # chunk that is 1 once its CRC has been checked
+        self._maps: dict[str, np.ndarray] = {}
+        self._verified: dict[str, bytearray] = {}
+        self._map_arrays(file_size)
+
+    def _map_arrays(self, file_size: int) -> None:
+        """Map every array whose raw chunks lie contiguous, in row order,
+        at an aligned region inside the file (see the module docstring)."""
+        if self._codec.name != "none" or self.filter != "none":
+            return
+        regions = {}
+        for name, meta in self._meta.items():
+            chunks = meta["chunks"]
+            if not chunks:
+                continue
+            row = _row_nbytes(meta)
+            start = int(chunks[0]["offset"])
+            rows = 0
+            for c in chunks:
+                lo, hi = int(c["lo"]), int(c["hi"])
+                nbytes = (hi - lo) * row
+                if not (
+                    lo == rows
+                    and int(c["offset"]) == start + lo * row
+                    and int(c["nbytes"]) == int(c["raw_nbytes"]) == nbytes
+                ):
+                    break
+                rows = hi
+            else:
+                end = start + rows * row
+                if (
+                    rows == int(meta["shape"][0])
+                    and start % np.dtype(meta["dtype"]).itemsize == 0
+                    and _HEADER_BYTES <= start
+                    and end <= file_size
+                ):
+                    regions[name] = (start, end)
+        if not regions:
+            return
+        whole = np.memmap(self.path, dtype=np.uint8, mode="r")
+        for name, (start, end) in regions.items():
+            meta = self._meta[name]
+            self._maps[name] = (
+                np.asarray(whole[start:end])
+                .view(meta["dtype"])
+                .reshape([int(s) for s in meta["shape"]])
+            )
+            self._verified[name] = bytearray(len(meta["chunks"]))
 
     def _check_dtypes(self, version: int) -> None:
         """Refuse, by array name, any dtype this reader would misdecode:
@@ -1258,8 +1331,9 @@ class ChunkedCacheReader:
         decoded yet start the next ``read_ahead`` chunks of the array
         decoding on the reader's pool, so a sequential consumer finds them
         ready (or in flight) instead of decoding inline. Bytes are the same
-        either way. On one CPU, or for ``codec="none"``, there is no pool
-        and every chunk decodes inline.
+        either way. On one CPU there is no pool and every chunk decodes
+        inline; a ``codec="none"`` cache has no pool either, and a mapped
+        array ignores ``read_ahead``.
         """
         if name not in self._meta:
             raise TensorFormatError(
@@ -1364,6 +1438,26 @@ class ChunkedCacheReader:
             self._check_open()
             self._file.seek(int(chunk["offset"]))
             frame = self._file.read(int(chunk["nbytes"]))
+        where = self._check_frame(name, i, frame)
+        rows = int(chunk["hi"]) - int(chunk["lo"])
+        arr_shape = (rows,) + tuple(int(s) for s in meta["shape"][1:])
+        try:
+            return _decode_frame(
+                self._codec, self.filter, frame, int(chunk["raw_nbytes"]),
+                np.dtype(meta["dtype"]), arr_shape,
+            )
+        except TensorFormatError as exc:
+            raise TensorFormatError(f"{where}: {exc}") from exc
+        except Exception as exc:
+            raise TensorFormatError(
+                f"{where}: {self.codec_name} decompression failed: {exc}"
+            ) from exc
+
+    def _check_frame(self, name: str, i: int, frame) -> str:
+        """Refuse chunk ``i`` of ``name`` when ``frame`` (its bytes as
+        read) is short or fails its CRC; returns the chunk's name for
+        later errors."""
+        chunk = self._meta[name]["chunks"][i]
         where = f"{self.path}: array {name!r} chunk {i} (rows " \
                 f"{chunk['lo']}..{chunk['hi']})"
         if len(frame) != int(chunk["nbytes"]):
@@ -1379,27 +1473,35 @@ class ChunkedCacheReader:
                 f"manifest {int(chunk['crc32']):#010x}); the cache is "
                 f"corrupt, rebuild it"
             )
-        rows = int(chunk["hi"]) - int(chunk["lo"])
-        arr_shape = (rows,) + tuple(int(s) for s in meta["shape"][1:])
-        try:
-            return _decode_frame(
-                self._codec, self.filter, frame, int(chunk["raw_nbytes"]),
-                np.dtype(meta["dtype"]), arr_shape,
-            )
-        except TensorFormatError as exc:
-            raise TensorFormatError(f"{where}: {exc}") from exc
-        except Exception as exc:
-            raise TensorFormatError(
-                f"{where}: {self.codec_name} decompression failed: {exc}"
-            ) from exc
+        return where
+
+    def _verify(self, name: str, first: int, last: int) -> None:
+        """Check the CRC of every chunk ``first..last`` of mapped array
+        ``name`` that this reader has not served yet. Lock-free: two
+        threads may both check a chunk, and both set the same flag."""
+        self._check_open()
+        seen = self._verified[name]
+        if seen.find(0, first, last + 1) < 0:
+            return
+        chunks = self._meta[name]["chunks"]
+        whole = self._maps[name].reshape(-1).view(np.uint8)
+        base = int(chunks[0]["offset"])
+        for i in range(first, last + 1):
+            if not seen[i]:
+                start = int(chunks[i]["offset"]) - base
+                self._check_frame(
+                    name, i, whole[start : start + int(chunks[i]["nbytes"])]
+                )
+                seen[i] = 1
 
     def close(self) -> None:
-        """Close the file, drop cached chunks, cancel pending read-ahead and
-        join the decode pool. Idempotent."""
+        """Close the file, drop cached chunks and maps, cancel pending
+        read-ahead and join the decode pool. Idempotent."""
         with self._lock:
             if self._file is not None:
                 self._file.close()
                 self._file = None
+            self._maps.clear()
             self._cache.clear()
             self._cached_nbytes = 0
             pool, self._pool = self._pool, None
@@ -1428,7 +1530,7 @@ def load_shard_cache_v2(
 
     Returns a :class:`ChunkedCacheReader`;
     :class:`repro.engine.CompressedChunkSource` is the structured consumer.
-    A v1 cache is rejected with its found version and a pointer at the
-    mmap reader.
+    A version-1 ``.npz`` cache is refused by name, with a pointer at
+    ``repro cache`` to rebuild it.
     """
     return ChunkedCacheReader(path, cache_chunks=cache_chunks)

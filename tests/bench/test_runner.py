@@ -147,8 +147,9 @@ class TestRunTrial:
         assert rec["median_s"] > 0
         assert rec["predicted_total_s"] > 0
         assert rec["predicted"]["total_s"] == rec["predicted_total_s"]
+        p, m = rec["predicted_total_s"], rec["median_s"]
         assert rec["prediction_error"] == pytest.approx(
-            (rec["predicted_total_s"] - rec["median_s"]) / rec["median_s"]
+            p / m - 1 if p >= m else -(m / p - 1)
         )
         assert rec["codec_ratio"] is None  # resident source
         assert rec["peak_rss_bytes"] > 0

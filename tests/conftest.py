@@ -76,19 +76,16 @@ def run_shards():
     """Factory fixture: reduce only some shards of one mode into ``out``.
 
     The per-GPU slice of an MTTKRP — the shards' batches
-    (``BatchPlan.batches_for_shards``) mapped through the executor's
-    backend and scatter-added in batch order, as the executor does for
-    the whole mode.
+    (``BatchPlan.batches_for_shards``) reduced into ``out`` by the
+    executor's backend, as the executor does for the whole mode.
     """
 
     def run(engine, factors, mode, shard_ids, out):
         source = engine.source
         batches = engine.batch_plan(mode).batches_for_shards(shard_ids)
-        for rows, partial in engine.backend.map_batches(
-            source.partition(mode), factors, mode, batches,
+        return engine.backend.reduce_into(
+            source.partition(mode), factors, mode, batches, out,
             attach=source.process_attach_spec(mode), kernel=engine.kernel,
-        ):
-            out[rows] += partial
-        return out
+        )
 
     return run

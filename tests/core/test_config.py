@@ -86,7 +86,7 @@ class TestAmpedConfig:
     def test_out_of_core_error_is_actionable(self):
         with pytest.raises(ReproError, match="shard_cache"):
             AmpedConfig(out_of_core=True)
-        with pytest.raises(ReproError, match="write_shard_cache"):
+        with pytest.raises(ReproError, match="write_shard_cache_v2"):
             AmpedConfig(out_of_core=True)
 
     def test_engine_knob_defaults(self):

@@ -12,7 +12,6 @@ from repro.cpd.norms import factor_match_score
 from repro.errors import ConvergenceError, ReproError
 from repro.tensor.coo import SparseTensorCOO
 from repro.tensor.generate import lowrank_coo, random_coo, zipf_coo
-from repro.tensor.io import write_shard_cache
 from repro.tensor.io_v2 import write_shard_cache_v2
 from repro.tensor.kernelreg import available_kernels
 
@@ -152,15 +151,12 @@ class TestOutOfCoreResidency:
     def tensor(self):
         return random_coo((400, 300, 200), self.NNZ, seed=17)
 
-    @pytest.mark.parametrize("fmt", ["v1-mmap", "v2-zlib"])
+    @pytest.mark.parametrize("codec", ["none", "zlib"])
     def test_peak_stays_below_the_old_fit_accumulator(
-        self, tensor, tmp_path, fmt
+        self, tensor, tmp_path, codec
     ):
         path = tmp_path / "cache.npz"
-        if fmt == "v1-mmap":
-            write_shard_cache(tensor, path)
-        else:
-            write_shard_cache_v2(tensor, path, codec="zlib", chunk_nnz=4096)
+        write_shard_cache_v2(tensor, path, codec=codec, chunk_nnz=4096)
         config = AmpedConfig(
             rank=self.RANK, out_of_core=True, shard_cache=str(path)
         )

@@ -21,7 +21,6 @@ from repro.engine import (
     CompressedChunkSource,
     InMemorySource,
     LoadedBatch,
-    MmapNpzSource,
     PrefetchingSource,
     ProcessBackend,
     SerialBackend,
@@ -36,7 +35,6 @@ from repro.engine.batch import build_batch_plan
 from repro.errors import ReproError
 from repro.partition.plan import build_partition_plan
 from repro.tensor.generate import zipf_coo
-from repro.tensor.io import write_shard_cache
 from repro.tensor.io_v2 import write_shard_cache_v2
 
 N_GPUS = 2
@@ -61,7 +59,9 @@ def plan(tensor):
 
 @pytest.fixture(scope="module")
 def cache_path(tensor, tmp_path_factory):
-    return write_shard_cache(tensor, tmp_path_factory.mktemp("bk") / "t.npz")
+    return write_shard_cache_v2(
+        tensor, tmp_path_factory.mktemp("bk") / "t.npz", codec="none"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -221,11 +221,11 @@ class TestProcessAttachment:
     """Tensor bytes reach process workers by attachment, never the pipe."""
 
     def test_mmap_source_attaches_by_path(self, cache_path):
-        source = MmapNpzSource(
+        source = CompressedChunkSource(
             cache_path, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
         )
         spec = source.process_attach_spec(0)
-        assert spec[0] == "mmap_npz" and str(cache_path) in spec[1]
+        assert spec == ("chunked_v2", str(cache_path))
 
     def test_resident_sources_have_no_attach_spec(self, plan):
         assert InMemorySource(plan).process_attach_spec(0) is None
@@ -233,9 +233,10 @@ class TestProcessAttachment:
     def test_mmap_run_publishes_no_shared_memory(
         self, cache_path, factors, eager
     ):
-        """The zero-copy acceptance cell: a process pool over an mmap cache
-        copies no tensor bytes anywhere — workers re-map the same file."""
-        source = MmapNpzSource(
+        """The zero-copy acceptance cell: a process pool over a mapped
+        ``codec="none"`` cache copies no tensor bytes anywhere — workers
+        re-map the same file."""
+        source = CompressedChunkSource(
             cache_path, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
         )
         backend = ProcessBackend(2)
@@ -291,7 +292,8 @@ class TestSharedOutputBlock:
     @pytest.fixture(scope="class")
     def skewed(self, tmp_path_factory):
         """A tensor whose mode 0 has one shard holding > 30% of the nnz,
-        as v1 and v2 (zlib, chunks smaller than a shard) caches too."""
+        as mapped (codec none) and zlib (chunks smaller than a shard)
+        caches."""
         tensor = zipf_coo((48, 20, 25), 1200, exponents=(1.4, 0.9, 1.0),
                           seed=3)
         plan = build_partition_plan(
@@ -301,7 +303,7 @@ class TestSharedOutputBlock:
         return (
             tensor,
             plan,
-            write_shard_cache(tensor, d / "v1.npz"),
+            write_shard_cache_v2(tensor, d / "none.npz", codec="none"),
             write_shard_cache_v2(tensor, d / "v2.npz", chunk_nnz=64),
         )
 
@@ -317,11 +319,11 @@ class TestSharedOutputBlock:
     @pytest.mark.parametrize("kind", ["memory", "mmap", "chunked"])
     @pytest.mark.parametrize("batch_size", [None, 32])
     def test_bit_identical_to_serial(self, skewed, pool, kind, batch_size):
-        tensor, plan, v1, v2 = skewed
+        tensor, plan, none, v2 = skewed
         source = {
             "memory": lambda: InMemorySource(plan),
-            "mmap": lambda: MmapNpzSource(
-                v1, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
+            "mmap": lambda: CompressedChunkSource(
+                none, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
             ),
             "chunked": lambda: CompressedChunkSource(
                 v2, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
@@ -404,7 +406,7 @@ class TestPrefetchingSource:
             PrefetchingSource(ps)
 
     def test_delegates_structure(self, tensor, plan, cache_path):
-        inner = MmapNpzSource(
+        inner = CompressedChunkSource(
             cache_path, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
         )
         ps = PrefetchingSource(inner)
@@ -475,8 +477,9 @@ class TestShardSubsetBackends:
     def test_source_shard_process_backend_instance(
         self, tensor, cache_path, factors, run_shards
     ):
-        """A shared ProcessBackend reduces single shards off the mmap cache."""
-        source = MmapNpzSource(
+        """A shared ProcessBackend reduces single shards off the mapped
+        cache."""
+        source = CompressedChunkSource(
             cache_path, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
         )
         mode = 0
@@ -529,25 +532,6 @@ class TestProcessTeardown:
         backend.close()  # double-close must stay silent
         assert backend.closed
         assert backend.published_modes == 0
-        assert self._shm_segments() <= before
-
-    def test_close_while_generator_suspended_releases_factors(
-        self, plan, factors
-    ):
-        """close() with a map_batches generator still suspended (consumer
-        stopped pulling) must unlink the factor segments it published."""
-        before = self._shm_segments()
-        backend = ProcessBackend(2)
-        source = InMemorySource(plan)
-        part = source.partition(0)
-        batches = build_batch_plan(part, 32).batches
-        it = backend.map_batches(part, factors, 0, batches)
-        next(it)  # generator now suspended after publishing its factors
-        assert len(self._shm_segments() - before) == 2 + len(factors)
-        backend.close()
-        assert self._shm_segments() <= before
-        it.close()  # late generator cleanup must not raise or double-free
-        backend.close()
         assert self._shm_segments() <= before
 
     def test_double_close_via_context_and_amped(self, tensor, factors):

@@ -106,6 +106,8 @@ class TestAddressesAndConstruction:
             ClusterBackend(allgather="tree")
         with pytest.raises(ClusterError, match="sub_backend"):
             ClusterBackend(sub_backend="cluster")  # no recursion
+        with pytest.raises(ClusterError, match="got 'process'"):
+            ClusterBackend(sub_backend="process")  # nodes stream pairs back
         with pytest.raises(ClusterError, match="at least one"):
             ClusterBackend(addresses=())
 

@@ -591,13 +591,6 @@ class TestMeasuredCodecRatioFeed:
         finally:
             src.close()
 
-    def test_plan_inputs_have_no_ratio_for_v1(self, tmp_path, tensor):
-        from repro.engine.plan import cache_plan_inputs
-        from repro.tensor.io import write_shard_cache
-
-        v1 = write_shard_cache(tensor, tmp_path / "v1cache")
-        assert cache_plan_inputs(AmpedConfig(), v1)[1] is None
-
     def test_executor_feeds_measured_ratio_into_prediction(self, zlib_cache):
         from repro.engine.costmodel.timing import DEFAULT_CODEC_RATIO
 
@@ -616,14 +609,29 @@ class TestMeasuredCodecRatioFeed:
         )
         assert plan["staging_read_s"] != default_plan["staging_read_s"]
 
-    def test_v1_executor_has_no_measured_ratio(self, tmp_path, tensor):
-        from repro.tensor.io import write_shard_cache
+    def test_none_cache_priced_as_a_mapped_read(self, tmp_path, tensor):
+        """A ``codec="none"`` cache is mapped: its staging is the mapped
+        read of the raw bytes, whatever its manifest ratio, and nothing is
+        decompressed."""
+        from repro.tensor.io import write_shard_cache_v2
 
-        v1 = write_shard_cache(tensor, tmp_path / "v1feed")
-        cfg = AmpedConfig(n_gpus=2, rank=8, shards_per_gpu=2)
-        ex = AmpedMTTKRP.from_shard_cache(v1, cfg, name="v1")
-        with ex:
-            assert ex.cache_codec_ratio is None
+        cache = write_shard_cache_v2(
+            tensor, tmp_path / "none_cache", codec="none"
+        )
+        cfg = AmpedConfig(n_gpus=2, rank=8, shards_per_gpu=2, batch_size=256)
+        with AmpedMTTKRP.from_shard_cache(cache, cfg, name="none") as ex:
+            assert ex.config.cache_codec == "none"
+            plan = ex.plan.time_plan
+            unread = host_time_plan(
+                ex.workload, ex.config.replace(cache_codec=None), ex.cost
+            )
+            ratio = host_time_plan(
+                ex.workload, ex.config, ex.cost, codec_ratio=0.1
+            )
+        assert plan["decompress_s"] == 0.0
+        assert plan["staging_read_s"] > 0.0
+        assert plan["staging_read_s"] == unread["staging_read_s"]
+        assert plan["staging_read_s"] == ratio["staging_read_s"]
 
     def test_zstd_cache_ratio_changes_prediction(self, tmp_path, tensor):
         pytest.importorskip("zstandard")

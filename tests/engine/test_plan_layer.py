@@ -35,7 +35,7 @@ from repro.engine.plan import (
 )
 from repro.errors import ReproError
 from repro.tensor.generate import zipf_coo
-from repro.tensor.io import write_shard_cache, write_shard_cache_v2
+from repro.tensor.io import write_shard_cache_v2
 
 N_GPUS = 2
 SHARDS = 2
@@ -60,8 +60,8 @@ def base_config():
 
 @pytest.fixture(scope="module")
 def mmap_cache(tensor, tmp_path_factory):
-    return write_shard_cache(
-        tensor, tmp_path_factory.mktemp("plan") / "cache_v1"
+    return write_shard_cache_v2(
+        tensor, tmp_path_factory.mktemp("plan") / "cache_none", codec="none"
     )
 
 

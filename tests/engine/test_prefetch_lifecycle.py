@@ -1,9 +1,10 @@
 """Prefetch starts no thread of its own.
 
 With ``prefetch`` on, the only threads a sweep may start are the backend's
-pool threads and a v2 cache's ``repro-v2-decode`` read-ahead pool; resident
-and v1 mmap sources are sliced in place. Closing the executor must leave
-``threading.active_count()`` where it started, on every source and backend.
+pool threads and a compressed cache's ``repro-v2-decode`` read-ahead pool;
+resident sources and mapped ``codec="none"`` caches are sliced in place.
+Closing the executor must leave ``threading.active_count()`` where it
+started, on every source and backend.
 
 The abandonment paths of :meth:`PrefetchingSource.iter_batches` (an early
 ``break``, a dropped iterator, an error mid-stream) must leave nothing
@@ -25,7 +26,6 @@ from repro.core.config import AmpedConfig
 from repro.engine import (
     CompressedChunkSource,
     InMemorySource,
-    MmapNpzSource,
     PrefetchingSource,
     StreamingExecutor,
     SyntheticSource,
@@ -33,7 +33,7 @@ from repro.engine import (
 from repro.engine.batch import build_batch_plan
 from repro.partition.plan import build_partition_plan
 from repro.tensor.generate import zipf_coo
-from repro.tensor.io import write_shard_cache, write_shard_cache_v2
+from repro.tensor.io import write_shard_cache_v2
 
 N_GPUS = 2
 SHARDS_PER_GPU = 3
@@ -55,7 +55,7 @@ def tensor():
 def caches(tensor, tmp_path_factory):
     root = tmp_path_factory.mktemp("pf")
     return {
-        "mmap": write_shard_cache(tensor, root / "v1.npz"),
+        "mmap": write_shard_cache_v2(tensor, root / "none.npz", codec="none"),
         "zlib": write_shard_cache_v2(
             tensor, root / "v2.npz", codec="zlib", chunk_nnz=128
         ),
@@ -129,7 +129,7 @@ def make_source(kind, plan, caches):
     if kind == "memory":
         return InMemorySource(plan)
     if kind == "mmap":
-        return MmapNpzSource(
+        return CompressedChunkSource(
             caches["mmap"], n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
         )
     if kind == "chunked":

@@ -2,13 +2,14 @@
 
 The engine contract extended to sources and backends: for one logical
 tensor, every ``ShardSource`` implementation yields mode-sorted copies with
-identical coordinates (narrow resident copies and v2 caches, int64 v1
-caches), identical shard tables and batch boundaries, and
+identical coordinates (narrow, in resident copies and shard caches alike),
+identical shard tables and batch boundaries, and
 therefore **bit-identical** MTTKRP results for every ``(batch_size,
-backend, prefetch, mode)`` cell — with :class:`MmapNpzSource` additionally
-keeping the element data on disk (memory-mapped) rather than resident, and
-:class:`ProcessBackend` reducing in other processes that attach to the
-data instead of receiving it.
+backend, prefetch, mode)`` cell — with a ``codec="none"`` cache (the
+``mmap`` rows) additionally keeping the element data on disk
+(memory-mapped) rather than resident, and :class:`ProcessBackend`
+reducing in other processes that attach to the data instead of receiving
+it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro.engine import (
     ClusterBackend,
     CompressedChunkSource,
     InMemorySource,
-    MmapNpzSource,
     ProcessBackend,
     SerialBackend,
     StreamingExecutor,
@@ -48,11 +48,7 @@ from repro.simgpu.kernel import KernelCostModel
 from repro.tensor.coo import index_dtype
 from repro.tensor.generate import zipf_coo
 from repro.tensor import io_v2
-from repro.tensor.io import (
-    available_codecs,
-    write_shard_cache,
-    write_shard_cache_v2,
-)
+from repro.tensor.io import available_codecs, write_shard_cache_v2
 from repro.tensor.kernelreg import (
     KERNEL_DISABLE_ENV,
     KERNEL_NAMES,
@@ -97,7 +93,14 @@ def plan(tensor):
 
 @pytest.fixture(scope="module")
 def cache_path(tensor, tmp_path_factory):
-    return write_shard_cache(tensor, tmp_path_factory.mktemp("cache") / "t.npz")
+    """A memory-mapped ``codec="none"`` cache whose 128-row chunks (the
+    unit of its CRC checks) are far smaller than the tensor."""
+    return write_shard_cache_v2(
+        tensor,
+        tmp_path_factory.mktemp("cache") / "t.npz",
+        codec="none",
+        chunk_nnz=128,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +126,7 @@ def make_source(kind: str, plan, cache_path, cache_v2_path=None):
     if kind == "memory":
         return InMemorySource(plan)
     if kind == "mmap":
-        return MmapNpzSource(
+        return CompressedChunkSource(
             cache_path, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
         )
     if kind == "chunked":
@@ -403,27 +406,26 @@ class TestClusterCell:
 
 
 class TestResidentIndexWidth:
-    """Resident mode copies and v2 caches store narrow indices; v1 caches
-    store int64. The coordinate values, and so the MTTKRP bits, are the
-    same."""
+    """Resident mode copies and shard caches store narrow indices; the
+    coordinate values, and so the MTTKRP bits, are the same."""
 
     def test_sources_hold_equal_coordinates(
         self, tensor, plan, cache_path, cache_v2_path
     ):
         narrow = index_dtype(tensor.shape)
         assert narrow == np.uint16
-        for kind, stored in (("mmap", np.int64), ("chunked", narrow)):
+        for kind in ("mmap", "chunked"):
             source = make_source(kind, plan, cache_path, cache_v2_path)
             for mode in range(tensor.nmodes):
                 resident = plan.modes[mode].tensor.indices
                 cached = source.partition(mode).tensor.indices
                 assert resident.dtype == narrow
-                assert cached.dtype == stored
+                assert cached.dtype == narrow
                 assert np.array_equal(np.asarray(cached[:]), resident)
 
     @pytest.mark.parametrize("kernel", ["numpy", "cc"])
     @pytest.mark.parametrize("backend", BACKEND_KINDS)
-    def test_narrow_resident_bit_identical_to_int64_caches(
+    def test_narrow_resident_bit_identical_to_caches(
         self, tensor, factors, plan, cache_path, cache_v2_path,
         shared_backends, kernel, backend,
     ):
@@ -484,87 +486,187 @@ class TestInMemorySource:
         assert np.array_equal(out, eager_outputs[0])
 
 
-class TestMmapNpzSource:
+def _v1_cache(path, tensor):
+    """A version-1 shard cache as its writer laid it out: an uncompressed
+    ``.npz`` archive of the metadata and the mode-sorted arrays."""
+    arrays = {
+        "version": np.array([1]),
+        "shape": np.asarray(tensor.shape),
+        "nnz": np.array([tensor.nnz]),
+    }
+    for m in range(tensor.nmodes):
+        s = tensor.sorted_by_mode(m)
+        arrays[f"mode{m}_indices"] = s.indices.astype(np.int64)
+        arrays[f"mode{m}_values"] = s.values
+        arrays[f"mode{m}_keys"] = s.indices[:, m].astype(np.int64)
+    np.savez(path, **arrays)
+    return path
+
+
+class TestMappedCache:
+    """A ``codec="none"`` cache is served as read-only maps of its file:
+    nothing is decoded or cached, and each chunk's CRC is checked the first
+    time a batch reaches it."""
+
     def test_element_arrays_are_memory_mapped(self, plan, cache_path):
         source = make_source("mmap", plan, cache_path)
         for mode in range(len(source.shape)):
             part = source.partition(mode)
-            assert isinstance(part.tensor.indices, np.memmap)
-            assert isinstance(part.tensor.values, np.memmap)
-            assert isinstance(source.mode_keys(mode), np.memmap)
+            for arr in (part.tensor.indices, part.tensor.values):
+                rows = arr[10:20]
+                assert isinstance(rows.base, np.ndarray)  # a view, no copy
+                assert not rows.flags.writeable
+            assert not source.mode_keys(mode).flags.writeable
 
-    def test_missing_file_is_actionable(self, tmp_path):
-        with pytest.raises(TensorFormatError, match="repro cache"):
-            MmapNpzSource(tmp_path / "nope.npz")
-
-    def test_compressed_cache_rejected(self, tensor, tmp_path):
-        path = tmp_path / "z.npz"
-        np.savez_compressed(
-            path,
-            version=np.array([1]),
-            shape=np.asarray(tensor.shape),
-            nnz=np.array([tensor.nnz]),
-        )
-        with pytest.raises(TensorFormatError, match="compressed"):
-            MmapNpzSource(path)
-
-    def test_wrong_version_rejected(self, tensor, tmp_path):
-        path = tmp_path / "v.npz"
-        np.savez(
-            path,
-            version=np.array([999]),
-            shape=np.asarray(tensor.shape),
-            nnz=np.array([tensor.nnz]),
-        )
-        with pytest.raises(TensorFormatError, match="version"):
-            MmapNpzSource(path)
-
-    def test_missing_mode_arrays_rejected(self, tensor, tmp_path):
-        path = tmp_path / "m.npz"
-        np.savez(
-            path,
-            version=np.array([1]),
-            shape=np.asarray(tensor.shape),
-            nnz=np.array([tensor.nnz]),
-        )
-        with pytest.raises(ReproError, match="missing arrays"):
-            MmapNpzSource(path)
-
-    def test_missing_nnz_rejected_actionably(self, tensor, tmp_path):
-        path = tmp_path / "no_nnz.npz"
-        np.savez(
-            path, version=np.array([1]), shape=np.asarray(tensor.shape)
-        )
-        with pytest.raises(ReproError, match="missing arrays.*nnz"):
-            MmapNpzSource(path)
-
-    def test_not_a_zip_rejected(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        path.write_bytes(b"definitely not a zip archive")
-        with pytest.raises(TensorFormatError, match="not a shard cache"):
-            MmapNpzSource(path)
-
-    def test_close_and_context_manager(self, plan, cache_path):
+    def test_full_sweep_caches_nothing(
+        self, tensor, factors, plan, cache_path, eager_outputs
+    ):
         with make_source("mmap", plan, cache_path) as source:
-            assert source.nnz > 0
-        with pytest.raises(ReproError, match="closed"):
-            source.partition(0)  # arrays dropped after close
+            engine = StreamingExecutor(source, batch_size=50, prefetch=True)
+            for mode, want in enumerate(eager_outputs):
+                assert np.array_equal(engine.mttkrp(factors, mode), want)
+            assert source._reader.cached_nbytes == 0
+
+    def test_flipped_byte_named_when_a_batch_first_touches_it(
+        self, tensor, factors, tmp_path
+    ):
+        path = write_shard_cache_v2(
+            tensor, tmp_path / "c.npz", codec="none", chunk_nnz=128
+        )
+        with io_v2.load_shard_cache_v2(path) as reader:
+            chunk = reader.manifest["arrays"]["mode1_values"]["chunks"][5]
+        raw = bytearray(path.read_bytes())
+        raw[chunk["offset"] + 3] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        source = CompressedChunkSource(
+            path, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
+        )
+        values = source.partition(1).tensor.values
+        assert values[0 : chunk["lo"]].shape == (chunk["lo"],)
+        with pytest.raises(TensorFormatError) as err:
+            values[chunk["lo"] + 10 : chunk["hi"] + 10]
+        msg = str(err.value)
+        assert "checksum mismatch" in msg
+        assert "array 'mode1_values' chunk 5" in msg
+        with pytest.raises(TensorFormatError, match="checksum mismatch"):
+            StreamingExecutor(source, batch_size=50).mttkrp(factors, 1)
+        source.close()
+
+    def test_truncated_region_named_as_short_frame(self, tensor, tmp_path):
+        """A file cut inside the last region, its manifest re-appended:
+        the region no longer fits, so the array is served by chunk loads
+        and the cut frame is named."""
+        path = write_shard_cache_v2(
+            tensor, tmp_path / "t.npz", codec="none", chunk_nnz=128
+        )
+        raw = path.read_bytes()
+        moff = int.from_bytes(raw[8:16], "little")
+        manifest = raw[moff:]
+        cut = moff - len(manifest) - 40
+        path.write_bytes(
+            raw[:8] + cut.to_bytes(8, "little") + raw[16:cut] + manifest
+        )
+        with io_v2.load_shard_cache_v2(path) as reader:
+            keys = reader.array(f"mode{tensor.nmodes - 1}_keys")
+            chunks = reader.manifest["arrays"][keys.name]["chunks"]
+            last = len(chunks) - 1
+            assert keys.name not in reader._maps
+            with pytest.raises(TensorFormatError) as err:
+                # only the cut chunk's rows: the manifest bytes now lying
+                # over the earlier chunks would fail their CRCs first
+                keys[chunks[last]["lo"] : chunks[last]["hi"]]
+        msg = str(err.value)
+        assert "frame truncated" in msg
+        assert f"array {keys.name!r} chunk {last}" in msg
+
+    def test_closed_reader_refuses(self, plan, cache_path):
+        with make_source("mmap", plan, cache_path) as source:
+            indices = source.partition(0).tensor.indices
+            assert indices[0:10].shape[0] == 10
+        with pytest.raises(TensorFormatError, match="closed"):
+            indices[0:10]
         with pytest.raises(ReproError, match="reopen"):
             source.mode_keys(0)
 
+    @pytest.mark.parametrize("codec", ["none", "zlib"])
+    @pytest.mark.parametrize("nnz", [0, 1])
+    def test_tiny_tensors(self, tmp_path, nnz, codec):
+        """Empty and one-element tensors stream like any other, mapped or
+        not (a mapped cache then maps nothing or one chunk)."""
+        from repro.tensor.coo import SparseTensorCOO
+
+        tensor = SparseTensorCOO(
+            np.array([[1, 2, 3]] * nnz, dtype=np.int64).reshape(nnz, 3),
+            np.full(nnz, 2.5),
+            (4, 5, 6),
+        )
+        path = write_shard_cache_v2(tensor, tmp_path / "t.npz", codec=codec)
+        factors = [np.ones((s, 3)) for s in tensor.shape]
+        with CompressedChunkSource(path, n_gpus=1, shards_per_gpu=1) as source:
+            engine = StreamingExecutor(source)
+            for mode in range(3):
+                assert np.array_equal(
+                    engine.mttkrp(factors, mode),
+                    mttkrp_coo_reference(tensor, factors, mode),
+                )
+            mapped = source._reader._maps
+            assert len(mapped) == (9 if codec == "none" and nnz else 0)
+
+    def test_process_pool_bit_identical(
+        self, tensor, factors, plan, cache_path, eager_outputs
+    ):
+        with make_source("mmap", plan, cache_path) as source, ProcessBackend(
+            2
+        ) as backend:
+            engine = StreamingExecutor(source, batch_size=50, backend=backend)
+            for mode, want in enumerate(eager_outputs):
+                assert np.array_equal(engine.mttkrp(factors, mode), want)
+            assert backend.published_modes == 0
+
     def test_suffixless_path_normalized(self, tensor, tmp_path):
         """Writer appends .npz; the source must resolve the same path."""
-        written = write_shard_cache(tensor, tmp_path / "noext")
+        written = write_shard_cache_v2(
+            tensor, tmp_path / "noext", codec="none"
+        )
         assert written.name == "noext.npz"
-        source = MmapNpzSource(tmp_path / "noext", n_gpus=2, shards_per_gpu=2)
+        source = CompressedChunkSource(
+            tmp_path / "noext", n_gpus=2, shards_per_gpu=2
+        )
         assert source.path == written
         assert source.nnz == tensor.nnz
+        source.close()
 
-    def test_bad_construction_args(self, cache_path):
-        with pytest.raises(ReproError, match="n_gpus"):
-            MmapNpzSource(cache_path, n_gpus=0)
-        with pytest.raises(ReproError, match="shards_per_gpu"):
-            MmapNpzSource(cache_path, shards_per_gpu=0)
+
+class TestVersion1CacheRefused:
+    """A version-1 ``.npz`` cache is refused by name everywhere a cache is
+    opened, with a pointer at ``repro cache``."""
+
+    @pytest.fixture
+    def v1(self, tensor, tmp_path):
+        return _v1_cache(tmp_path / "v1.npz", tensor)
+
+    def test_open_shard_source(self, v1):
+        with pytest.raises(TensorFormatError, match="version 1.*repro cache"):
+            open_shard_source(v1)
+
+    def test_from_shard_cache(self, v1):
+        from repro.core.amped import AmpedMTTKRP
+
+        with pytest.raises(TensorFormatError, match="version 1.*repro cache"):
+            AmpedMTTKRP.from_shard_cache(v1)
+
+    def test_cache_plan_inputs(self, v1):
+        from repro.core.config import AmpedConfig
+        from repro.engine.plan import cache_plan_inputs
+
+        with pytest.raises(TensorFormatError, match="version 1.*repro cache"):
+            cache_plan_inputs(AmpedConfig(), v1)
+
+    def test_junk_file_not_a_shard_cache(self, tmp_path):
+        path = tmp_path / "junk.npz"
+        path.write_bytes(b"definitely not a shard cache")
+        with pytest.raises(TensorFormatError, match="not a shard cache"):
+            open_shard_source(path)
 
 
 class TestCompressedChunkSource:
@@ -585,20 +687,6 @@ class TestCompressedChunkSource:
         assert source.mode_keys(0) is k0  # cached while current
         source.mode_keys(1)
         assert source.mode_keys(0) is not k0  # evicted, re-decompressed
-
-    def test_v1_cache_rejected_with_found_version(self, cache_path):
-        """Opening a v1 mmap cache as v2 names the found version and the
-        right reader instead of failing cryptically."""
-        with pytest.raises(TensorFormatError, match="version 1"):
-            CompressedChunkSource(cache_path)
-
-    def test_v2_cache_rejected_by_v1_source_with_found_version(
-        self, cache_v2_path
-    ):
-        """The reverse direction: MmapNpzSource on a v2 cache must name
-        version 2 and point at the chunked reader, not die inside zipfile."""
-        with pytest.raises(TensorFormatError, match="version 2"):
-            MmapNpzSource(cache_v2_path)
 
     def test_missing_file_is_actionable(self, tmp_path):
         with pytest.raises(TensorFormatError, match="repro cache"):
@@ -642,20 +730,23 @@ class TestCompressedChunkSource:
         with pytest.raises(ReproError, match="shards_per_gpu"):
             CompressedChunkSource(cache_v2_path, shards_per_gpu=0)
 
-    def test_open_shard_source_autodetects(self, cache_path, cache_v2_path):
-        v1 = open_shard_source(
+    def test_open_shard_source_opens_every_codec(
+        self, cache_path, cache_v2_path
+    ):
+        none = open_shard_source(
             cache_path, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
         )
-        v2 = open_shard_source(
+        zlib = open_shard_source(
             cache_v2_path, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
         )
         try:
-            assert isinstance(v1, MmapNpzSource)
-            assert isinstance(v2, CompressedChunkSource)
-            assert v1.nnz == v2.nnz and v1.shape == v2.shape
+            assert isinstance(none, CompressedChunkSource)
+            assert isinstance(zlib, CompressedChunkSource)
+            assert (none.codec, zlib.codec) == ("none", "zlib")
+            assert none.nnz == zlib.nnz and none.shape == zlib.shape
         finally:
-            v1.close()
-            v2.close()
+            none.close()
+            zlib.close()
 
 
 @pytest.fixture(scope="module", params=available_codecs())
@@ -1072,6 +1163,6 @@ class TestAmpedIntegration:
         from repro.core.amped import AmpedMTTKRP
         from repro.core.config import AmpedConfig
 
-        source = MmapNpzSource(cache_path, n_gpus=2, shards_per_gpu=2)
+        source = CompressedChunkSource(cache_path, n_gpus=2, shards_per_gpu=2)
         with pytest.raises(ReproError, match="GPUs"):
             AmpedMTTKRP.from_source(source, AmpedConfig(n_gpus=4))

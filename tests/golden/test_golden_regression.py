@@ -34,7 +34,6 @@ from repro.cpd.als import cp_als
 from repro.engine import (
     CompressedChunkSource,
     InMemorySource,
-    MmapNpzSource,
     ProcessBackend,
     SerialBackend,
     StreamingExecutor,
@@ -44,7 +43,7 @@ from repro.engine import (
 from repro.errors import UnsupportedTensorError
 from repro.partition.plan import build_partition_plan
 from repro.tensor.coo import index_dtype
-from repro.tensor.io import write_shard_cache, write_shard_cache_v2
+from repro.tensor.io import write_shard_cache_v2
 from repro.tensor.kernelreg import (
     FUSED_ATOL,
     FUSED_RTOL,
@@ -71,10 +70,14 @@ def case(request):
 
 @pytest.fixture(scope="module")
 def case_cache(case, tmp_path_factory):
-    """Shard cache of the case tensor, for the out-of-core source cells."""
+    """Memory-mapped ``codec="none"`` cache of the case tensor (small
+    chunks, the unit of its CRC checks), for the ``mmap`` source cells."""
     name, tensor, *_ = case
-    return write_shard_cache(
-        tensor, tmp_path_factory.mktemp("golden_cache") / f"{name}.npz"
+    return write_shard_cache_v2(
+        tensor,
+        tmp_path_factory.mktemp("golden_cache") / f"{name}.npz",
+        codec="none",
+        chunk_nnz=97,
     )
 
 
@@ -111,13 +114,7 @@ def _case_source(kind, name, tensor, config, cache_path):
                 tensor, config.n_gpus, shards_per_gpu=config.shards_per_gpu
             )
         )
-    if kind == "mmap":
-        return MmapNpzSource(
-            cache_path,
-            n_gpus=config.n_gpus,
-            shards_per_gpu=config.shards_per_gpu,
-        )
-    if kind == "chunked":
+    if kind in ("mmap", "chunked"):
         return CompressedChunkSource(
             cache_path,
             n_gpus=config.n_gpus,
@@ -195,16 +192,16 @@ class TestEngineBitExact:
     def test_shard_source_coordinates(
         self, case, case_cache, case_cache_v2, source_kind
     ):
-        """The resident copies and the v2 cache hold the golden coordinates
-        in the narrowest index dtype of the shape; the v1 cache and the
-        synthetic source hold the same values as int64 — the
-        representations the bit-identical matrix above runs over."""
+        """The resident copies and both caches hold the golden coordinates
+        in the narrowest index dtype of the shape; the synthetic source
+        holds the same values as int64 — the representations the
+        bit-identical matrix above runs over."""
         name, tensor, _, _, config, _ = case
         resident = _case_source("memory", name, tensor, config, case_cache)
         cache = case_cache_v2 if source_kind == "chunked" else case_cache
         source = _case_source(source_kind, name, tensor, config, cache)
         narrow = index_dtype(tensor.shape)
-        stored = narrow if source_kind == "chunked" else np.int64
+        stored = np.int64 if source_kind == "synthetic" else narrow
         for m in range(tensor.nmodes):
             want = resident.partition(m).tensor.indices
             got = source.partition(m).tensor.indices
@@ -289,13 +286,13 @@ class TestEngineBitExact:
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     @pytest.mark.parametrize("prefetch", [False, True])
-    def test_v2_compressed_decompose_bit_identical_to_v1_mmap(
+    def test_compressed_decompose_bit_identical_to_mapped(
         self, case, case_cache, case_cache_v2, backend, prefetch
     ):
-        """CP-ALS streamed from a v2 chunked/compressed cache is
-        *bit-identical* to the v1 mmap path at every (backend, prefetch)
-        cell — the v2 acceptance bar: compression changes how bytes reach
-        the engine, never which reductions run."""
+        """CP-ALS streamed from a compressed cache is *bit-identical* to
+        the mapped ``codec="none"`` path at every (backend, prefetch)
+        cell: compression changes how bytes reach the engine, never which
+        reductions run."""
         _, tensor, _, rank, config, data = case
         als_kw = dict(
             rank=rank, n_iters=int(data["cpals_iters"]), tol=0.0, seed=42
@@ -304,11 +301,10 @@ class TestEngineBitExact:
             backend=backend, workers=1 if backend == "serial" else 2,
             prefetch=prefetch,
         )
-        with AmpedMTTKRP.from_shard_cache(case_cache, cfg) as v1:
-            want = cp_als(tensor, mttkrp=v1.mttkrp, **als_kw).final_fit
-        with AmpedMTTKRP.from_shard_cache(case_cache_v2, cfg) as v2:
-            assert type(v2.source).__name__ == "CompressedChunkSource"
-            got = cp_als(tensor, mttkrp=v2.mttkrp, **als_kw).final_fit
+        with AmpedMTTKRP.from_shard_cache(case_cache, cfg) as mapped:
+            want = cp_als(tensor, mttkrp=mapped.mttkrp, **als_kw).final_fit
+        with AmpedMTTKRP.from_shard_cache(case_cache_v2, cfg) as zlib:
+            got = cp_als(tensor, mttkrp=zlib.mttkrp, **als_kw).final_fit
         assert got == want  # bit-identical trajectory, not just close
         assert got == pytest.approx(float(data["cpals_fit"]), abs=CPALS_FIT_TOL)
 
@@ -342,7 +338,7 @@ class TestClusterGolden:
     def test_cpals_bit_identical_over_mmap(
         self, case, case_cache, cluster_backend
     ):
-        """CP-ALS on 2 nodes streaming the mmap cache lands on the exact
+        """CP-ALS on 2 nodes streaming the mapped cache lands on the exact
         single-host fit (bit-identical trajectory) and the golden pin."""
         _, tensor, _, rank, config, data = case
         als_kw = dict(

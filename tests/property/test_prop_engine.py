@@ -35,8 +35,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
+    CompressedChunkSource,
     InMemorySource,
-    MmapNpzSource,
     PrefetchingSource,
     StreamingExecutor,
     SyntheticSource,
@@ -50,7 +50,6 @@ from repro.tensor.generate import zipf_coo
 from repro.tensor.io import (
     available_codecs,
     load_shard_cache_v2,
-    write_shard_cache,
     write_shard_cache_streaming,
     write_shard_cache_v2,
 )
@@ -140,8 +139,9 @@ class TestSourceProperties:
     @given(engine_cases())
     @settings(max_examples=20, deadline=None)
     def test_every_source_yields_batchplan_boundaries(self, case):
-        """Mmap and synthetic sources cut exactly the batches BatchPlan cuts
-        on the resident partition — for any tensor, sharding, and batch size."""
+        """Mapped-cache and synthetic sources cut exactly the batches
+        BatchPlan cuts on the resident partition — for any tensor,
+        sharding, and batch size."""
         shape, nnz, seed, n_gpus, shards_per_gpu, batch_size, _, mode = case
         t = zipf_coo(shape, nnz, exponents=1.0, seed=seed)
         plan = build_partition_plan(t, n_gpus, shards_per_gpu=shards_per_gpu)
@@ -151,8 +151,8 @@ class TestSourceProperties:
             builder, n_gpus=n_gpus, shards_per_gpu=shards_per_gpu
         )
         with tempfile.TemporaryDirectory() as tmp:
-            cache = write_shard_cache(t, Path(tmp) / "t.npz")
-            mmap = MmapNpzSource(
+            cache = write_shard_cache_v2(t, Path(tmp) / "t.npz", codec="none")
+            mmap = CompressedChunkSource(
                 cache, n_gpus=n_gpus, shards_per_gpu=shards_per_gpu
             )
             for source in (synthetic, mmap):

@@ -37,7 +37,7 @@ from repro.serve import (
     factor_digest,
 )
 from repro.serve.server import ServiceHTTPServer
-from repro.tensor.io import write_shard_cache, write_shard_cache_v2
+from repro.tensor.io import write_shard_cache_v2
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +318,9 @@ class TestConcurrentJobs:
             service.get("no-such-job")
 
     def test_mmap_cache_pools_too(self, cache_tensor, tmp_path):
-        cache = write_shard_cache(cache_tensor, tmp_path / "v1cache")
+        cache = write_shard_cache_v2(
+            cache_tensor, tmp_path / "none_cache", codec="none"
+        )
         svc = DecompositionService(max_jobs=2, queue_depth=4)
         try:
             jobs = [

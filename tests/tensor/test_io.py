@@ -1,5 +1,6 @@
-"""Tests for FROSTT .tns reading/writing and both shard-cache formats
-(v1 mmap .npz, v2 chunked/compressed + external-sort streaming builder)."""
+"""Tests for FROSTT .tns reading/writing and the shard cache (mapped
+``codec="none"`` and compressed frames, the external-sort streaming
+builder, and the refusal of version-1 ``.npz`` caches)."""
 
 import dataclasses
 import itertools
@@ -20,14 +21,9 @@ from repro.errors import ReproError, TensorFormatError
 from repro.tensor.coo import SparseTensorCOO, index_dtype
 from repro.tensor.generate import random_coo
 from repro.tensor.io import (
-    SHARD_CACHE_VERSION,
     available_codecs,
-    detect_shard_cache_version,
-    load_shard_cache,
     load_shard_cache_v2,
     read_tns,
-    tns_to_shard_cache,
-    write_shard_cache,
     write_shard_cache_streaming,
     write_shard_cache_v2,
     write_tns,
@@ -198,76 +194,6 @@ class TestStreamingReader:
         assert not (tmp_path / "bad.npz").exists()
 
 
-class TestShardCache:
-    def test_round_trip_mode_sorted_bytes(self, tmp_path, small_tensor):
-        path = write_shard_cache(small_tensor, tmp_path / "cache.npz")
-        assert path.suffix == ".npz"
-        arrays = load_shard_cache(path)
-        assert tuple(arrays["shape"]) == small_tensor.shape
-        assert int(arrays["nnz"][0]) == small_tensor.nnz
-        for m in range(small_tensor.nmodes):
-            sorted_t = small_tensor.sorted_by_mode(m)
-            assert np.array_equal(arrays[f"mode{m}_indices"], sorted_t.indices)
-            assert np.array_equal(arrays[f"mode{m}_values"], sorted_t.values)
-            assert np.array_equal(
-                arrays[f"mode{m}_keys"], sorted_t.indices[:, m]
-            )
-
-    def test_arrays_are_memory_mapped(self, tmp_path, small_tensor):
-        path = write_shard_cache(small_tensor, tmp_path / "cache")
-        arrays = load_shard_cache(path, mmap=True)
-        assert isinstance(arrays["mode0_indices"], np.memmap)
-        assert arrays["mode0_indices"].flags["WRITEABLE"] is False
-        eager = load_shard_cache(path, mmap=False)
-        assert not isinstance(eager["mode0_indices"], np.memmap)
-        assert np.array_equal(eager["mode0_indices"], arrays["mode0_indices"])
-
-    def test_suffix_appended(self, tmp_path, small_tensor):
-        path = write_shard_cache(small_tensor, tmp_path / "noext")
-        assert path.name == "noext.npz"
-        assert path.is_file()
-
-    def test_missing_cache_actionable(self, tmp_path):
-        with pytest.raises(TensorFormatError, match="repro cache"):
-            load_shard_cache(tmp_path / "missing.npz")
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "old.npz"
-        np.savez(
-            path,
-            version=np.array([SHARD_CACHE_VERSION + 1]),
-            shape=np.array([2, 2]),
-            nnz=np.array([0]),
-        )
-        with pytest.raises(TensorFormatError, match="version"):
-            load_shard_cache(path)
-
-    def test_metadata_missing_rejected(self, tmp_path):
-        path = tmp_path / "meta.npz"
-        np.savez(path, something=np.array([1]))
-        with pytest.raises(TensorFormatError, match="metadata"):
-            load_shard_cache(path)
-
-    def test_tns_to_shard_cache(self, tmp_path, small_tensor):
-        tns = tmp_path / "t.tns"
-        write_tns(tns, small_tensor)
-        cache = tns_to_shard_cache(tns, tmp_path / "t.npz")
-        arrays = load_shard_cache(cache)
-        # .tns round-trips values through repr() exactly for float64
-        back = SparseTensorCOO(
-            np.asarray(arrays["mode0_indices"]),
-            np.asarray(arrays["mode0_values"]),
-            tuple(arrays["shape"]),
-        )
-        assert back.allclose(small_tensor)
-
-    def test_tns_to_shard_cache_respects_max_nnz(self, tmp_path, small_tensor):
-        tns = tmp_path / "t.tns"
-        write_tns(tns, small_tensor)
-        with pytest.raises(TensorFormatError, match="max_nnz"):
-            tns_to_shard_cache(tns, tmp_path / "t.npz", max_nnz=10)
-
-
 # ----------------------------------------------------------------------
 # Shard cache v2: chunked/compressed frames + external-sort builder
 # ----------------------------------------------------------------------
@@ -367,30 +293,19 @@ class TestShardCacheV2:
         assert np.array_equal(got, want)
         assert peak < 2 * want.nbytes
 
-    def test_detection_both_directions(self, tmp_path, small_tensor):
-        v1 = write_shard_cache(small_tensor, tmp_path / "v1.npz")
-        v2 = write_shard_cache_v2(small_tensor, tmp_path / "v2.npz")
-        assert detect_shard_cache_version(v1) == 1
-        assert detect_shard_cache_version(v2) == 2
+    def test_version_1_archive_and_junk_refused_by_name(self, tmp_path):
+        v1 = tmp_path / "v1.npz"
+        np.savez(v1, version=np.array([1]), shape=np.array([2, 2]))
+        with pytest.raises(TensorFormatError) as err:
+            load_shard_cache_v2(v1)
+        assert "version 1" in str(err.value)
+        assert "repro cache" in str(err.value)
         junk = tmp_path / "junk.npz"
         junk.write_bytes(b"neither format")
         with pytest.raises(TensorFormatError, match="not a shard cache"):
-            detect_shard_cache_version(junk)
+            load_shard_cache_v2(junk)
         with pytest.raises(TensorFormatError, match="does not exist"):
-            detect_shard_cache_version(tmp_path / "missing.npz")
-
-    def test_v2_opened_as_v1_names_found_version(self, tmp_path, small_tensor):
-        """load_shard_cache (v1) on a v2 cache: a clear ReproError carrying
-        the found version, not a cryptic zip failure."""
-        v2 = write_shard_cache_v2(small_tensor, tmp_path / "v2.npz")
-        with pytest.raises(TensorFormatError, match="version 2") as err:
-            load_shard_cache(v2)
-        assert "autodetect" in str(err.value)
-
-    def test_v1_opened_as_v2_names_found_version(self, tmp_path, small_tensor):
-        v1 = write_shard_cache(small_tensor, tmp_path / "v1.npz")
-        with pytest.raises(TensorFormatError, match="version 1"):
-            load_shard_cache_v2(v1)
+            load_shard_cache_v2(tmp_path / "missing.npz")
 
     def test_zstd_gated_on_missing_package(self, tmp_path, small_tensor):
         """When 'zstandard' is absent the codec is rejected actionably (and
@@ -413,7 +328,8 @@ class TestShardCacheV2:
     def test_suffix_appended(self, tmp_path, small_tensor):
         path = write_shard_cache_v2(small_tensor, tmp_path / "noext")
         assert path.name == "noext.npz" and path.is_file()
-        assert detect_shard_cache_version(tmp_path / "noext") == 2
+        with load_shard_cache_v2(tmp_path / "noext") as reader:
+            assert reader.path == path
 
     def test_empty_tensor_round_trips(self, tmp_path):
         empty = SparseTensorCOO(
@@ -454,6 +370,11 @@ FIXTURE_V3 = Path(__file__).parent / "data" / "cache_v3_zlib.npz"
 #: before the column shuffle and ``Z_RLE``)
 FIXTURE_V4 = Path(__file__).parent / "data" / "cache_v4_zlib.npz"
 
+#: :func:`_fixture_tensor` as a version-5 ``codec="none"`` cache with
+#: 64-row chunks, written before arrays had regions: each chunk's indices,
+#: values and keys frames follow one another, so no array can be mapped
+FIXTURE_V5_NONE = Path(__file__).parent / "data" / "cache_v5_none.npz"
+
 
 def _fixture_tensor() -> SparseTensorCOO:
     """The tensor in :data:`FIXTURE_V2`: arithmetic, no RNG, so every
@@ -478,7 +399,7 @@ def _rewrite_manifest(path, arrays=None, **fields):
 
 
 def _assert_fixture_reads(
-    fixture, *, version, filter_name, level, coords=np.int64
+    fixture, *, version, filter_name, level, coords=np.int64, codec="zlib"
 ):
     """A committed fixture reads back :func:`_fixture_tensor`'s sorted
     copies, with its coordinates at ``coords`` (int64 before version 4)."""
@@ -487,7 +408,7 @@ def _assert_fixture_reads(
         assert reader.manifest["version"] == version
         assert ("filter" in reader.manifest) == (version > 2)
         assert reader.filter == filter_name
-        assert reader.codec_name == "zlib" and reader.chunk_nnz == 64
+        assert reader.codec_name == codec and reader.chunk_nnz == 64
         assert reader.manifest["level"] == level
         for m in range(tensor.nmodes):
             s = tensor.sorted_by_mode(m)
@@ -550,6 +471,31 @@ class TestShardCacheV2Compat:
     def test_version_4_mttkrp_bit_identical_to_in_memory(self, prefetch):
         _assert_fixture_mttkrp(FIXTURE_V4, prefetch)
 
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_interleaved_none_fixture_reads_through_chunk_loads(
+        self, monkeypatch, prefetch
+    ):
+        loads = []
+        load = io_v2.ChunkedCacheReader._load
+
+        def traced(self, name, i):
+            loads.append((name, i))
+            return load(self, name, i)
+
+        monkeypatch.setattr(io_v2.ChunkedCacheReader, "_load", traced)
+        with load_shard_cache_v2(FIXTURE_V5_NONE) as reader:
+            assert reader._maps == {}
+        _assert_fixture_reads(
+            FIXTURE_V5_NONE, version=5, filter_name="none", level=0,
+            coords=np.uint16, codec="none",
+        )
+        _assert_fixture_mttkrp(FIXTURE_V5_NONE, prefetch)
+        assert {name for name, _ in loads} == {
+            f"mode{m}_{part}"
+            for m in range(3)
+            for part in ("indices", "values", "keys")
+        }
+
     @pytest.mark.parametrize("codec", available_codecs())
     def test_new_caches_record_their_filter(self, tmp_path, codec):
         tensor = _fixture_tensor()
@@ -576,7 +522,7 @@ class TestShardCacheV2Compat:
                 # a Z_RLE stream: what the strategy writes at any level
                 rle = zlib.compressobj(9, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
                 assert frame == rle.compress(planes.tobytes()) + rle.flush()
-        assert detect_shard_cache_version(path) == 2  # the container
+        assert path.read_bytes()[:8] == SHARD_CACHE_V2_MAGIC  # the container
 
     @pytest.mark.parametrize(
         "fields, named",
@@ -746,8 +692,11 @@ class TestShardCacheV2Corruption:
         )
         _flip_byte(path, _HEADER_BYTES + 5)
         with load_shard_cache_v2(path) as reader:
-            with pytest.raises(TensorFormatError, match="checksum mismatch"):
+            with pytest.raises(TensorFormatError) as err:
                 np.asarray(reader.array("mode0_indices"))
+        msg = str(err.value)
+        assert "checksum mismatch" in msg
+        assert "mode0_indices" in msg and "chunk 0" in msg
 
     def test_truncated_final_chunk_short_read_named(self, tmp_path, small_tensor):
         """A file cut short inside the final frame (past the re-appended
@@ -807,6 +756,69 @@ class TestShardCacheV2Corruption:
         path.write_bytes(bytes(raw))
         with pytest.raises(TensorFormatError, match="manifest"):
             load_shard_cache_v2(path)
+
+
+class TestNoneCacheRegions:
+    """A ``codec="none"`` cache holds each array's chunks back to back in
+    one 8-byte-aligned region; the reader maps every such array and checks
+    a chunk's CRC the first time it serves any of its bytes."""
+
+    def test_regions_contiguous_aligned_and_mapped(
+        self, tmp_path, small_tensor
+    ):
+        path = write_shard_cache_v2(
+            small_tensor, tmp_path / "c.npz", codec="none", chunk_nnz=37
+        )
+        raw = path.read_bytes()
+        with load_shard_cache_v2(path) as reader:
+            arrays = reader.manifest["arrays"]
+            end = _HEADER_BYTES
+            for m in range(small_tensor.nmodes):
+                for part in ("indices", "values", "keys"):
+                    meta = arrays[f"mode{m}_{part}"]
+                    row = np.dtype(meta["dtype"]).itemsize * int(
+                        np.prod(meta["shape"][1:])
+                    )
+                    start = -(-end // 8) * 8
+                    assert raw[end:start] == b"\0" * (start - end)
+                    for c in meta["chunks"]:
+                        assert c["offset"] == start + c["lo"] * row
+                        assert c["nbytes"] == c["raw_nbytes"]
+                        assert c["nbytes"] == (c["hi"] - c["lo"]) * row
+                    end = start + meta["shape"][0] * row
+            assert arrays["mode0_indices"]["chunks"][0]["offset"] == 16
+            assert int.from_bytes(raw[8:16], "little") == end  # manifest
+            assert sorted(reader._maps) == sorted(arrays)
+            assert reader.cached_nbytes == 0
+
+    def test_each_chunk_checked_once_on_first_touch(
+        self, tmp_path, monkeypatch, small_tensor
+    ):
+        path = write_shard_cache_v2(
+            small_tensor, tmp_path / "c.npz", codec="none", chunk_nnz=32
+        )
+        checked = []
+        check = io_v2.ChunkedCacheReader._check_frame
+
+        def traced(self, name, i, frame):
+            checked.append((name, i))
+            return check(self, name, i, frame)
+
+        monkeypatch.setattr(io_v2.ChunkedCacheReader, "_check_frame", traced)
+        want = small_tensor.sorted_by_mode(0).values
+        with load_shard_cache_v2(path) as reader:
+            arr = reader.array("mode0_values")
+            assert np.array_equal(arr[70:90], want[70:90])  # chunk 2
+            assert checked == [("mode0_values", 2)]
+            assert np.array_equal(arr[60:100], want[60:100])  # chunks 1..3
+            assert checked == [("mode0_values", i) for i in (2, 1, 3)]
+            arr[0:128]
+            arr[0:128]
+            assert sorted(checked) == [("mode0_values", i) for i in range(4)]
+        reader = load_shard_cache_v2(path)  # a new reader checks again
+        reader.array("mode0_values")[70:71]
+        reader.close()
+        assert checked[-1] == ("mode0_values", 2) and len(checked) == 5
 
 
 class TestStreamingCacheBuilder:

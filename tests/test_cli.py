@@ -3,6 +3,7 @@
 import argparse
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import _add_engine_args, build_parser, main
@@ -359,10 +360,10 @@ class TestOutOfCoreCommands:
         assert "fit=" in capsys.readouterr().out
 
     def test_cache_v2_flags_build_and_stream(self, tmp_path, capsys):
-        """`repro cache --codec --chunk-nnz --memory-budget` builds a v2
-        chunked cache via the external-sort builder, and decompose
-        autodetects the format both out of core and in memory."""
-        from repro.tensor.io import detect_shard_cache_version
+        """`repro cache --codec --chunk-nnz --memory-budget` builds a
+        compressed cache via the external-sort builder, and decompose
+        streams it both out of core and in memory."""
+        from repro.tensor.io import load_shard_cache_v2
 
         tensor = lowrank_coo((12, 10, 8), 400, rank=2, seed=0)
         tns = tmp_path / "t.tns"
@@ -375,8 +376,9 @@ class TestOutOfCoreCommands:
         )
         out = capsys.readouterr().out
         assert rc == 0
-        assert "wrote v2 shard cache" in out and "external sort" in out
-        assert detect_shard_cache_version(cache) == 2
+        assert "wrote shard cache" in out and "external sort" in out
+        with load_shard_cache_v2(cache) as reader:
+            assert (reader.codec_name, reader.chunk_nnz) == ("zlib", 128)
         rc = main(
             ["decompose", "--shard-cache", str(cache), "--out-of-core",
              "--rank", "3", "--iters", "2", "--gpus", "2", "--prefetch"]
@@ -400,7 +402,45 @@ class TestOutOfCoreCommands:
              "--codec", "zlib", str(cache)]
         )
         assert rc == 0
-        assert "wrote v2 shard cache" in capsys.readouterr().out
+        assert "wrote shard cache" in capsys.readouterr().out
+
+    def test_cache_and_decompose_write_none_caches_by_default(
+        self, tmp_path, capsys
+    ):
+        """Without --codec, `repro cache` and `decompose --shard-cache` on
+        a missing cache write a mapped codec=none cache."""
+        from repro.tensor.io import load_shard_cache_v2
+
+        built = tmp_path / "built.npz"
+        assert main(
+            ["cache", "--dataset", "twitch", "--nnz", "2000", str(built)]
+        ) == 0
+        assert "codec=none" in capsys.readouterr().out
+        written = tmp_path / "written.npz"
+        assert main(
+            ["decompose", "--dataset", "twitch", "--nnz", "2000",
+             "--shard-cache", str(written), "--out-of-core",
+             "--rank", "2", "--iters", "1", "--gpus", "2"]
+        ) == 0
+        assert "codec=none" in capsys.readouterr().out
+        for path in (built, written):
+            with load_shard_cache_v2(path) as reader:
+                assert reader.codec_name == "none"
+                assert sorted(reader._maps) == sorted(reader.array_names())
+
+    @pytest.mark.parametrize("out_of_core", [False, True])
+    def test_decompose_refuses_version_1_cache(
+        self, tmp_path, capsys, out_of_core
+    ):
+        v1 = tmp_path / "v1.npz"
+        np.savez(v1, version=np.array([1]), shape=np.array([2, 2]))
+        rc = main(
+            ["decompose", "--shard-cache", str(v1), "--rank", "2",
+             "--iters", "1"] + (["--out-of-core"] if out_of_core else [])
+        )
+        assert rc == 2
+        out = capsys.readouterr().out
+        assert "version 1" in out and "repro cache" in out
 
     def test_cache_bad_memory_budget_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
