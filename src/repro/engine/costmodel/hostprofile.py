@@ -132,8 +132,14 @@ class HostProfile:
         parked in ``recv``. Measured at exchange cadence (idle gaps between
         framed round trips, so wakeups are cold like a real iteration);
         charged once per hop by every ``cluster_time_plan`` link term. The
-        synthetic default is calibrated against the committed loopback
-        bench band (BENCH_8's ~5–8× underprediction), not a measurement.
+        synthetic default is one hop's share of that residual on a 2-vCPU
+        VM: the profiler's framed cycle (a round trip, two hops) left
+        430–510 µs over its analytic charge there, and the 2-node
+        ``bench`` loopback cell (nnz 2,000, rank 4, ten priced hops per
+        iteration) measured a 1.7–2.9 ms exchange (median 2.5 ms over 30
+        trials), which the default prices at 3.0 ms. (The earlier 5e-4
+        was fitted to BENCH_8's band, recorded before ``comm_stats``
+        timed only node 0's forward hop, and priced that cell at 5.8 ms.)
     stream_cache_fraction: measured effective cache fraction for
         ``batch_size="auto"`` (``None``: not measured — resolution falls
         through to the env var / built-in calibration; see
@@ -161,7 +167,7 @@ class HostProfile:
     prefetch_overhead_s: float = 15e-6
     loopback_bandwidth: float = 1.2e9
     loopback_latency_s: float = 60e-6
-    loopback_frame_overhead_s: float = 5e-4
+    loopback_frame_overhead_s: float = 2.2e-4
     stream_cache_fraction: float | None = None
 
     def __post_init__(self) -> None:

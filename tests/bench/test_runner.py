@@ -167,6 +167,26 @@ class TestRunTrial:
         assert 0.0 < rec["codec_ratio"] < 1.0
         assert rec["predicted"]["staging_read_s"] > 0
 
+    def test_mmap_trial_maps_a_none_cache(self, tmp_path):
+        """The ``mmap`` cell keeps its name but streams a mapped
+        ``codec="none"`` cache, priced as a mapped read with no
+        decompress term."""
+        from repro.tensor.io_v2 import load_shard_cache_v2
+
+        spec = TrialSpec(
+            nnz=500, rank=4, source="mmap", warmup=0, repeats=1,
+        )
+        rec = run_trial(spec, workdir=tmp_path)
+        assert "/mmap/" in rec["cell"]
+        reader = load_shard_cache_v2(tmp_path / "trial_cache.npz")
+        try:
+            assert reader.codec_name == "none"
+        finally:
+            reader.close()
+        assert 0.0 < rec["codec_ratio"] <= 1.0
+        assert rec["predicted"]["staging_read_s"] > 0
+        assert rec["predicted"]["decompress_s"] == 0.0
+
     def test_auto_backend_resolves_in_record(self):
         spec = TrialSpec(nnz=500, rank=4, backend="auto", warmup=0, repeats=1)
         rec = run_trial(spec)

@@ -19,8 +19,10 @@ from repro.engine import (
     BACKEND_NAMES,
     MAX_WORKERS,
     CompressedChunkSource,
+    ExecutionBackend,
     InMemorySource,
     LoadedBatch,
+    PairStreamBackend,
     PrefetchingSource,
     ProcessBackend,
     SerialBackend,
@@ -146,6 +148,45 @@ class TestCreateBackend:
         assert not SerialBackend.parallel
         assert ThreadBackend.parallel and not ThreadBackend.crosses_processes
         assert ProcessBackend.parallel and ProcessBackend.crosses_processes
+
+    def test_only_pair_stream_backends_yield_pairs(self):
+        """``reduce_into`` is the one backend operation; ``map_batches``
+        lives on the backends whose reductions come back as pairs. The
+        process pool scatters into shared memory and has none."""
+        from repro.engine.cluster import ClusterBackend
+
+        for cls in (SerialBackend, ThreadBackend, ClusterBackend):
+            assert issubclass(cls, PairStreamBackend), cls
+        assert issubclass(ProcessBackend, ExecutionBackend)
+        assert not issubclass(ProcessBackend, PairStreamBackend)
+        assert not hasattr(ProcessBackend, "map_batches")
+
+    def test_pair_stream_reduce_into_adds_pairs_in_item_order(self):
+        """The inherited ``reduce_into`` applies ``out[rows] += partial``
+        pair by pair, in the order ``map_batches`` yields them, and
+        returns ``out`` itself."""
+        pairs = [
+            (np.array([0, 2]), np.array([[1.0, 2.0], [3.0, 4.0]])),
+            (np.array([1]), np.array([[5.0, 6.0]])),
+            (np.array([2, 3]), np.array([[0.5, 0.25], [7.0, 8.0]])),
+        ]
+
+        class Canned(PairStreamBackend):
+            name = "canned"
+
+            def map_batches(self, part, factors, mode, items, *,
+                            attach=None, kernel="numpy"):
+                assert list(items) == [0, 1, 2]
+                yield from pairs
+
+        out = np.ones((4, 2))
+        want = out.copy()
+        for rows, partial in pairs:
+            want[rows] += partial
+        with Canned() as backend:
+            got = backend.reduce_into(None, [], 0, [0, 1, 2], out)
+        assert got is out
+        assert np.array_equal(out, want)
 
 
 class TestLifecycle:
