@@ -30,6 +30,7 @@ import pytest
 
 from repro.engine import (
     CompressedChunkSource,
+    InMemorySource,
     ProcessBackend,
     StreamingExecutor,
     ThreadBackend,
@@ -349,7 +350,9 @@ def _run_prediction_smoke(tensor, plan, batch_size, t_serial, t_thread) -> int:
 
     cost = KernelCostModel()
     profile = profile_host(quick=True)
-    workload = TensorWorkload.from_plan(tensor, plan, cost, rank=32)
+    workload = TensorWorkload.from_source(
+        InMemorySource(plan), cost, rank=32
+    )
     cfg = AmpedConfig(batch_size=batch_size)
     pred_serial = host_time_plan(workload, cfg, cost, profile)["total_s"]
     pred_thread = host_time_plan(

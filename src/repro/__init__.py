@@ -8,9 +8,9 @@ Public API highlights:
 * :class:`repro.engine.StreamingExecutor` — the streaming batched MTTKRP
   engine (cache-sized element batches, pluggable serial/thread/process
   execution backends, double-buffered prefetch) AMPED runs on;
-* :mod:`repro.engine` shard sources — :class:`repro.engine.InMemorySource`,
-  :class:`repro.engine.CompressedChunkSource` (out-of-core shard caches,
-  memory-mapped or compressed), :class:`repro.engine.SyntheticSource`;
+* :mod:`repro.engine` shard sources — :class:`repro.engine.InMemorySource`
+  (resident) and :class:`repro.engine.CompressedChunkSource` (out-of-core
+  shard caches, memory-mapped or compressed);
 * :mod:`repro.cpd` — CP-ALS tensor decomposition on any MTTKRP backend;
 * :mod:`repro.baselines` — BLCO, MM-CSF, HiCOO-GPU, FLYCOO-GPU and the
   equal-nonzero multi-GPU strawman, on the same simulated platform;
@@ -46,7 +46,6 @@ from repro.engine.source import (
     CompressedChunkSource,
     InMemorySource,
     ShardSource,
-    SyntheticSource,
     open_shard_source,
 )
 
@@ -67,7 +66,6 @@ __all__ = [
     "ShardSource",
     "InMemorySource",
     "CompressedChunkSource",
-    "SyntheticSource",
     "open_shard_source",
     "ExecutionBackend",
     "SerialBackend",

@@ -79,9 +79,6 @@ class MTTKRPBackend(abc.ABC):
             )
         return self._workload
 
-    def set_workload(self, workload: TensorWorkload) -> None:
-        self._workload = workload
-
     # ------------------------------------------------------------------
     def prepare(self, tensor: SparseTensorCOO) -> None:
         """Build the backend's format from a materialized tensor.

@@ -774,7 +774,7 @@ def _cmd_plan(args) -> int:
     constructed; a shard cache is opened for metadata only.
     """
     from repro.engine.plan import plan_shard_cache, plan_tensor
-    from repro.errors import ConfigConflictError, ReproError
+    from repro.errors import ConfigConflictError, ReproError, TensorFormatError
     from repro.util.humanize import format_bytes, format_seconds
 
     try:
@@ -792,6 +792,10 @@ def _cmd_plan(args) -> int:
         else:
             tensor, _ = _resident_tensor(args, cache)
             plan = plan_tensor(tensor, config, name="cli")
+    except TensorFormatError as exc:  # say, a version-1 cache
+        refused = "--tns" if args.tns and not args.out_of_core else "--shard-cache"
+        print(f"{refused}: {exc}")
+        return 2
     except ReproError as exc:
         print(f"planning failed: {exc}")
         return 1

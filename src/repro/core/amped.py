@@ -2,10 +2,10 @@
 
 :class:`AmpedMTTKRP` is the user-facing entry point of the library. It owns
 
-* the shard source — a resident partition plan built from ``tensor``
-  (default), or any :class:`repro.engine.ShardSource` such as a
-  memory-mapped shard cache for out-of-core tensors
-  (:meth:`AmpedMTTKRP.from_source` / :meth:`AmpedMTTKRP.from_shard_cache`);
+* the shard source — an :class:`repro.engine.InMemorySource` built from
+  ``tensor`` (default), or a shard cache for out-of-core tensors
+  (:meth:`AmpedMTTKRP.from_source` / :meth:`AmpedMTTKRP.from_shard_cache`),
+  planned through the one :func:`repro.engine.plan.plan_source`;
 * a functional :meth:`mttkrp` that computes the exact MTTKRP result via the
   streaming batched engine (:class:`repro.engine.StreamingExecutor`),
   driving shard element batches through the segmented kernels (used by
@@ -25,15 +25,10 @@ import numpy as np
 from repro.core.config import AmpedConfig
 from repro.core.results import RunResult
 from repro.core.simulate import simulate_amped
-from repro.core.workload import TensorWorkload
-from repro.engine.plan import (
-    build_engine_stack,
-    normalize_source_config,
-    plan_execution,
-)
+from repro.engine.plan import build_engine_stack, plan_source
 from repro.engine.source import InMemorySource, ShardSource, open_shard_source
 from repro.errors import ReproError
-from repro.partition.plan import PartitionPlan, build_partition_plan
+from repro.partition.plan import PartitionPlan
 from repro.simgpu.kernel import KernelCostModel
 from repro.simgpu.platform import MultiGPUPlatform
 from repro.simgpu.presets import paper_platform
@@ -96,56 +91,34 @@ class AmpedMTTKRP:
                     "(e.g. CompressedChunkSource for out-of-core shard "
                     "caches)"
                 )
-            self._plan: PartitionPlan | None = build_partition_plan(
+            source = InMemorySource.from_tensor(
                 tensor,
                 self.config.n_gpus,
                 shards_per_gpu=self.config.shards_per_gpu,
                 policy=self.config.policy,
             )
-            source = InMemorySource(self._plan)
-            self.tensor = tensor
-            self.workload = TensorWorkload.from_plan(
-                tensor, self._plan, self.cost, rank=self.config.rank, name=name
+        elif tensor is not None:
+            raise ReproError(
+                "pass either tensor or source, not both (the source "
+                "already owns the element data)"
             )
         else:
-            if tensor is not None:
-                raise ReproError(
-                    "pass either tensor or source, not both (the source "
-                    "already owns the element data)"
-                )
-            if source.n_gpus != self.config.n_gpus:
-                raise ReproError(
-                    f"source was sharded for {source.n_gpus} GPUs, "
-                    f"config requests {self.config.n_gpus}"
-                )
-            # Normalize so autotuning, host accounting, and the execution
-            # plan all see the streaming residency and the cache codec.
-            self.config = normalize_source_config(self.config, source)
-            # No whole-plan materialization: the workload comes straight off
-            # the source's key columns and shard metadata, so lazy sources
-            # (shard caches, synthetic) keep their residency guarantees.
-            self._plan = None
-            self.tensor = source.tensor_view()
-            self.workload = TensorWorkload.from_source(
-                source, self.cost, rank=self.config.rank, name=name
-            )
+            tensor = source.tensor_view()
+        # A resident run keeps the caller's tensor (and its element order)
+        # for fits; a shard source's view is a lazy mode-sorted copy.
+        self.tensor = tensor
         self.source = source
         self._owns_source = False
-        # A shard cache's manifest records the real on-disk compressed/raw
-        # ratio; the execution plan below (the auto resolution and its
-        # time_plan) prices with it instead of the analytic per-codec
-        # default. None for in-memory sources.
-        self.cache_codec_ratio = getattr(source, "codec_ratio", None)
-        # Resolve -> price -> build, once, through the plan layer: any
-        # "auto" axis is decided against this actual workload (measured
-        # host profile preferred; an axis the config pins concrete is held
-        # fixed), the pipeline is priced, and the whole decision lands in
-        # a serializable ExecutionPlan every later consumer (admission
-        # control, bench records, the CLI) reads instead of re-deriving.
-        self.plan = plan_execution(
-            self.config, self.workload,
-            cost=self.cost, codec_ratio=self.cache_codec_ratio,
+        # The one planning path of every source, so this plan fingerprints
+        # identically to plan_tensor's / plan_shard_cache's, and every
+        # later consumer (admission control, bench records, the CLI) reads
+        # this decision instead of re-deriving it.
+        self.config, self.workload, self.plan = plan_source(
+            source, self.config, cost=self.cost, name=name
         )
+        #: the shard cache manifest's measured compressed/raw byte ratio
+        #: the plan was priced at; None for a resident source.
+        self.cache_codec_ratio = self.plan.codec_ratio
         if self.config.backend == "auto" or self.config.kernel == "auto":
             # Pin the resolved axes so every later consumer of the config
             # sees concrete choices.
@@ -166,10 +139,8 @@ class AmpedMTTKRP:
     def partition_plan(self) -> PartitionPlan:
         """The :class:`PartitionPlan` view of the shard layout.
 
-        Built lazily for source-backed executors (for a
-        :class:`repro.engine.SyntheticSource` this materializes every mode
-        copy at once — prefer the per-mode ``source`` accessors). Distinct
-        from :attr:`plan`, the resolved+priced
+        The resident plan itself, or lazy views over a shard cache's mode
+        copies. Distinct from :attr:`plan`, the resolved+priced
         :class:`repro.engine.plan.ExecutionPlan`.
 
         A resident plan's mode copies hold their indices in a narrow
@@ -178,9 +149,7 @@ class AmpedMTTKRP:
         arithmetic on them can wrap or overflow — widen with
         ``.astype(np.int64)`` first.
         """
-        if self._plan is None:
-            self._plan = self.source.partition_plan()
-        return self._plan
+        return self.source.partition_plan()
 
     # ------------------------------------------------------------------
     # Alternative constructors

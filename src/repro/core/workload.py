@@ -4,8 +4,9 @@ A :class:`TensorWorkload` captures everything the timing simulation needs to
 know about a tensor — shard sizes, assignments, output-row ownership, cache
 behaviour — *without* the element data. Two producers exist:
 
-* :meth:`TensorWorkload.from_plan` extracts the descriptor from a real
-  materialized tensor + partition plan (functional scale);
+* :meth:`TensorWorkload.from_source` extracts the descriptor from a
+  :class:`repro.engine.ShardSource`, resident or a shard cache (functional
+  scale);
 * :mod:`repro.datasets.workload` synthesizes descriptors analytically at the
   paper's full billion-scale sizes (model scale), where materializing the
   tensor would need hundreds of gigabytes.
@@ -23,10 +24,7 @@ import numpy as np
 
 from repro.errors import PartitionError
 from repro.partition.balance import bin_loads
-from repro.partition.plan import PartitionPlan
 from repro.simgpu.kernel import KernelCostModel
-from repro.tensor.coo import SparseTensorCOO
-from repro.tensor.stats import mode_histogram
 
 __all__ = ["ModeWorkload", "TensorWorkload", "hit_rate_from_histogram"]
 
@@ -113,9 +111,6 @@ class TensorWorkload:
     def n_gpus(self) -> int:
         return self.modes[0].n_gpus
 
-    def total_indices(self) -> int:
-        return int(sum(self.shape))
-
     def factor_bytes(self, rank: int, value_bytes: int = 4) -> int:
         """Bytes of all factor matrices at ``rank`` (each GPU's local copy)."""
         return int(sum(self.shape)) * rank * value_bytes
@@ -130,26 +125,36 @@ class TensorWorkload:
 
     # ------------------------------------------------------------------
     @classmethod
-    def _from_parts(
+    def from_source(
         cls,
-        name: str,
-        shape: tuple[int, ...],
-        nnz: int,
-        hists: Sequence[np.ndarray],
-        shard_tables: Sequence[Sequence],
-        assignments: Sequence[np.ndarray],
-        n_gpus: int,
+        source,
         cost: KernelCostModel,
+        *,
         rank: int,
-        skew_exponents: Sequence[float] | None,
+        name: str = "tensor",
+        skew_exponents: Sequence[float] | None = None,
     ) -> "TensorWorkload":
-        """Shared construction from per-mode histograms + shard tables."""
+        """Extract the workload descriptor from a :class:`repro.engine.ShardSource`.
+
+        The nnz-per-index histograms come from the source's sorted key
+        columns (one sequential pass per mode; for a memory-mapped cache,
+        the only element I/O), and the shard tables and assignments come
+        from the source's metadata without materializing any mode copy.
+        """
+        shape = tuple(source.shape)
         nmodes = len(shape)
+        n_gpus = source.n_gpus
+        hists = [
+            np.bincount(
+                np.asarray(source.mode_keys(m)), minlength=shape[m]
+            ).astype(np.int64)
+            for m in range(nmodes)
+        ]
         cache_rows_divisor = rank * cost.rank_value_bytes
         modes: list[ModeWorkload] = []
         for m in range(nmodes):
-            shards = shard_tables[m]
-            assignment = np.asarray(assignments[m], dtype=np.int64)
+            shards = source.shards(m)
+            assignment = np.asarray(source.assignment(m), dtype=np.int64)
             rows = np.zeros(n_gpus, dtype=np.int64)
             for j, shard in enumerate(shards):
                 rows[assignment[j]] += shard.n_indices
@@ -181,73 +186,8 @@ class TensorWorkload:
             )
         return cls(
             name=name,
-            shape=tuple(shape),
-            nnz=int(nnz),
+            shape=shape,
+            nnz=int(source.nnz),
             modes=tuple(modes),
             skew_exponents=tuple(skew_exponents or ()),
-        )
-
-    @classmethod
-    def from_plan(
-        cls,
-        tensor: SparseTensorCOO,
-        plan: PartitionPlan,
-        cost: KernelCostModel,
-        *,
-        rank: int,
-        name: str = "tensor",
-        skew_exponents: Sequence[float] | None = None,
-    ) -> "TensorWorkload":
-        """Extract the workload descriptor from a materialized tensor + plan."""
-        hists = [mode_histogram(tensor, m) for m in range(tensor.nmodes)]
-        return cls._from_parts(
-            name,
-            tensor.shape,
-            tensor.nnz,
-            hists,
-            [part.shards for part in plan.modes],
-            plan.assignments,
-            plan.n_gpus,
-            cost,
-            rank,
-            skew_exponents,
-        )
-
-    @classmethod
-    def from_source(
-        cls,
-        source,
-        cost: KernelCostModel,
-        *,
-        rank: int,
-        name: str = "tensor",
-        skew_exponents: Sequence[float] | None = None,
-    ) -> "TensorWorkload":
-        """Extract the workload descriptor from a :class:`repro.engine.ShardSource`.
-
-        Unlike :meth:`from_plan` this never touches the wide per-element
-        index block: the nnz-per-index histograms come from the sources'
-        contiguous key columns (one sequential 8-byte-per-element pass per
-        mode — for a memory-mapped cache, the only element I/O), and the
-        shard tables/assignments come from the source's metadata without
-        materializing any mode copy.
-        """
-        shape = source.shape
-        hists = [
-            np.bincount(
-                np.asarray(source.mode_keys(m)), minlength=shape[m]
-            ).astype(np.int64)
-            for m in range(source.nmodes)
-        ]
-        return cls._from_parts(
-            name,
-            shape,
-            source.nnz,
-            hists,
-            [source.shards(m) for m in range(source.nmodes)],
-            [source.assignment(m) for m in range(source.nmodes)],
-            source.n_gpus,
-            cost,
-            rank,
-            skew_exponents,
         )

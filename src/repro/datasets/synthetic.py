@@ -10,12 +10,11 @@ behaviour mirrors the full dataset at a size NumPy can execute exactly.
 from __future__ import annotations
 
 from repro.datasets.profiles import DatasetProfile
-from repro.engine.source import SyntheticSource
 from repro.errors import ReproError
 from repro.tensor.coo import SparseTensorCOO
 from repro.tensor.generate import zipf_coo
 
-__all__ = ["scaled_shape", "materialize", "synthetic_source"]
+__all__ = ["scaled_shape", "materialize"]
 
 #: modes at or below this extent are preserved exactly when scaling
 SMALL_MODE_THRESHOLD = 1024
@@ -56,33 +55,3 @@ def materialize(
         seed=seed,
     )
 
-
-def synthetic_source(
-    profile: DatasetProfile,
-    target_nnz: int,
-    *,
-    n_gpus: int = 4,
-    shards_per_gpu: int = 16,
-    policy: str = "lpt",
-    seed=0,
-) -> SyntheticSource:
-    """A generator-backed shard source over a scaled dataset instance.
-
-    Wraps :func:`materialize` in a :class:`repro.engine.SyntheticSource`, so
-    the streaming engine (and its tests/benchmarks) can consume the dataset
-    without keeping every mode-sorted copy resident at once. ``seed``
-    defaults to 0 rather than ``None`` because the builder must be
-    deterministic — the source regenerates the tensor per mode and verifies
-    each regeneration against the shard tables.
-    """
-    if seed is None:
-        raise ReproError(
-            "synthetic_source needs a fixed seed: the generator is re-run "
-            "per mode and must be deterministic"
-        )
-    return SyntheticSource(
-        lambda: materialize(profile, target_nnz, seed=seed),
-        n_gpus=n_gpus,
-        shards_per_gpu=shards_per_gpu,
-        policy=policy,
-    )

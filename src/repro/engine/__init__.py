@@ -3,11 +3,10 @@
 * :mod:`batch` — segment-aligned slicing of shard tables into fixed-size
   element batches (:class:`ElementBatch` / :class:`BatchPlan`);
 * :mod:`source` — where batches come from: :class:`ShardSource` and its
-  resident (:class:`InMemorySource`), out-of-core shard-cache
-  (:class:`CompressedChunkSource`: memory-mapped for ``codec="none"``,
-  explicit double-buffered chunk reads for compressed cold storage), and
-  generator-backed (:class:`SyntheticSource`) implementations —
-  :func:`open_shard_source` opens a cache file;
+  two implementations, resident (:class:`InMemorySource`) and out-of-core
+  shard cache (:class:`CompressedChunkSource`: memory-mapped for
+  ``codec="none"``, explicit double-buffered chunk reads for compressed
+  cold storage) — :func:`open_shard_source` opens a cache file;
 * :mod:`backend` — where batch reductions run: :class:`ExecutionBackend`
   and its serial (:class:`SerialBackend`), persistent-thread-pool
   (:class:`ThreadBackend`), and shared-memory process-pool
@@ -30,8 +29,9 @@
 * :mod:`profile` — the microbenchmark profiler filling a
   :class:`HostProfile` (CLI: ``repro profile``);
 * :mod:`plan` — :class:`ExecutionPlan`, the frozen JSON-round-trippable
-  resolve→price→build record (:func:`plan_execution` resolves and
-  prices, :func:`build_engine_stack`/:func:`build_executor` are the only
+  resolve→price→build record (:func:`plan_source` is the one planning
+  path over a source, :func:`plan_execution` resolves and prices,
+  :func:`build_engine_stack`/:func:`build_executor` are the only
   constructors of the executor stack) shared by core, CLI, serve, and
   bench;
 * :mod:`executor` — :class:`StreamingExecutor`, the batched MTTKRP driver
@@ -39,8 +39,9 @@
 
 The engine's contract: for any ``(source, batch_size, backend, prefetch)``
 the result is bit-identical to the eager whole-shard reduction, because
-every source yields mode-sorted copies with identical coordinates (narrow
-resident copies, int64 caches), batch edges are
+every source yields mode-sorted copies with identical coordinates (in the
+narrow :func:`repro.tensor.coo.index_dtype` of the shape, for resident
+copies and for caches from manifest version 4 on), batch edges are
 snapped to output-segment boundaries, prefetch only changes *when* bytes
 are read, and partial results are applied in a deterministic order.
 """
@@ -98,6 +99,7 @@ from repro.engine.plan import (
     plan_config,
     plan_execution,
     plan_shard_cache,
+    plan_source,
     plan_tensor,
 )
 from repro.engine.prefetch import LoadedBatch, PrefetchingSource
@@ -106,7 +108,6 @@ from repro.engine.source import (
     COOView,
     InMemorySource,
     ShardSource,
-    SyntheticSource,
     open_shard_source,
 )
 
@@ -121,7 +122,6 @@ __all__ = [
     "ShardSource",
     "InMemorySource",
     "CompressedChunkSource",
-    "SyntheticSource",
     "open_shard_source",
     "COOView",
     "ExecutionBackend",
@@ -163,5 +163,6 @@ __all__ = [
     "plan_config",
     "plan_execution",
     "plan_shard_cache",
+    "plan_source",
     "plan_tensor",
 ]

@@ -78,8 +78,9 @@ MAX_WORKERS = 256
 BACKEND_NAMES = ("serial", "thread", "process", "cluster")
 
 #: Cap on cached shared-memory mode copies (coordinator side) and cached
-#: attachments (worker side). Regenerating sources (SyntheticSource) produce
-#: fresh arrays per sweep; the cap keeps republication bounded.
+#: attachments (worker side), keyed by the resident arrays' identity: a
+#: backend reused across executors publishes each plan's modes anew, and
+#: the cap keeps the published set bounded.
 _SHM_CACHE_CAP = 8
 
 #: Cap on persistent factor segments and output blocks (coordinator side)

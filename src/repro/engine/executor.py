@@ -8,10 +8,9 @@ instead of materializing whole shards, which
   shards stream through a cache-sized window);
 * decouples the engine from where the elements live: a resident
   :class:`repro.partition.plan.PartitionPlan`
-  (:class:`repro.engine.source.InMemorySource`), a shard cache on disk
+  (:class:`repro.engine.source.InMemorySource`) or a shard cache on disk
   (:class:`repro.engine.source.CompressedChunkSource`, memory-mapped or
-  compressed — tensors larger than host RAM), or a deterministic generator
-  (:class:`repro.engine.source.SyntheticSource`);
+  compressed — tensors larger than host RAM);
 * decouples the engine from where the reductions run: batches are mapped
   through a pluggable :class:`repro.engine.backend.ExecutionBackend` —
   serial, a persistent thread pool, or a process pool whose workers attach

@@ -59,6 +59,7 @@ __all__ = [
     "plan_config",
     "plan_execution",
     "plan_shard_cache",
+    "plan_source",
     "plan_tensor",
 ]
 
@@ -225,10 +226,9 @@ def normalize_source_config(config, source):
     streaming residency), and a shard-cache source records its manifest
     codec/chunk size, so the staging pricing charges a mapped read for a
     ``"none"`` cache and a read plus decompression for any other. This
-    is the one normalization every path shares — ``AmpedMTTKRP``,
-    :func:`plan_shard_cache`, and the CLI all call it, so a plan made
-    without building an executor fingerprints identically to the
-    executor's own.
+    is the one normalization every path shares: :func:`plan_source` calls
+    it, so a plan made without building an executor fingerprints
+    identically to the executor's own.
     """
     if source.is_out_of_core and not config.out_of_core:
         config = config.replace(
@@ -374,60 +374,75 @@ def plan_execution(
     return ExecutionPlan(**payload)
 
 
+def plan_source(source, config, *, cost=None, profile=None, name="plan"):
+    """``(config, workload, plan)`` for an execution over an open source.
+
+    The one planning path behind :class:`repro.core.amped.AmpedMTTKRP`,
+    :func:`plan_tensor` and :func:`plan_shard_cache`: the config is
+    normalized to the source (:func:`normalize_source_config`), the
+    workload comes off the source's key columns and shard metadata
+    (:meth:`repro.core.workload.TensorWorkload.from_source`), and
+    :func:`plan_execution` resolves and prices it at the source's measured
+    codec ratio (``None`` for a resident source). The returned config is
+    the normalized one; its ``"auto"`` axes are still unresolved.
+    """
+    from repro.core.workload import TensorWorkload
+    from repro.simgpu.kernel import KernelCostModel
+
+    if source.n_gpus != config.n_gpus:
+        raise ReproError(
+            f"source was sharded for {source.n_gpus} GPUs, "
+            f"config requests {config.n_gpus}"
+        )
+    cost = cost or KernelCostModel()
+    config = normalize_source_config(config, source)
+    workload = TensorWorkload.from_source(
+        source, cost, rank=config.rank, name=name
+    )
+    plan = plan_execution(
+        config, workload, cost=cost, profile=profile,
+        codec_ratio=getattr(source, "codec_ratio", None),
+    )
+    return config, workload, plan
+
+
 def plan_tensor(tensor, config, *, cost=None, profile=None, name="plan"):
     """Plan a resident (in-memory) execution without building an executor.
 
-    Partitions ``tensor`` exactly as :class:`repro.core.amped.AmpedMTTKRP`
-    would and resolves through :func:`plan_execution`, so the fingerprint
-    matches the executor the same config would build.
+    Partitions ``tensor`` into the :class:`repro.engine.InMemorySource`
+    :class:`repro.core.amped.AmpedMTTKRP` would build and plans it through
+    :func:`plan_source`, so the fingerprint matches that executor's.
     """
-    from repro.core.workload import TensorWorkload
-    from repro.partition.plan import build_partition_plan
-    from repro.simgpu.kernel import KernelCostModel
+    from repro.engine.source import InMemorySource
 
-    cost = cost or KernelCostModel()
-    part = build_partition_plan(
+    source = InMemorySource.from_tensor(
         tensor, config.n_gpus,
         shards_per_gpu=config.shards_per_gpu, policy=config.policy,
     )
-    workload = TensorWorkload.from_plan(
-        tensor, part, cost, rank=config.rank, name=name
-    )
-    return plan_execution(config, workload, cost=cost, profile=profile)
+    return plan_source(
+        source, config, cost=cost, profile=profile, name=name
+    )[2]
 
 
 def plan_shard_cache(cache, config, *, cost=None, profile=None, name="plan"):
     """Plan an out-of-core execution over ``cache`` without executing.
 
     Opens the cache for metadata only (key columns + manifest; no engine,
-    backend pool, or cluster node is constructed), normalizes the config
-    the way :class:`~repro.core.amped.AmpedMTTKRP` would, and resolves
-    through :func:`plan_execution` — so ``repro plan`` prints the same
-    fingerprint ``repro decompose`` later reports.
+    backend pool, or cluster node is constructed) and plans it through
+    :func:`plan_source`, so ``repro plan`` prints the same fingerprint
+    ``repro decompose`` later reports.
     """
-    from repro.core.workload import TensorWorkload
     from repro.engine.source import open_shard_source
-    from repro.simgpu.kernel import KernelCostModel
 
-    cost = cost or KernelCostModel()
-    source = open_shard_source(
+    with open_shard_source(
         cache,
         n_gpus=config.n_gpus,
         shards_per_gpu=config.shards_per_gpu,
         policy=config.policy,
-    )
-    try:
-        config = normalize_source_config(config, source)
-        workload = TensorWorkload.from_source(
-            source, cost, rank=config.rank, name=name
-        )
-        return plan_execution(
-            config, workload, cost=cost, profile=profile,
-            codec_ratio=getattr(source, "codec_ratio", None),
-        )
-    finally:
-        if hasattr(source, "close"):
-            source.close()
+    ) as source:
+        return plan_source(
+            source, config, cost=cost, profile=profile, name=name
+        )[2]
 
 
 # ----------------------------------------------------------------------

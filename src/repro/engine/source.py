@@ -1,13 +1,13 @@
 """Shard sources: where the streaming engine's element batches come from.
 
-PR 1's :class:`StreamingExecutor` bounded the *transient* working set at
-``batch_size`` elements but still required every mode-sorted tensor copy of a
-:class:`repro.partition.plan.PartitionPlan` resident in host RAM, capping the
-engine at in-memory scale. A :class:`ShardSource` abstracts the storage
-behind the batches so the same executor can stream from
+A :class:`ShardSource` hands :class:`repro.engine.StreamingExecutor` the
+AMPED preprocessing output (one mode-sorted tensor copy per mode, its
+equal-width shard table, and the static shard→GPU assignment) and hides
+where the element bytes live. There are two:
 
-* :class:`InMemorySource` — today's resident ``PartitionPlan`` (the default;
-  wraps a plan, zero copies);
+* :class:`InMemorySource` — a resident
+  :class:`repro.partition.plan.PartitionPlan` (zero copies). This is what
+  :class:`repro.core.amped.AmpedMTTKRP` builds from a tensor;
 * :class:`CompressedChunkSource` — a shard cache on disk
   (:func:`repro.tensor.io.write_shard_cache_v2`). A ``codec="none"`` cache
   is memory-mapped, so slicing a batch faults in only that batch's pages;
@@ -16,34 +16,33 @@ behind the batches so the same executor can stream from
   (:class:`repro.engine.prefetch.PrefetchingSource`) the next chunks
   decompress on the reader's decode pool while the current batch reduces.
   Either way the resident tensor footprint is O(batch), not O(nnz), which
-  is what opens tensors larger than host memory;
-* :class:`SyntheticSource` — a deterministic generator, for tests and
-  benchmarks that want engine-scale inputs without materializing (and
-  keeping) every mode copy at once.
+  is what opens tensors larger than host memory.
 
 :func:`open_shard_source` opens a cache file as its source.
 
-The contract all sources share: for one logical tensor, every source yields
-**mode-sorted copies with identical coordinates** — resident copies and
-caches store them in the narrowest index dtype of the shape
-(:func:`repro.tensor.coo.index_dtype`; caches before manifest version 4 in
-int64), with the same values — hence the same shard tables, the same
-segment-aligned :class:`repro.engine.batch.BatchPlan` boundaries, and
-bit-identical MTTKRP results — the source/equivalence test matrix in
-``tests/engine/test_sources.py`` and ``tests/golden/`` pins this.
+Both shard through :func:`repro.partition.plan.shard_layout`, and both
+yield **mode-sorted copies with identical coordinates**, stored in the
+narrowest index dtype of the shape (:func:`repro.tensor.coo.index_dtype`;
+caches before manifest version 4 in int64), with the same values. So they
+give the same shard tables, the same segment-aligned
+:class:`repro.engine.batch.BatchPlan` boundaries, and bit-identical MTTKRP
+results. The source/equivalence matrix in ``tests/engine/test_sources.py``
+and ``tests/golden/`` pins this.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable
 
 import numpy as np
 
 from repro.errors import ReproError
-from repro.partition.balance import assign_shards
-from repro.partition.plan import PartitionPlan, build_partition_plan
-from repro.partition.sharding import ModePartition, Shard, shard_table
+from repro.partition.plan import (
+    PartitionPlan,
+    build_partition_plan,
+    shard_layout,
+)
+from repro.partition.sharding import ModePartition, Shard
 from repro.tensor.coo import SparseTensorCOO
 from repro.tensor.io_v2 import (
     DEFAULT_CHUNK_CACHE,
@@ -56,7 +55,6 @@ __all__ = [
     "ShardSource",
     "InMemorySource",
     "CompressedChunkSource",
-    "SyntheticSource",
     "COOView",
     "open_shard_source",
 ]
@@ -120,11 +118,10 @@ class COOView:
 class ShardSource(ABC):
     """Yields segment-aligned element batches of the per-mode tensor copies.
 
-    Subclasses provide the mode-sorted element data (resident, mapped, or
-    generated) and build the shard tables and shard→GPU assignment the
-    AMPED algorithm schedules on with :meth:`_build_layout` (or override
-    the accessors). :class:`repro.engine.StreamingExecutor` is the
-    consumer: it plans batches over :meth:`mode_keys` and reduces the blocks
+    Subclasses provide the mode-sorted element data (resident or on disk),
+    the shard tables and the shard→GPU assignment the AMPED algorithm
+    schedules on. :class:`repro.engine.StreamingExecutor` is the consumer:
+    it plans batches over :meth:`mode_keys` and reduces the blocks
     :meth:`partition` exposes.
     """
 
@@ -142,8 +139,8 @@ class ShardSource(ABC):
     def nnz(self) -> int: ...
 
     @property
-    def n_gpus(self) -> int:
-        return self._n_gpus
+    @abstractmethod
+    def n_gpus(self) -> int: ...
 
     @property
     def nmodes(self) -> int:
@@ -154,45 +151,17 @@ class ShardSource(ABC):
     def partition(self, mode: int) -> ModePartition:
         """Shard table + (possibly lazy) mode-sorted copy of one mode."""
 
+    @abstractmethod
     def assignment(self, mode: int) -> np.ndarray:
         """Static shard→GPU assignment of one mode."""
-        return self._assignments[self._check_mode(mode)]
 
+    @abstractmethod
     def shards(self, mode: int) -> tuple[Shard, ...]:
         """The shard table of one mode.
 
         Metadata only, so callers that need the table (e.g. workload
         construction) never force a mode copy to materialize.
         """
-        return self._shards[self._check_mode(mode)]
-
-    def _build_layout(
-        self,
-        keys_of: Callable[[int], np.ndarray],
-        *,
-        n_gpus: int,
-        shards_per_gpu: int,
-        policy: str,
-    ) -> None:
-        """Validate the sharding knobs and build every mode's shard table
-        and shard→GPU assignment from its sorted key column ``keys_of(m)``
-        — the same steps as :func:`repro.partition.plan.build_partition_plan`,
-        so every source shards bit-identically to the in-memory path."""
-        if n_gpus <= 0:
-            raise ReproError("n_gpus must be positive")
-        if shards_per_gpu <= 0:
-            raise ReproError("shards_per_gpu must be positive")
-        self._n_gpus = int(n_gpus)
-        n_shards = self._n_gpus * int(shards_per_gpu)
-        self._shards: list[tuple[Shard, ...]] = []
-        self._assignments: list[np.ndarray] = []
-        for m, extent in enumerate(self.shape):
-            shards = shard_table(keys_of(m), extent, m, n_shards)
-            nnz_per_shard = np.array([s.nnz for s in shards], dtype=np.int64)
-            self._shards.append(shards)
-            self._assignments.append(
-                assign_shards(nnz_per_shard, self._n_gpus, policy)
-            )
 
     def mode_keys(self, mode: int) -> np.ndarray:
         """The sorted output-mode key column (overridden where a contiguous
@@ -230,9 +199,8 @@ class ShardSource(ABC):
     def partition_plan(self) -> PartitionPlan:
         """A full :class:`PartitionPlan` view over this source.
 
-        For lazy sources the per-mode tensors inside the plan may be
-        memory-mapped views; for :class:`SyntheticSource` this materializes
-        every mode copy at once (documented trade-off).
+        For a shard cache the per-mode tensors inside the plan are lazy
+        (mapped or chunk-read) views; nothing is read until they are sliced.
         """
         return PartitionPlan(
             n_gpus=self.n_gpus,
@@ -258,11 +226,12 @@ class ShardSource(ABC):
 
 
 class InMemorySource(ShardSource):
-    """The resident-``PartitionPlan`` source — PR 1's path, wrapped.
+    """A resident :class:`PartitionPlan` as a source.
 
     Zero-copy: partitions, assignments, and element arrays are the plan's
-    own. This is what :class:`repro.engine.StreamingExecutor` builds when
-    handed a bare plan, so existing callers stream exactly as before.
+    own. :meth:`from_tensor` builds the plan; it is what
+    :class:`repro.core.amped.AmpedMTTKRP` plans a resident tensor through,
+    and what :class:`repro.engine.StreamingExecutor` wraps a bare plan in.
     """
 
     is_out_of_core = False
@@ -328,9 +297,11 @@ class CompressedChunkSource(ShardSource):
     right trade for cold storage, where bytes moved dominate and mmap
     would fault far more than a batch needs.
 
-    Parameters mirror :func:`repro.partition.plan.build_partition_plan` so a
-    cache-backed run shards (and therefore batches, and therefore reduces)
-    bit-identically to the in-memory path.
+    Parameters mirror :func:`repro.partition.plan.build_partition_plan`,
+    and the shard tables come from the same
+    :func:`repro.partition.plan.shard_layout`, so a cache-backed run shards
+    (and therefore batches, and therefore reduces) bit-identically to the
+    in-memory path.
 
     With prefetch on, the source reads ahead itself
     (:meth:`read_ahead_partition`): a chunk the consumer reaches starts
@@ -359,10 +330,12 @@ class CompressedChunkSource(ShardSource):
         self._nnz = self._reader.nnz
         self._keys_cache: tuple[int, np.ndarray] | None = None
         # one decompressed key column at a time (transient)
-        self._build_layout(
+        self._shards, self._assignments = shard_layout(
+            self._shape,
             lambda m: np.asarray(self._reader.array(f"mode{m}_keys")),
-            n_gpus=n_gpus, shards_per_gpu=shards_per_gpu, policy=policy,
+            n_gpus, shards_per_gpu=shards_per_gpu, policy=policy,
         )
+        self._n_gpus = int(n_gpus)
 
     # ---- identity -----------------------------------------------------
     @property
@@ -372,6 +345,10 @@ class CompressedChunkSource(ShardSource):
     @property
     def nnz(self) -> int:
         return self._nnz
+
+    @property
+    def n_gpus(self) -> int:
+        return self._n_gpus
 
     @property
     def codec(self) -> str:
@@ -426,6 +403,12 @@ class CompressedChunkSource(ShardSource):
 
     def partition(self, mode: int) -> ModePartition:
         return self._partition(mode, 0)
+
+    def assignment(self, mode: int) -> np.ndarray:
+        return self._assignments[self._check_mode(mode)]
+
+    def shards(self, mode: int) -> tuple[Shard, ...]:
+        return self._shards[self._check_mode(mode)]
 
     def read_ahead_partition(self, mode: int) -> ModePartition:
         """The partition whose chunk reads decode the next
@@ -491,84 +474,4 @@ def open_shard_source(
     return CompressedChunkSource(
         path, n_gpus=n_gpus, shards_per_gpu=shards_per_gpu, policy=policy
     )
-
-
-class SyntheticSource(ShardSource):
-    """Generator-backed source: engine-scale inputs without keeping every
-    mode-sorted copy resident.
-
-    ``builder`` is a deterministic zero-argument callable returning the same
-    :class:`SparseTensorCOO` on every call (e.g. a seeded
-    ``lambda: zipf_coo(...)``). At construction the source generates the
-    tensor once to derive shard tables and assignments (metadata only), then
-    drops it; each mode's sorted copy is regenerated on demand and only the
-    most recently used mode is kept, so peak residency is one copy instead
-    of ``nmodes + 1``. Determinism is checked cheaply on every regeneration.
-    """
-
-    is_out_of_core = False
-
-    def __init__(
-        self,
-        builder: Callable[[], SparseTensorCOO],
-        *,
-        n_gpus: int = 4,
-        shards_per_gpu: int = 16,
-        policy: str = "lpt",
-    ) -> None:
-        if not callable(builder):
-            raise ReproError("builder must be a zero-argument callable")
-        self._builder = builder
-        tensor = self._build()
-        self._shape = tensor.shape
-        self._nnz = tensor.nnz
-        self._checksum = self._fingerprint(tensor)
-        self._build_layout(
-            lambda m: np.sort(tensor.indices[:, m]),
-            n_gpus=n_gpus, shards_per_gpu=shards_per_gpu, policy=policy,
-        )
-        self._cached: tuple[int, ModePartition] | None = None
-
-    @staticmethod
-    def _fingerprint(tensor: SparseTensorCOO) -> tuple:
-        return (
-            tensor.shape,
-            tensor.nnz,
-            float(tensor.values.sum()),
-            int(tensor.indices.sum()),
-        )
-
-    def _build(self) -> SparseTensorCOO:
-        tensor = self._builder()
-        if not isinstance(tensor, SparseTensorCOO):
-            raise ReproError(
-                f"builder must return a SparseTensorCOO, got "
-                f"{type(tensor).__name__}"
-            )
-        return tensor
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self._shape
-
-    @property
-    def nnz(self) -> int:
-        return self._nnz
-
-    def partition(self, mode: int) -> ModePartition:
-        mode = self._check_mode(mode)
-        if self._cached is not None and self._cached[0] == mode:
-            return self._cached[1]
-        tensor = self._build()
-        if self._fingerprint(tensor) != self._checksum:
-            raise ReproError(
-                "SyntheticSource builder is not deterministic: regenerated "
-                "tensor differs from the one the shard tables were built on "
-                "(seed the generator)"
-            )
-        part = ModePartition(
-            mode=mode, tensor=tensor.sorted_by_mode(mode), shards=self._shards[mode]
-        )
-        self._cached = (mode, part)
-        return part
 

@@ -15,16 +15,21 @@ MTTKRP bit, are those of the int64 copies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.errors import PartitionError
 from repro.partition.balance import assign_shards, bin_loads
-from repro.partition.sharding import ModePartition, shard_mode
+from repro.partition.sharding import ModePartition, Shard, shard_table
 from repro.tensor.coo import SparseTensorCOO, index_dtype
 
-__all__ = ["PartitionPlan", "build_partition_plan", "paper_shard_count"]
+__all__ = [
+    "PartitionPlan",
+    "build_partition_plan",
+    "paper_shard_count",
+    "shard_layout",
+]
 
 
 def paper_shard_count(extent: int, n_gpus: int) -> int:
@@ -66,6 +71,7 @@ class PartitionPlan:
         return [part.shards[j].index_range for j in self.shards_for_gpu(mode, gpu)]
 
     def validate(self) -> None:
+        """Check every mode's shard invariants and assignment (test hook)."""
         for mode, (part, assignment) in enumerate(zip(self.modes, self.assignments)):
             part.validate()
             if assignment.shape[0] != part.n_shards:
@@ -74,6 +80,46 @@ class PartitionPlan:
                 assignment.min() < 0 or assignment.max() >= self.n_gpus
             ):
                 raise PartitionError(f"mode {mode}: GPU id out of range")
+
+
+def shard_layout(
+    shape: Sequence[int],
+    keys_of: Callable[[int], np.ndarray],
+    n_gpus: int,
+    *,
+    shards_per_gpu: int | None = 8,
+    n_shards: Sequence[int] | int | None = None,
+    policy: str = "lpt",
+) -> tuple[tuple[tuple[Shard, ...], ...], tuple[np.ndarray, ...]]:
+    """Every mode's shard table and shard→GPU assignment.
+
+    ``keys_of(m)`` returns mode ``m``'s sorted key column: a resident copy's
+    index column or a shard cache's stored keys. Resident plans and shard
+    caches both shard through this one loop, so they shard bit-identically.
+    The sizing knobs are those of :func:`build_partition_plan`.
+    """
+    if n_gpus <= 0:
+        raise PartitionError("n_gpus must be positive")
+    nmodes = len(shape)
+    if n_shards is None:
+        if shards_per_gpu is None or shards_per_gpu <= 0:
+            raise PartitionError("shards_per_gpu must be positive")
+        counts = [n_gpus * shards_per_gpu] * nmodes
+    elif np.isscalar(n_shards):
+        counts = [int(n_shards)] * nmodes
+    else:
+        counts = [int(c) for c in n_shards]
+        if len(counts) != nmodes:
+            raise PartitionError("need one shard count per mode")
+    tables: list[tuple[Shard, ...]] = []
+    assignments: list[np.ndarray] = []
+    for mode, extent in enumerate(shape):
+        table = shard_table(keys_of(mode), extent, mode, counts[mode])
+        tables.append(table)
+        assignments.append(
+            assign_shards([s.nnz for s in table], n_gpus, policy)
+        )
+    return tuple(tables), tuple(assignments)
 
 
 def build_partition_plan(
@@ -96,34 +142,29 @@ def build_partition_plan(
         :func:`paper_shard_count` for the paper's ``|I_d|/m`` rule.
     policy:
         ``"lpt"`` (default, static balanced) or ``"round_robin"``.
+
+    The plan is not validated here: :meth:`PartitionPlan.validate` is a
+    test hook.
     """
-    if n_gpus <= 0:
-        raise PartitionError("n_gpus must be positive")
-    nmodes = tensor.nmodes
-    if n_shards is None:
-        if shards_per_gpu is None or shards_per_gpu <= 0:
-            raise PartitionError("shards_per_gpu must be positive")
-        counts = [n_gpus * shards_per_gpu] * nmodes
-    elif np.isscalar(n_shards):
-        counts = [int(n_shards)] * nmodes
-    else:
-        counts = [int(c) for c in n_shards]
-        if len(counts) != nmodes:
-            raise PartitionError("need one shard count per mode")
     # One narrowing cast of the index block; each mode copy gathers its
     # rows from it, so no int64 copy of a mode is ever made.
     narrowed = tensor._trusted(
         tensor.indices.astype(index_dtype(tensor.shape), copy=False),
         tensor.values,
     )
-    modes: list[ModePartition] = []
-    assignments: list[np.ndarray] = []
-    for mode in range(nmodes):
-        part = shard_mode(narrowed, mode, counts[mode])
-        modes.append(part)
-        assignments.append(assign_shards(part.shard_nnz(), n_gpus, policy))
-    plan = PartitionPlan(
-        n_gpus=n_gpus, modes=tuple(modes), assignments=tuple(assignments)
+    copies: list[SparseTensorCOO] = []
+
+    def sorted_keys(mode: int) -> np.ndarray:
+        copy = narrowed.sorted_by_mode(mode)
+        copies.append(copy)
+        return copy.indices[:, mode]
+
+    tables, assignments = shard_layout(
+        tensor.shape, sorted_keys, n_gpus,
+        shards_per_gpu=shards_per_gpu, n_shards=n_shards, policy=policy,
     )
-    plan.validate()
-    return plan
+    modes = tuple(
+        ModePartition(mode=m, tensor=copy, shards=table)
+        for m, (copy, table) in enumerate(zip(copies, tables))
+    )
+    return PartitionPlan(n_gpus=n_gpus, modes=modes, assignments=assignments)

@@ -49,13 +49,6 @@ def spawn_rngs(seed, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in seq.spawn(n)]
 
 
-def permutation_stable(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A permutation of ``range(n)`` as int64 (empty-safe)."""
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    return rng.permutation(n).astype(np.int64, copy=False)
-
-
 def zipf_weights(n: int, exponent: float) -> np.ndarray:
     """Normalized Zipf popularity weights ``w_i ~ 1/(i+1)^exponent``.
 

@@ -76,12 +76,13 @@ class TestConstruction:
     def test_functional_without_tensor_rejected(self, skewed_tensor, make_factors):
         from repro.core.config import AmpedConfig
         from repro.core.workload import TensorWorkload
+        from repro.engine.source import InMemorySource
         from repro.partition.plan import build_partition_plan
         from repro.simgpu.kernel import KernelCostModel
 
         plan = build_partition_plan(skewed_tensor, 1, shards_per_gpu=2)
-        wl = TensorWorkload.from_plan(
-            skewed_tensor, plan, KernelCostModel(), rank=6
+        wl = TensorWorkload.from_source(
+            InMemorySource(plan), KernelCostModel(), rank=6
         )
         backend = BLCOBackend(workload=wl, rank=6)
         with pytest.raises(ReproError, match="tensor"):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.amped import AmpedMTTKRP
 from repro.core.config import AmpedConfig
+from repro.engine.source import InMemorySource
 from repro.errors import ReproError
 from repro.simgpu.presets import paper_platform
 from repro.tensor.reference import mttkrp_coo_reference
@@ -53,6 +54,17 @@ class TestConstruction:
     def test_workload_derived(self, executor, skewed_tensor):
         assert executor.workload.nnz == skewed_tensor.nnz
         assert executor.workload.n_gpus == 4
+
+    def test_resident_tensor_planned_as_in_memory_source(
+        self, executor, skewed_tensor
+    ):
+        """A resident tensor runs from an InMemorySource over a valid
+        plan, and the executor keeps the caller's tensor for fits."""
+        assert isinstance(executor.source, InMemorySource)
+        assert executor.tensor is skewed_tensor
+        assert executor.partition_plan is executor.source.partition_plan()
+        executor.partition_plan.validate()
+        assert executor.cache_codec_ratio is None
 
 
 class TestSimulation:

@@ -9,6 +9,7 @@ from repro.core.workload import (
     TensorWorkload,
     hit_rate_from_histogram,
 )
+from repro.engine.source import InMemorySource
 from repro.errors import PartitionError
 from repro.partition.plan import build_partition_plan
 from repro.simgpu.kernel import KernelCostModel
@@ -39,11 +40,11 @@ class TestHitRate:
         assert hit_rate_from_histogram(np.empty(0), 5) == 1.0
 
 
-class TestFromPlan:
+class TestFromSource:
     def test_descriptor_consistency(self, skewed_tensor):
         plan = build_partition_plan(skewed_tensor, 4, shards_per_gpu=4)
-        wl = TensorWorkload.from_plan(
-            skewed_tensor, plan, KernelCostModel(), rank=8, name="sk"
+        wl = TensorWorkload.from_source(
+            InMemorySource(plan), KernelCostModel(), rank=8, name="sk"
         )
         assert wl.nnz == skewed_tensor.nnz
         assert wl.shape == skewed_tensor.shape
@@ -55,15 +56,17 @@ class TestFromPlan:
 
     def test_gpu_nnz_matches_plan(self, skewed_tensor):
         plan = build_partition_plan(skewed_tensor, 3, shards_per_gpu=4)
-        wl = TensorWorkload.from_plan(
-            skewed_tensor, plan, KernelCostModel(), rank=8
+        wl = TensorWorkload.from_source(
+            InMemorySource(plan), KernelCostModel(), rank=8
         )
         for m in range(3):
             assert np.array_equal(wl.modes[m].gpu_nnz(), plan.gpu_nnz(m))
 
     def test_factor_bytes(self, small_tensor):
         plan = build_partition_plan(small_tensor, 2, shards_per_gpu=2)
-        wl = TensorWorkload.from_plan(small_tensor, plan, KernelCostModel(), rank=8)
+        wl = TensorWorkload.from_source(
+            InMemorySource(plan), KernelCostModel(), rank=8
+        )
         assert wl.factor_bytes(8) == sum(small_tensor.shape) * 8 * 4
         assert wl.input_factor_bytes(0, 8) == (
             (small_tensor.shape[1] + small_tensor.shape[2]) * 8 * 4
@@ -72,7 +75,9 @@ class TestFromPlan:
     def test_small_factors_fully_cached(self, small_tensor):
         """Tiny functional tensors must estimate ~perfect cache hits."""
         plan = build_partition_plan(small_tensor, 2, shards_per_gpu=2)
-        wl = TensorWorkload.from_plan(small_tensor, plan, KernelCostModel(), rank=8)
+        wl = TensorWorkload.from_source(
+            InMemorySource(plan), KernelCostModel(), rank=8
+        )
         for mw in wl.modes:
             assert mw.factor_hit == pytest.approx(1.0)
 

@@ -31,8 +31,10 @@ from repro.engine.plan import (
     plan_config,
     plan_execution,
     plan_shard_cache,
+    plan_source,
     plan_tensor,
 )
+from repro.engine.source import CompressedChunkSource, InMemorySource
 from repro.errors import ReproError
 from repro.tensor.generate import zipf_coo
 from repro.tensor.io import write_shard_cache_v2
@@ -102,6 +104,48 @@ class TestPlanResolution:
         # the v2 manifest's measured ratio fed the plan without an executor
         assert planned.cache_codec == "zlib"
         assert planned.codec_ratio is not None
+
+    def test_plan_source_rejects_gpu_count_mismatch(self, tensor, base_config):
+        source = InMemorySource.from_tensor(
+            tensor, N_GPUS + 1, shards_per_gpu=SHARDS
+        )
+        with pytest.raises(ReproError, match="sharded for 3 GPUs"):
+            plan_source(source, base_config)
+
+    def test_plan_source_marks_a_cache_out_of_core(
+        self, chunked_cache, base_config
+    ):
+        """An open cache turns a resident config into the out-of-core one
+        the returned plan was priced for, and that plan is the one
+        plan_shard_cache makes from the path alone."""
+        with CompressedChunkSource(
+            chunked_cache, n_gpus=N_GPUS, shards_per_gpu=SHARDS
+        ) as source:
+            config, workload, plan = plan_source(source, base_config)
+        assert config.out_of_core
+        assert config.shard_cache == str(chunked_cache)
+        assert config.cache_codec == "zlib"
+        assert workload.nnz == source.nnz
+        assert plan.source == "shard_cache"
+        assert (
+            plan.fingerprint
+            == plan_shard_cache(chunked_cache, base_config).fingerprint
+        )
+
+    @pytest.mark.parametrize("cache", ["mmap_cache", "chunked_cache"])
+    def test_loaded_cache_plans_like_its_tensor(
+        self, request, tensor, base_config, cache
+    ):
+        """A cache loaded into memory (``--shard-cache`` without
+        ``--out-of-core``) plans with the fingerprint of the tensor it
+        was written from."""
+        path = request.getfixturevalue(cache)
+        with CompressedChunkSource(path, n_gpus=N_GPUS) as source:
+            loaded = source.tensor_view().as_coo()
+        assert (
+            plan_tensor(loaded, base_config).fingerprint
+            == plan_tensor(tensor, base_config).fingerprint
+        )
 
     def test_pricing_matches_admission_schema(self, tensor, base_config):
         plan = plan_tensor(tensor, base_config)

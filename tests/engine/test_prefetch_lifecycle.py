@@ -28,7 +28,6 @@ from repro.engine import (
     InMemorySource,
     PrefetchingSource,
     StreamingExecutor,
-    SyntheticSource,
 )
 from repro.engine.batch import build_batch_plan
 from repro.partition.plan import build_partition_plan
@@ -42,13 +41,9 @@ SHARDS_PER_GPU = 3
 ALLOWED_PREFIXES = ("repro-engine", "repro-v2-decode")
 
 
-def _tensor():
-    return zipf_coo((30, 20, 25), 900, exponents=1.0, seed=12)
-
-
 @pytest.fixture(scope="module")
 def tensor():
-    return _tensor()
+    return zipf_coo((30, 20, 25), 900, exponents=1.0, seed=12)
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +112,7 @@ def test_prefetch_sweep_starts_only_pool_threads(
 
 # ---- iter_batches abandonment and ownership ---------------------------
 
-SOURCE_KINDS = ["memory", "mmap", "chunked", "synthetic"]
+SOURCE_KINDS = ["memory", "mmap", "chunked", "loaded"]
 
 
 @pytest.fixture(scope="module")
@@ -136,9 +131,11 @@ def make_source(kind, plan, caches):
         return CompressedChunkSource(
             caches["zlib"], n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
         )
-    if kind == "synthetic":
-        return SyntheticSource(
-            _tensor, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
+    if kind == "loaded":
+        with CompressedChunkSource(caches["zlib"], n_gpus=N_GPUS) as cache:
+            loaded = cache.tensor_view().as_coo()
+        return InMemorySource.from_tensor(
+            loaded, N_GPUS, shards_per_gpu=SHARDS_PER_GPU
         )
     raise AssertionError(kind)
 

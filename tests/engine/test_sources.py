@@ -27,7 +27,6 @@ from repro.engine import (
     ProcessBackend,
     SerialBackend,
     StreamingExecutor,
-    SyntheticSource,
     ThreadBackend,
     auto_batch_size,
     open_shard_source,
@@ -71,13 +70,9 @@ N_GPUS = 4
 SHARDS_PER_GPU = 4
 
 
-def _tensor():
-    return zipf_coo((40, 25, 30), 1500, exponents=(1.2, 0.8, 1.0), seed=11)
-
-
 @pytest.fixture(scope="module")
 def tensor():
-    return _tensor()
+    return zipf_coo((40, 25, 30), 1500, exponents=(1.2, 0.8, 1.0), seed=11)
 
 
 @pytest.fixture(scope="module")
@@ -133,14 +128,18 @@ def make_source(kind: str, plan, cache_path, cache_v2_path=None):
         return CompressedChunkSource(
             cache_v2_path, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
         )
-    if kind == "synthetic":
-        return SyntheticSource(
-            _tensor, n_gpus=N_GPUS, shards_per_gpu=SHARDS_PER_GPU
+    if kind == "loaded":
+        # The compressed cache loaded into memory and partitioned afresh,
+        # the resident path of ``--shard-cache`` without --out-of-core.
+        with CompressedChunkSource(cache_v2_path, n_gpus=N_GPUS) as cache:
+            loaded = cache.tensor_view().as_coo()
+        return InMemorySource.from_tensor(
+            loaded, N_GPUS, shards_per_gpu=SHARDS_PER_GPU
         )
     raise AssertionError(kind)
 
 
-SOURCE_KINDS = ["memory", "mmap", "chunked", "synthetic"]
+SOURCE_KINDS = ["memory", "mmap", "chunked", "loaded"]
 BACKEND_KINDS = ["serial", "thread", "process"]
 
 
@@ -878,68 +877,6 @@ class TestChunkReadAhead:
         assert threading.active_count() == baseline
 
 
-class TestSyntheticSource:
-    def test_only_one_mode_resident(self, plan, cache_path):
-        source = make_source("synthetic", plan, cache_path)
-        p0 = source.partition(0)
-        assert source.partition(0) is p0  # cached while current
-        source.partition(1)
-        assert source.partition(0) is not p0  # regenerated after eviction
-
-    def test_shards_accessor_is_metadata_only(self, plan, cache_path):
-        """shards()/assignment() must not force a mode copy to materialize."""
-        source = make_source("synthetic", plan, cache_path)
-        calls = []
-        source._builder, real = (
-            lambda: calls.append(1) or real(),
-            source._builder,
-        )
-        for mode in range(len(source.shape)):
-            assert source.shards(mode) == plan.modes[mode].shards
-            source.assignment(mode)
-        assert not calls  # no regeneration happened
-
-    def test_nondeterministic_builder_rejected(self):
-        counter = iter(range(100))
-
-        def builder():
-            return zipf_coo((10, 8, 6), 50, exponents=1.0, seed=next(counter))
-
-        source = SyntheticSource(builder, n_gpus=2, shards_per_gpu=2)
-        with pytest.raises(ReproError, match="deterministic"):
-            source.partition(0)
-
-    def test_builder_type_checked(self):
-        with pytest.raises(ReproError, match="callable"):
-            SyntheticSource("nope", n_gpus=2)
-        with pytest.raises(ReproError, match="SparseTensorCOO"):
-            SyntheticSource(lambda: 42, n_gpus=2)
-
-    def test_dataset_helper(self):
-        from repro.datasets.profiles import profile_by_name
-        from repro.datasets.synthetic import materialize, synthetic_source
-
-        source = synthetic_source(
-            profile_by_name("twitch"), 2000, n_gpus=2, shards_per_gpu=2, seed=5
-        )
-        tensor = materialize(profile_by_name("twitch"), 2000, seed=5)
-        assert source.shape == tensor.shape
-        assert source.nnz == tensor.nnz
-        rng = np.random.default_rng(1)
-        factors = [rng.random((s, 4)) for s in tensor.shape]
-        got = StreamingExecutor(source, batch_size=32).mttkrp(factors, 0)
-        ref_plan = build_partition_plan(tensor, 2, shards_per_gpu=2)
-        want = StreamingExecutor(ref_plan).mttkrp(factors, 0)
-        assert np.array_equal(got, want)
-
-    def test_seed_required(self):
-        from repro.datasets.profiles import profile_by_name
-        from repro.datasets.synthetic import synthetic_source
-
-        with pytest.raises(ReproError, match="seed"):
-            synthetic_source(profile_by_name("twitch"), 1000, seed=None)
-
-
 class TestAutotune:
     def test_auto_batch_fits_cache(self):
         cost = KernelCostModel()
@@ -1077,22 +1014,33 @@ class TestAmpedIntegration:
                 atol=EXEC_FUSED_ATOL,
             )
 
-    def test_source_backed_executor_stays_lazy(self, tensor, plan, cache_path):
-        """Construction from a source must not materialize the whole plan
-        (workload stats come off the key columns and shard metadata)."""
+    def test_source_backed_executor_stays_lazy(self, tensor, factors, tmp_path):
+        """Construction from a cache reads only its key columns (workload
+        stats come off them and the shard metadata), and so does the
+        ``partition_plan`` view: a corrupted value chunk goes unnoticed
+        until the first MTTKRP reaches it."""
         from repro.core.amped import AmpedMTTKRP
         from repro.core.config import AmpedConfig
 
+        path = write_shard_cache_v2(
+            tensor, tmp_path / "c.npz", codec="none", chunk_nnz=128
+        )
+        with io_v2.load_shard_cache_v2(path) as reader:
+            chunk = reader.manifest["arrays"]["mode1_values"]["chunks"][0]
+        raw = bytearray(path.read_bytes())
+        raw[chunk["offset"] + 3] ^= 0xFF
+        path.write_bytes(bytes(raw))
         cfg = AmpedConfig(n_gpus=N_GPUS, rank=6, shards_per_gpu=SHARDS_PER_GPU)
-        ex = AmpedMTTKRP.from_shard_cache(cache_path, cfg)
-        assert ex._plan is None  # lazy until .partition_plan is asked for
-        assert ex.workload.nnz == tensor.nnz
-        assert ex.partition_plan.nmodes == tensor.nmodes  # materializes
-        assert ex._plan is not None
+        with AmpedMTTKRP.from_shard_cache(path, cfg) as ex:
+            assert ex.workload.nnz == tensor.nnz
+            assert ex.partition_plan.nmodes == tensor.nmodes
+            with pytest.raises(TensorFormatError, match="mode1_values"):
+                ex.mttkrp(factors, 1)
 
     def test_workload_matches_in_memory(self, tensor, cache_path):
-        """from_source and from_plan produce the same workload descriptor,
-        so out-of-core simulation timing equals the in-memory one."""
+        """A resident tensor and its cache produce the same workload
+        descriptor, so out-of-core simulation timing equals the in-memory
+        one."""
         import numpy as np
 
         from repro.core.amped import AmpedMTTKRP

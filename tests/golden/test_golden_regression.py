@@ -37,7 +37,6 @@ from repro.engine import (
     ProcessBackend,
     SerialBackend,
     StreamingExecutor,
-    SyntheticSource,
     ThreadBackend,
 )
 from repro.errors import UnsupportedTensorError
@@ -107,7 +106,7 @@ def shared_backends():
         backend.close()
 
 
-def _case_source(kind, name, tensor, config, cache_path):
+def _case_source(kind, tensor, config, cache_path):
     if kind == "memory":
         return InMemorySource(
             build_partition_plan(
@@ -120,10 +119,13 @@ def _case_source(kind, name, tensor, config, cache_path):
             n_gpus=config.n_gpus,
             shards_per_gpu=config.shards_per_gpu,
         )
-    if kind == "synthetic":
-        build = CASES[name]["build"]
-        return SyntheticSource(
-            build, n_gpus=config.n_gpus, shards_per_gpu=config.shards_per_gpu
+    if kind == "loaded":
+        # A cache loaded into memory and partitioned afresh, the resident
+        # path of ``repro decompose --shard-cache`` without --out-of-core.
+        with CompressedChunkSource(cache_path, n_gpus=config.n_gpus) as cache:
+            loaded = cache.tensor_view().as_coo()
+        return InMemorySource.from_tensor(
+            loaded, config.n_gpus, shards_per_gpu=config.shards_per_gpu
         )
     raise AssertionError(kind)
 
@@ -165,7 +167,7 @@ class TestEngineBitExact:
             assert np.array_equal(engine.mttkrp(factors, m), _expected(data, m))
 
     @pytest.mark.parametrize(
-        "source_kind", ["memory", "mmap", "chunked", "synthetic"]
+        "source_kind", ["memory", "mmap", "chunked", "loaded"]
     )
     @pytest.mark.parametrize("batch_size", [1, 17, None])
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
@@ -176,9 +178,9 @@ class TestEngineBitExact:
     ):
         """Every shard source reproduces the golden bits at every cell of the
         (batch_size, backend, prefetch) equivalence matrix."""
-        name, tensor, factors, _, config, data = case
-        cache = case_cache_v2 if source_kind == "chunked" else case_cache
-        source = _case_source(source_kind, name, tensor, config, cache)
+        _, tensor, factors, _, config, data = case
+        cache = case_cache if source_kind == "mmap" else case_cache_v2
+        source = _case_source(source_kind, tensor, config, cache)
         engine = StreamingExecutor(
             source,
             batch_size=batch_size,
@@ -188,29 +190,28 @@ class TestEngineBitExact:
         for m in range(tensor.nmodes):
             assert np.array_equal(engine.mttkrp(factors, m), _expected(data, m))
 
-    @pytest.mark.parametrize("source_kind", ["mmap", "chunked", "synthetic"])
+    @pytest.mark.parametrize("source_kind", ["mmap", "chunked", "loaded"])
     def test_shard_source_coordinates(
         self, case, case_cache, case_cache_v2, source_kind
     ):
-        """The resident copies and both caches hold the golden coordinates
-        in the narrowest index dtype of the shape; the synthetic source
-        holds the same values as int64 — the representations the
-        bit-identical matrix above runs over."""
-        name, tensor, _, _, config, _ = case
-        resident = _case_source("memory", name, tensor, config, case_cache)
-        cache = case_cache_v2 if source_kind == "chunked" else case_cache
-        source = _case_source(source_kind, name, tensor, config, cache)
+        """The resident copies, both caches and a cache loaded back into
+        memory hold the golden coordinates in the narrowest index dtype of
+        the shape — the representations the bit-identical matrix above
+        runs over."""
+        _, tensor, _, _, config, _ = case
+        resident = _case_source("memory", tensor, config, case_cache)
+        cache = case_cache if source_kind == "mmap" else case_cache_v2
+        source = _case_source(source_kind, tensor, config, cache)
         narrow = index_dtype(tensor.shape)
-        stored = np.int64 if source_kind == "synthetic" else narrow
         for m in range(tensor.nmodes):
             want = resident.partition(m).tensor.indices
             got = source.partition(m).tensor.indices
             assert want.dtype == narrow
-            assert got.dtype == stored
+            assert got.dtype == narrow
             assert np.array_equal(np.asarray(got[:]), want)
 
     @pytest.mark.parametrize(
-        "source_kind", ["memory", "mmap", "chunked", "synthetic"]
+        "source_kind", ["memory", "mmap", "chunked", "loaded"]
     )
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     @pytest.mark.parametrize("kernel", list(KERNEL_NAMES))
@@ -224,9 +225,9 @@ class TestEngineBitExact:
         (:data:`FUSED_RTOL`/:data:`FUSED_ATOL` — their per-segment
         sequential accumulation re-associates ``np.add.reduceat``'s sum
         tree, nothing more)."""
-        name, tensor, factors, _, config, data = case
-        cache = case_cache_v2 if source_kind == "chunked" else case_cache
-        source = _case_source(source_kind, name, tensor, config, cache)
+        _, tensor, factors, _, config, data = case
+        cache = case_cache if source_kind == "mmap" else case_cache_v2
+        source = _case_source(source_kind, tensor, config, cache)
         engine = StreamingExecutor(
             source,
             batch_size=17,
@@ -346,7 +347,7 @@ class TestClusterGolden:
         )
         in_memory = AmpedMTTKRP(tensor, config)
         want = cp_als(tensor, mttkrp=in_memory.mttkrp, **als_kw).final_fit
-        source = _case_source("mmap", None, tensor, config, case_cache)
+        source = _case_source("mmap", tensor, config, case_cache)
         engine = StreamingExecutor(
             source, batch_size=17, backend=cluster_backend
         )

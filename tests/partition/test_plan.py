@@ -43,6 +43,8 @@ class TestBuildPlan:
         rr = build_partition_plan(
             skewed_tensor, 4, shards_per_gpu=8, policy="round_robin"
         )
+        lpt.validate()
+        rr.validate()
         from repro.partition.balance import load_imbalance
 
         imb_lpt = max(load_imbalance(lpt.gpu_nnz(m)) for m in range(3))
@@ -51,10 +53,12 @@ class TestBuildPlan:
 
     def test_explicit_shard_counts(self, small_tensor):
         plan = build_partition_plan(small_tensor, 2, n_shards=[3, 5, 2])
+        plan.validate()
         assert [p.n_shards for p in plan.modes] == [3, 5, 2]
 
     def test_scalar_shard_count(self, small_tensor):
         plan = build_partition_plan(small_tensor, 2, n_shards=4)
+        plan.validate()
         assert all(p.n_shards == 4 for p in plan.modes)
 
     def test_paper_shard_count(self):

@@ -39,7 +39,6 @@ from repro.engine import (
     InMemorySource,
     PrefetchingSource,
     StreamingExecutor,
-    SyntheticSource,
     build_batch_plan,
     slice_segments,
 )
@@ -139,23 +138,19 @@ class TestSourceProperties:
     @given(engine_cases())
     @settings(max_examples=20, deadline=None)
     def test_every_source_yields_batchplan_boundaries(self, case):
-        """Mapped-cache and synthetic sources cut exactly the batches
-        BatchPlan cuts on the resident partition — for any tensor,
-        sharding, and batch size."""
+        """The mapped-cache source cuts exactly the batches BatchPlan cuts
+        on the resident partition — for any tensor, sharding, and batch
+        size."""
         shape, nnz, seed, n_gpus, shards_per_gpu, batch_size, _, mode = case
         t = zipf_coo(shape, nnz, exponents=1.0, seed=seed)
         plan = build_partition_plan(t, n_gpus, shards_per_gpu=shards_per_gpu)
+        plan.validate()
         want = build_batch_plan(plan.modes[mode], batch_size)
-        builder = lambda: zipf_coo(shape, nnz, exponents=1.0, seed=seed)  # noqa: E731
-        synthetic = SyntheticSource(
-            builder, n_gpus=n_gpus, shards_per_gpu=shards_per_gpu
-        )
         with tempfile.TemporaryDirectory() as tmp:
             cache = write_shard_cache_v2(t, Path(tmp) / "t.npz", codec="none")
-            mmap = CompressedChunkSource(
+            with CompressedChunkSource(
                 cache, n_gpus=n_gpus, shards_per_gpu=shards_per_gpu
-            )
-            for source in (synthetic, mmap):
+            ) as source:
                 part = source.partition(mode)
                 assert part.shards == plan.modes[mode].shards
                 got = build_batch_plan(
@@ -163,7 +158,6 @@ class TestSourceProperties:
                 )
                 assert got.batches == want.batches
                 got.validate_against(part)
-            mmap.close()
 
 
 class TestPrefetchProperties:

@@ -39,6 +39,7 @@ class TestShardingProperties:
     @settings(max_examples=40, deadline=None)
     def test_plan_rows_partition_index_space(self, t, n_gpus, shards_per_gpu):
         plan = build_partition_plan(t, n_gpus, shards_per_gpu=shards_per_gpu)
+        plan.validate()
         for mode in range(t.nmodes):
             covered = np.zeros(t.shape[mode], dtype=int)
             for g in range(n_gpus):
@@ -50,6 +51,7 @@ class TestShardingProperties:
     @settings(max_examples=40, deadline=None)
     def test_plan_conserves_nnz(self, t, n_gpus):
         plan = build_partition_plan(t, n_gpus, shards_per_gpu=3)
+        plan.validate()
         for mode in range(t.nmodes):
             assert plan.gpu_nnz(mode).sum() == t.nnz
 

@@ -250,6 +250,22 @@ class TestPlanDecomposeParity:
         )
         assert planned == executed
 
+    @pytest.mark.parametrize("codec", ["none", "zlib"])
+    def test_cache_loaded_into_memory(self, tmp_path, capsys, codec):
+        """``--shard-cache`` without ``--out-of-core`` loads the cache
+        resident; both commands plan that tensor the same way."""
+        cache = tmp_path / f"{codec}.npz"
+        assert main(
+            ["cache", "--dataset", "twitch", "--nnz", "3000", "--codec",
+             codec, str(cache)]
+        ) == 0
+        capsys.readouterr()
+        planned, executed = self._fingerprints(
+            ["--shard-cache", str(cache), "--rank", "4", "--gpus", "2"],
+            capsys,
+        )
+        assert planned == executed
+
     def test_cc_kernel(self, capsys):
         from repro.tensor.kernelreg import available_kernels
 
@@ -440,6 +456,22 @@ class TestOutOfCoreCommands:
         )
         assert rc == 2
         out = capsys.readouterr().out
+        assert "version 1" in out and "repro cache" in out
+
+    @pytest.mark.parametrize("out_of_core", [False, True])
+    def test_plan_refuses_version_1_cache(self, tmp_path, capsys, out_of_core):
+        """``repro plan`` refuses a version-1 cache like ``decompose``:
+        exit 2, whether the cache is streamed (``--out-of-core``) or loaded
+        resident through ``--shard-cache`` alone."""
+        v1 = tmp_path / "v1.npz"
+        np.savez(v1, version=np.array([1]), shape=np.array([2, 2]))
+        rc = main(
+            ["plan", "--shard-cache", str(v1), "--rank", "2"]
+            + (["--out-of-core"] if out_of_core else [])
+        )
+        assert rc == 2
+        out = capsys.readouterr().out
+        assert out.startswith("--shard-cache:")
         assert "version 1" in out and "repro cache" in out
 
     def test_cache_bad_memory_budget_rejected(self, tmp_path, capsys):
